@@ -43,14 +43,7 @@ from .graph import (
     induced_subgraph,
     is_independent,
 )
-from .mwis import (
-    BagIndependentFamily,
-    DPTable,
-    compute_tables,
-    enumerate_bag_independent_sets,
-    solve_mwis,
-    solve_mwis_plain,
-)
+from .mwis import compute_tables, solve_mwis, solve_mwis_plain
 from .nice import NiceRefinedTreeDecomposition, make_nice, nice_violations
 from .oracle import brute_force_mwis, elimination_bag, tin_exact, treewidth_exact
 from .packing import (
@@ -74,9 +67,7 @@ from .weights import WeightMap
 __version__ = "0.1.0"
 
 __all__ = [
-    "BagIndependentFamily",
     "CapExceededError",
-    "DPTable",
     "Graph",
     "GraphError",
     "InvalidDecompositionError",
@@ -108,7 +99,6 @@ __all__ = [
     "double_join",
     "elimination_bag",
     "enumerate_F_subgraphs",
-    "enumerate_bag_independent_sets",
     "generate",
     "independence_number",
     "induced_matching",

@@ -518,8 +518,12 @@ def main(argv=None):
     except GraphError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidDecompositionError, ResidualBoundViolation) as e:
+    except InvalidDecompositionError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ResidualBoundViolation as e:
+        shown = " ".join(str(v) for v in _one_indexed(e.witness))
+        print(f"error: {e}; witness vertices {shown}", file=sys.stderr)
         return EXIT_VIOLATION
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)

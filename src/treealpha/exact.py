@@ -17,7 +17,8 @@ DEFAULT_ALPHA_CAP = 64
 def _max_clique_size(rows, start_mask):
     """Size of a maximum clique of the graph restricted to `start_mask`.
 
-    `rows[v]` must be the neighbor mask of v restricted to the same universe.
+    `rows[v]` must be the neighbor mask of v restricted to the same universe;
+    it is only read for v in `start_mask`, so a dict over those will do.
     Branch and bound with a greedy-coloring upper bound.
     """
     best = 0
@@ -96,7 +97,7 @@ def alpha_of_subset(graph, vertices, cap=DEFAULT_ALPHA_CAP):
     for v in s:
         mask |= 1 << v
     rows = graph.bit_rows(cap=None)
-    comp = [mask & ~rows[v] & ~(1 << v) if mask >> v & 1 else 0 for v in range(graph.n)]
+    comp = {v: mask & ~rows[v] & ~(1 << v) for v in s}
     return _max_clique_size(comp, mask)
 
 

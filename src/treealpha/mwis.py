@@ -1,182 +1,149 @@
 """Max Weight Independent Set over a refined tree decomposition.
 
-The solver converts the decomposition to nice form and runs the classic
-bottom-up table computation, except that each node's table is indexed only
-by the independent subsets of its bag that respect the refinement split:
-any subset of the marked part U_t, but at most k vertices of the residual
-part X_t - U_t. c[t, S] is the best weight of an independent set I of the
-subtree's vertices with I restricted to the bag equal to S.
+The solver converts the decomposition to nice form and runs one bottom-up
+pass over it. c[t, S] is the best weight of an independent set I of the
+subtree's vertices with I restricted to the bag X_t equal to S. Table keys
+are int bit masks (bit v stands for vertex v), and each node's table is
+derived from its child's:
 
-Values are exact rationals end to end. The optimum value alone would be
-untestable against set-level properties, so every table entry keeps enough
-child references to rebuild one optimal witness set top-down.
+- leaf: {0: 0};
+- introduce v: the child's entries, plus S | v with value c + w(v) for
+  every child key S that holds no neighbor of v;
+- forget v: the child's entries with v projected out, keeping the larger
+  value (the entry without v on ties);
+- join: c1[S] + c2[S] - w(S) over the common keys of the two children.
+
+So every table is keyed by exactly the independent subsets of its bag.
+The refinement promise bounds them: each independent S of X_t has at most
+k vertices outside the marked part U_t, which leaves at most
+2^|U_t| * sum_{s<=k} C(|X_t - U_t|, s) keys. The pass checks the promise
+on every key of every node and reports a decomposition that breaks it via
+ResidualBoundViolation, with k+1 independent residual vertices as witness.
+
+Values are exact rationals end to end. One optimal witness set is rebuilt
+top-down from the stored values, with the same tie rule as the forget
+step, and re-verified before it is returned.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import GraphError, ResidualBoundViolation
-from .graph import check_vertex_set, is_independent
-from .nice import FORGET, INTRODUCE, JOIN, LEAF, make_nice
+from .graph import is_independent
+from .nice import INTRODUCE, JOIN, LEAF, make_nice
 
 
-@dataclass(frozen=True)
-class BagIndependentFamily:
-    """All independent subsets of a bag, each split along the refinement."""
-
-    bag: frozenset
-    refined: frozenset
-    sets: tuple
-
-    def split(self, s):
-        return s & self.refined, s - self.refined
-
-    def __len__(self):
-        return len(self.sets)
+def _mask(vertices):
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
-@dataclass(frozen=True)
-class DPTable:
-    """One node's table: set S -> best weight of an independent set of the
-    subtree's vertices restricting to S on the bag, plus the child key(s)
-    that achieved it (None at leaves, a (child, key) pair at introduce and
-    forget nodes, two such pairs at joins)."""
-
-    node: int
-    values: dict
-    backlinks: dict
-
-    def __getitem__(self, s):
-        return self.values[s]
-
-
-def enumerate_bag_independent_sets(graph, bag, refined, k):
-    """Independent subsets of `bag` combining any part of `refined` with at
-    most k residual vertices.
-
-    Raises ResidualBoundViolation if the residual part contains an
-    independent set of size k+1, i.e. the promised bound is false and the
-    enumeration would be incomplete.
-    """
-    bag = check_vertex_set(graph, bag)
-    refined = frozenset(refined)
-    if not refined <= bag:
-        raise GraphError("refined set must be a subset of the bag")
-    if k < 0:
-        raise GraphError("residual bound k must be nonnegative")
-    residual = sorted(bag - refined)
-    for cand in combinations(residual, k + 1):
-        if is_independent(graph, cand):
-            raise ResidualBoundViolation(
-                f"residual bound violated: independent set of size {k + 1} "
-                f"in bag residual",
-                witness=frozenset(cand),
-            )
-    marked = sorted(refined)
-    refined_subsets = []
-    for mask in range(1 << len(marked)):
-        s1 = frozenset(marked[i] for i in range(len(marked)) if mask >> i & 1)
-        if is_independent(graph, s1):
-            refined_subsets.append(s1)
+def _members(mask):
+    """The vertices whose bits are set in `mask`, ascending."""
     out = []
-    for size in range(min(k, len(residual)) + 1):
-        for combo in combinations(residual, size):
-            s2 = frozenset(combo)
-            if not is_independent(graph, s2):
-                continue
-            for s1 in refined_subsets:
-                s = s1 | s2
-                if is_independent(graph, s):
-                    out.append(s)
-    return BagIndependentFamily(bag, refined, tuple(out))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _check_residual(table, residual, k):
+    """Raise ResidualBoundViolation if a key has more than k residual bits.
+
+    The witness is the lexicographically first independent (k+1)-subset of
+    the residual: every such subset is itself a key, and any key over the
+    bound starts with one.
+    """
+    over = [s for s in table if (s & residual).bit_count() > k]
+    if over:
+        first = min(_members(s & residual)[: k + 1] for s in over)
+        raise ResidualBoundViolation(
+            f"residual bound violated: independent set of size {k + 1} "
+            f"in bag residual",
+            witness=frozenset(first),
+        )
 
 
 def compute_tables(graph, weights, nice, k):
     """Bottom-up tables for every node of a nice decomposition.
 
-    Exposed for inspection and tests; `solve_mwis` is a thin shell over this
-    plus witness reconstruction.
+    Returns {node: {key mask: value}}. Exposed for inspection and tests;
+    `solve_mwis` is a thin shell over this plus witness reconstruction.
     """
+    if k < 0:
+        raise GraphError("residual bound k must be nonnegative")
     td = nice.td
     tables = {}
     for t in nice.postorder():
-        fam = enumerate_bag_independent_sets(
-            graph, td.bags[t], td.refined[t], k
-        )
         kind = nice.kinds[t]
-        val = {}
-        bk = {}
+        kids = nice.children[t]
         if kind == LEAF:
-            val[frozenset()] = Fraction(0)
-            bk[frozenset()] = None
-        elif kind == INTRODUCE:
-            c = nice.children[t][0]
+            table = {0: Fraction(0)}
+        elif kind == JOIN:
+            other = tables[kids[1]]
+            table = {
+                s: x + other[s] - weights.total(_members(s))
+                for s, x in tables[kids[0]].items()
+            }
+        else:
+            child = tables[kids[0]]
             v = nice.vertices[t]
-            cval = tables[c].values
-            wv = weights[v]
-            for s in fam.sets:
-                if v in s:
-                    key = s - {v}
-                    val[s] = cval[key] + wv
-                    bk[s] = (c, key)
-                else:
-                    val[s] = cval[s]
-                    bk[s] = (c, s)
-        elif kind == FORGET:
-            c = nice.children[t][0]
-            v = nice.vertices[t]
-            cval = tables[c].values
-            for s in fam.sets:
-                keep = s | {v}
-                without = cval[s]
-                with_v = cval.get(keep)
-                # Prefer the child entry without v on ties.
-                if with_v is not None and with_v > without:
-                    val[s] = with_v
-                    bk[s] = (c, keep)
-                else:
-                    val[s] = without
-                    bk[s] = (c, s)
-        else:  # JOIN
-            c1, c2 = nice.children[t]
-            v1, v2 = tables[c1].values, tables[c2].values
-            for s in fam.sets:
-                val[s] = v1[s] + v2[s] - weights.total(s)
-                bk[s] = ((c1, s), (c2, s))
-        tables[t] = DPTable(t, val, bk)
+            bit = 1 << v
+            if kind == INTRODUCE:
+                nbrs = _mask(graph.adj[v])
+                wv = weights[v]
+                table = dict(child)
+                for s, x in child.items():
+                    if not s & nbrs:
+                        table[s | bit] = x + wv
+            else:  # FORGET
+                table = {s: x for s, x in child.items() if not s & bit}
+                for s, x in child.items():
+                    if s & bit and x > table[s ^ bit]:
+                        table[s ^ bit] = x
+        _check_residual(table, _mask(td.bags[t] - td.refined[t]), k)
+        tables[t] = table
     return tables
 
 
-def _solve_on_nice(graph, weights, nice, k):
-    tables = compute_tables(graph, weights, nice, k)
-    root_val = tables[nice.root].values[frozenset()]
-    # Rebuild one optimal set by walking the stored child keys top-down.
-    chosen = set()
-    stack = [(nice.root, frozenset())]
+def _rebuild_witness(nice, tables):
+    """One optimal set, read top-down from the tables."""
+    chosen = 0
+    stack = [(nice.root, 0)]
     while stack:
         t, s = stack.pop()
         chosen |= s
-        link = tables[t].backlinks[s]
-        if link is None:
-            continue
-        if nice.kinds[t] == JOIN:
-            stack.extend(link)
-        else:
-            stack.append(link)
-    return root_val, frozenset(chosen)
+        kind = nice.kinds[t]
+        kids = nice.children[t]
+        if kind == JOIN:
+            stack.extend((c, s) for c in kids)
+        elif kind != LEAF:
+            bit = 1 << nice.vertices[t]
+            child = tables[kids[0]]
+            if kind == INTRODUCE:
+                s &= ~bit
+            # Forget: take v only where the forget step did, strictly better
+            # (values are nonnegative, so -1 stands for "no entry with v").
+            elif child.get(s | bit, -1) > child[s]:
+                s |= bit
+            stack.append((kids[0], s))
+    return frozenset(_members(chosen))
 
 
 def solve_mwis(graph, weights, td, k):
     """Optimal independent set weight and one witness set.
 
     `k` is the promised residual independence bound of the decomposition; it
-    defines the enumeration budget, and a decomposition that breaks the
-    promise is reported via ResidualBoundViolation rather than silently
-    blowing up. The witness is re-verified before returning.
+    bounds the table sizes, and a decomposition that breaks the promise is
+    reported via ResidualBoundViolation rather than silently blowing up.
+    The witness is re-verified before returning.
     """
     nice = make_nice(graph, td)
-    value, witness = _solve_on_nice(graph, weights, nice, k)
+    tables = compute_tables(graph, weights, nice, k)
+    value = tables[nice.root][0]
+    witness = _rebuild_witness(nice, tables)
     if not is_independent(graph, witness):
         raise RuntimeError("internal: witness set is not independent")
     if weights.total(witness) != value:

@@ -1,7 +1,13 @@
 import io
 import json
 
-from treealpha import cycle_graph, make_decomposition, path_graph, trivial_decomposition
+from treealpha import (
+    cycle_graph,
+    is_independent,
+    make_decomposition,
+    path_graph,
+    trivial_decomposition,
+)
 from treealpha.cli import main
 from treealpha.formats import write_graph, write_td
 
@@ -325,3 +331,8 @@ def test_residual_violation_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "residual" in err
+    assert len(err.strip().splitlines()) == 1
+    shown = err.split("witness vertices")[1].split()
+    witness = {int(x) - 1 for x in shown}
+    assert len(shown) == len(witness) == 2
+    assert witness <= set(range(4)) and is_independent(g, witness)

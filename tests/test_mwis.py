@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,31 +12,58 @@ from treealpha import (
     ResidualBoundViolation,
     WeightMap,
     alpha_exact,
+    alpha_of_subset,
     build_graph,
     clique_tree,
     complete_bipartite,
     complete_graph,
+    compute_tables,
     cycle_graph,
     double_join,
-    enumerate_bag_independent_sets,
     is_chordal,
     is_independent,
     make_decomposition,
+    make_nice,
     path_graph,
+    residual_independence_number,
     solve_mwis,
     solve_mwis_plain,
     tin_exact,
     trivial_decomposition,
 )
+from treealpha.nice import INTRODUCE, JOIN, LEAF
 from treealpha.oracle import brute_force_mwis
 
 from .conftest import mwis_by_enumeration, random_graph, random_weights
 
 
+def _key_sets(table):
+    return {frozenset(v for v in range(s.bit_length()) if s >> v & 1) for s in table}
+
+
+def _independent_subsets(g, bag):
+    bag = sorted(bag)
+    return {
+        frozenset(c)
+        for r in range(len(bag) + 1)
+        for c in itertools.combinations(bag, r)
+        if is_independent(g, c)
+    }
+
+
+def _full_bag_table(g, td, k):
+    """The table of the first nice node whose bag is the whole vertex set."""
+    nice = make_nice(g, td)
+    tables = compute_tables(g, WeightMap(g.n), nice, k)
+    full = frozenset(range(g.n))
+    t = next(t for t in nice.postorder() if nice.td.bags[t] == full)
+    return tables[t]
+
+
 def test_enumerate_path_bag():
     g = path_graph(3)
-    fam = enumerate_bag_independent_sets(g, {0, 1, 2}, set(), 2)
-    assert set(fam.sets) == {
+    table = _full_bag_table(g, trivial_decomposition(g), 2)
+    assert _key_sets(table) == {
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -46,23 +74,27 @@ def test_enumerate_path_bag():
 
 def test_enumerate_clique_bag():
     g = complete_graph(5)
-    fam = enumerate_bag_independent_sets(g, range(5), set(), 1)
-    assert len(fam) == 6
+    assert len(_full_bag_table(g, trivial_decomposition(g), 1)) == 6
 
 
 def test_enumerate_detects_residual_violation():
     # With only vertex 0 marked, the rest of the 4-cycle still holds the
     # independent pair {1, 3}, so a promised residual bound of 1 is false.
     g = cycle_graph(4)
+    td = make_decomposition(g, [set(range(4))], [], [{0}])
     with pytest.raises(ResidualBoundViolation) as err:
-        enumerate_bag_independent_sets(g, range(4), {0}, 1)
+        solve_mwis(g, WeightMap(4), td, 1)
+    assert err.value.witness == frozenset({1, 3})
+    with pytest.raises(ResidualBoundViolation) as err:
+        compute_tables(g, WeightMap(4), make_nice(g, td), 1)
     assert err.value.witness == frozenset({1, 3})
 
 
 def test_enumerate_refined_bag_with_adequate_bound():
     g = cycle_graph(4)
-    fam = enumerate_bag_independent_sets(g, range(4), {0}, 2)
-    assert set(fam.sets) == {
+    td = make_decomposition(g, [set(range(4))], [], [{0}])
+    table = _full_bag_table(g, td, 2)
+    assert _key_sets(table) == {
         frozenset(),
         frozenset({0}),
         frozenset({1}),
@@ -71,26 +103,26 @@ def test_enumerate_refined_bag_with_adequate_bound():
         frozenset({0, 2}),
         frozenset({1, 3}),
     }
-    s1, s2 = fam.split(frozenset({0, 2}))
-    assert s1 == frozenset({0}) and s2 == frozenset({2})
 
 
 def test_enumerate_count_bound():
+    # At every nice node the keys are exactly the independent subsets of
+    # the bag, and there are at most 2^|U_t| * sum_{s<=k} C(|X_t - U_t|, s).
     rng = random.Random(18)
     for _ in range(20):
         g = random_graph(rng.randint(1, 7), 0.4, rng)
-        bag = frozenset(range(g.n))
-        u = frozenset(v for v in bag if rng.random() < 0.3)
+        u = frozenset(v for v in range(g.n) if rng.random() < 0.3)
+        td = make_decomposition(g, [range(g.n)], [], [u])
         k = alpha_exact(g)
-        fam = enumerate_bag_independent_sets(g, bag, u, k)
-        residual = len(bag - u)
-        cap = (2 ** len(u)) * sum(
-            len(list(itertools.combinations(range(residual), i)))
-            for i in range(k + 1)
-        )
-        assert len(fam) <= cap
-        assert len(set(fam.sets)) == len(fam.sets)
-        assert all(is_independent(g, s) for s in fam.sets)
+        nice = make_nice(g, td)
+        tables = compute_tables(g, WeightMap(g.n), nice, k)
+        assert set(tables) == set(range(nice.node_count))
+        for t, table in tables.items():
+            bag, marked = nice.td.bags[t], nice.td.refined[t]
+            assert _key_sets(table) == _independent_subsets(g, bag)
+            residual = len(bag - marked)
+            cap = (2 ** len(marked)) * sum(math.comb(residual, i) for i in range(k + 1))
+            assert len(table) <= cap
 
 
 def test_solve_examples():
@@ -103,6 +135,12 @@ def test_solve_examples():
     assert solve_mwis(g, WeightMap(3, {0: 3, 1: 1, 2: 3}), td, 2) == (
         Fraction(6),
         frozenset({0, 2}),
+    )
+    # A tie keeps the entry without the forgotten vertex, so the witness
+    # does not depend on how the tables are stored.
+    assert solve_mwis(g, WeightMap(3, {0: 1, 1: 2, 2: 1}), td, 2) == (
+        Fraction(2),
+        frozenset({1}),
     )
     c5 = cycle_graph(5)
     value, _ = solve_mwis(c5, WeightMap(5), trivial_decomposition(c5), 2)
@@ -192,8 +230,6 @@ def test_decomposition_independence_of_value():
 
 def test_refinement_never_changes_value():
     rng = random.Random(22)
-    from treealpha import residual_independence_number
-
     for _ in range(20):
         n = rng.randint(1, 8)
         g = random_graph(n, 0.4, rng)
@@ -263,18 +299,33 @@ def test_solver_is_deterministic():
 
 
 def test_tables_expose_the_recurrences():
-    from treealpha import compute_tables, make_nice
-
     g = cycle_graph(5)
     w = WeightMap(5, {0: 2, 1: 3, 2: 5, 3: 7, 4: 11})
-    nice = make_nice(g, trivial_decomposition(g))
-    tables = compute_tables(g, w, nice, 2)
-    assert set(tables) == set(range(nice.node_count))
-    for t, table in tables.items():
-        assert table.values[frozenset()] >= 0
-        assert frozenset() in table.backlinks
-    root_value = tables[nice.root][frozenset()]
-    assert root_value == brute_force_mwis(g, w)[0]
+    rng = random.Random(24)
+    for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(tin_exact(g)[1], rng)):
+        nice = make_nice(g, td)
+        tables = compute_tables(g, w, nice, 2)
+        assert set(tables) == set(range(nice.node_count))
+        for t, table in tables.items():
+            kids = nice.children[t]
+            kind = nice.kinds[t]
+            for key, value in table.items():
+                members = _key_sets([key]).pop()
+                if kind == LEAF:
+                    assert (key, value) == (0, 0)
+                elif kind == JOIN:
+                    a, b = (tables[c][key] for c in kids)
+                    assert value == a + b - w.total(members)
+                elif kind == INTRODUCE:
+                    v = nice.vertices[t]
+                    child = tables[kids[0]]
+                    expect = child[key & ~(1 << v)] + (w[v] if v in members else 0)
+                    assert value == expect
+                else:
+                    v = nice.vertices[t]
+                    child = tables[kids[0]]
+                    assert value == max(child[key], child.get(key | 1 << v, 0))
+        assert tables[nice.root][0] == brute_force_mwis(g, w)[0]
 
 
 @st.composite
@@ -297,3 +348,46 @@ def test_hypothesis_solver_is_exact(gw):
     assert value == mwis_by_enumeration(g, w)
     assert is_independent(g, chosen)
     assert w.total(chosen) == value
+
+
+@st.composite
+def refined_instances(draw):
+    """A weighted graph (n <= 9), a valid decomposition, maybe refined with
+    random marked sets, and a promised k that is sometimes one too small."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = build_graph(n, picked)
+    w = WeightMap(
+        n, {v: Fraction(draw(st.integers(0, 9)), draw(st.integers(1, 4))) for v in range(n)}
+    )
+    builders = [trivial_decomposition, lambda g: tin_exact(g)[1]]
+    if n and is_chordal(g)[0]:
+        builders.append(clique_tree)
+    td = draw(st.sampled_from(builders))(g)
+    if draw(st.booleans()):
+        marked = [
+            frozenset(v for v in sorted(b) if draw(st.booleans())) for b in td.bags
+        ]
+        td = make_decomposition(g, td.bags, td.tree_edges, marked)
+    k = max(residual_independence_number(g, td) - draw(st.integers(0, 1)), 0)
+    return g, w, td, k
+
+
+@given(refined_instances())
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_solver_matches_brute_force_and_reports_broken_promises(inst):
+    g, w, td, k = inst
+    nice = make_nice(g, td)
+    residuals = [b - u for b, u in zip(nice.td.bags, nice.td.refined)]
+    over = [r for r in residuals if alpha_of_subset(g, r) > k]
+    try:
+        value, chosen = solve_mwis(g, w, td, k)
+    except ResidualBoundViolation as err:
+        assert over
+        assert len(err.witness) == k + 1 and is_independent(g, err.witness)
+        assert any(err.witness <= r for r in over)
+        return
+    assert not over
+    assert value == brute_force_mwis(g, w)[0]
+    assert is_independent(g, chosen) and w.total(chosen) == value
