@@ -31,7 +31,7 @@ from .errors import (
 from .generators import generate
 from .mwis import solve_mwis
 from .nice import make_nice
-from .oracle import tin_exact, treewidth_exact
+from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
     derived_decomposition,
@@ -242,7 +242,7 @@ def _cmd_pack(args, inputs, started):
 
 def _cmd_tin(args, inputs, started):
     g = _load_graph(inputs, args.graph)
-    cap = g.n if args.force else 20
+    cap = g.n if args.force else DEFAULT_SUBSET_DP_CAP
     value, witness = tin_exact(g, cap=cap)
     artifacts = {}
     if args.output:
@@ -261,7 +261,7 @@ def _cmd_tin(args, inputs, started):
 
 def _cmd_tw(args, inputs, started):
     g = _load_graph(inputs, args.graph)
-    cap = g.n if args.force else 20
+    cap = g.n if args.force else DEFAULT_SUBSET_DP_CAP
     value = treewidth_exact(g, cap=cap)
     _report("tw", inputs, {}, {"treewidth": value}, {}, started)
     return EXIT_OK
@@ -438,13 +438,15 @@ def build_parser():
         help="exact tree-independence number with witness decomposition",
         description=(
             "Subset dynamic programming over elimination orderings; exact "
-            "for up to 20 vertices (--force to raise the cap). The witness "
-            "decomposition attains the optimum."
+            f"for up to {DEFAULT_SUBSET_DP_CAP} vertices (--force to raise the "
+            "cap). The witness decomposition attains the optimum."
         ),
     )
     common(p, td=False)
     p.add_argument("--exact", action="store_true", help="accepted; always exact")
-    p.add_argument("--force", action="store_true", help="lift the n <= 20 cap")
+    p.add_argument(
+        "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
+    )
     p.add_argument("-o", "--output", help="write the witness decomposition here")
     p.set_defaults(func=_cmd_tin)
 
@@ -453,7 +455,9 @@ def build_parser():
         help="exact treewidth (same subset dynamic program, size cost)",
     )
     common(p, td=False)
-    p.add_argument("--force", action="store_true", help="lift the n <= 20 cap")
+    p.add_argument(
+        "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
+    )
     p.set_defaults(func=_cmd_tw)
 
     p = sub.add_parser(

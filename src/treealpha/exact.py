@@ -17,9 +17,10 @@ DEFAULT_ALPHA_CAP = 64
 def _max_clique_size(rows, start_mask):
     """Size of a maximum clique of the graph restricted to `start_mask`.
 
-    `rows[v]` must be the neighbor mask of v restricted to the same universe;
-    it is only read for v in `start_mask`, so a dict over those will do.
-    Branch and bound with a greedy-coloring upper bound.
+    `rows` is a sequence of neighbor masks over one universe of bit
+    positions; entry v is only read for v in `start_mask`, and only its bits
+    inside `start_mask` matter. Branch and bound with a greedy-coloring upper
+    bound.
     """
     best = 0
 
@@ -56,9 +57,9 @@ def _max_clique_size(rows, start_mask):
     return best
 
 
-def _complement_rows(graph):
-    rows = graph.bit_rows(cap=None)
-    full = (1 << graph.n) - 1
+def _complement_rows(rows):
+    """Rows of the complement graph over the same bit positions as `rows`."""
+    full = (1 << len(rows)) - 1
     return [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
 
 
@@ -66,39 +67,28 @@ def alpha_exact(graph, cap=DEFAULT_ALPHA_CAP):
     """Exact independence number. Refuses graphs above `cap` vertices."""
     if graph.n > cap:
         raise CapExceededError(f"alpha_exact refused for n={graph.n} > cap={cap}")
-    if graph.n == 0:
-        return 0
-    comp = _complement_rows(graph)
-    return _max_clique_size(comp, (1 << graph.n) - 1)
+    return alpha_of_subset(graph, range(graph.n), cap)
 
 
 def omega_exact(graph, cap=DEFAULT_ALPHA_CAP):
     """Exact clique number; same kernel as alpha_exact, on the graph itself."""
     if graph.n > cap:
         raise CapExceededError(f"omega_exact refused for n={graph.n} > cap={cap}")
-    if graph.n == 0:
-        return 0
-    return _max_clique_size(list(graph.bit_rows(cap=None)), (1 << graph.n) - 1)
+    return _max_clique_size(graph.bit_rows(), (1 << graph.n) - 1)
 
 
 def alpha_of_subset(graph, vertices, cap=DEFAULT_ALPHA_CAP):
     """Independence number of the subgraph induced by `vertices`.
 
-    Avoids building the induced graph; works directly on restricted bit rows.
+    Avoids building the induced graph; works on bit rows over the set alone,
+    so the cost does not grow with the rest of the graph.
     """
     s = check_vertex_set(graph, vertices)
     if len(s) > cap:
         raise CapExceededError(
             f"alpha_of_subset refused for |S|={len(s)} > cap={cap}"
         )
-    if not s:
-        return 0
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    rows = graph.bit_rows(cap=None)
-    comp = {v: mask & ~rows[v] & ~(1 << v) for v in s}
-    return _max_clique_size(comp, mask)
+    return _max_clique_size(_complement_rows(graph.bit_rows(s)), (1 << len(s)) - 1)
 
 
 def ramsey_binding_bound(p, k, ell=0):

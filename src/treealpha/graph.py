@@ -1,30 +1,46 @@
 """Immutable simple undirected graphs on dense integer vertex ids.
 
-Vertices are labeled 0..n-1. Adjacency is stored as sorted tuples; a bit-row
-view (one Python int per vertex, bit u set iff u is a neighbor) is
-materialized on demand and cached, for graphs up to a configurable size cap.
-All operations are pure, so shared graphs are safe to use concurrently.
+Vertices are labeled 0..n-1. Adjacency is stored as sorted tuples. This
+module is the one place that turns vertex sets into bit sets: `mask_of` and
+`members` encode and decode them (bit v stands for vertex v), and
+`Graph.bit_rows` builds, on each call, one int row per vertex of just the
+set a kernel works on. All operations are pure, so shared graphs are safe to
+use concurrently.
 """
 
 from bisect import bisect_left
 
-from .errors import CapExceededError, GraphError
+from .errors import GraphError
 
 VertexSet = frozenset
 
-#: Largest n for which the bit-row view is materialized by default.
-DEFAULT_MATRIX_CAP = 4096
+
+def mask_of(vertices):
+    """The bit set of `vertices`: bit v stands for vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def members(mask):
+    """The vertices whose bits are set in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Graph:
     """A simple undirected graph. Build instances through :func:`build_graph`."""
 
-    __slots__ = ("n", "adj", "_rows")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n, adj):
         self.n = n
         self.adj = adj
-        self._rows = None
 
     @property
     def m(self):
@@ -40,9 +56,6 @@ class Graph:
     def has_edge(self, u, v):
         if u == v:
             return False
-        rows = self._rows
-        if rows is not None:
-            return bool(rows[u] >> v & 1)
         a = self.adj[u]
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
@@ -54,26 +67,27 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def bit_rows(self, cap=DEFAULT_MATRIX_CAP):
-        """Adjacency as one int bit mask per vertex; cached after first call.
+    def bit_rows(self, vertices=None):
+        """Adjacency inside a set of vertex ids, one int bit set per vertex.
 
-        Raises CapExceededError when n exceeds `cap`; callers that can fall
-        back to the sorted adjacency lists should do so instead of raising
-        the cap blindly.
+        Entry i is the row of the i-th smallest vertex of the set, and bit j
+        stands for its j-th smallest vertex; with the default (all vertices)
+        both are vertex ids. The rows are built afresh on each call, in time
+        linear in the adjacency lists of the set, so the caller owns them.
         """
-        if self._rows is None:
-            if cap is not None and self.n > cap:
-                raise CapExceededError(
-                    f"bit-matrix view refused for n={self.n} > cap={cap}"
-                )
-            rows = []
-            for a in self.adj:
-                r = 0
-                for v in a:
-                    r |= 1 << v
-                rows.append(r)
-            self._rows = tuple(rows)
-        return self._rows
+        if vertices is None:
+            return [mask_of(a) for a in self.adj]
+        order = sorted(vertices)
+        index = {v: i for i, v in enumerate(order)}
+        rows = []
+        for v in order:
+            r = 0
+            for u in self.adj[v]:
+                i = index.get(u)
+                if i is not None:
+                    r |= 1 << i
+            rows.append(r)
+        return rows
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -159,17 +173,4 @@ def contract_edge(graph, edge):
 def is_independent(graph, vertices):
     """True iff no edge of the graph has both endpoints in `vertices`."""
     s = check_vertex_set(graph, vertices)
-    if graph.n <= DEFAULT_MATRIX_CAP:
-        rows = graph.bit_rows()
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        for v in s:
-            if rows[v] & mask:
-                return False
-        return True
-    for v in s:
-        for w in graph.adj[v]:
-            if w > v and w in s:
-                return False
-    return True
+    return not any(u in s for v in s for u in graph.adj[v])

@@ -28,25 +28,8 @@ step, and re-verified before it is returned.
 from fractions import Fraction
 
 from .errors import GraphError, ResidualBoundViolation
-from .graph import is_independent
+from .graph import is_independent, mask_of, members
 from .nice import INTRODUCE, JOIN, LEAF, make_nice
-
-
-def _mask(vertices):
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
-def _members(mask):
-    """The vertices whose bits are set in `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _check_residual(table, residual, k):
@@ -58,7 +41,7 @@ def _check_residual(table, residual, k):
     """
     over = [s for s in table if (s & residual).bit_count() > k]
     if over:
-        first = min(_members(s & residual)[: k + 1] for s in over)
+        first = min(members(s & residual)[: k + 1] for s in over)
         raise ResidualBoundViolation(
             f"residual bound violated: independent set of size {k + 1} "
             f"in bag residual",
@@ -84,7 +67,7 @@ def compute_tables(graph, weights, nice, k):
         elif kind == JOIN:
             other = tables[kids[1]]
             table = {
-                s: x + other[s] - weights.total(_members(s))
+                s: x + other[s] - weights.total(members(s))
                 for s, x in tables[kids[0]].items()
             }
         else:
@@ -92,7 +75,7 @@ def compute_tables(graph, weights, nice, k):
             v = nice.vertices[t]
             bit = 1 << v
             if kind == INTRODUCE:
-                nbrs = _mask(graph.adj[v])
+                nbrs = mask_of(graph.adj[v])
                 wv = weights[v]
                 table = dict(child)
                 for s, x in child.items():
@@ -103,7 +86,7 @@ def compute_tables(graph, weights, nice, k):
                 for s, x in child.items():
                     if s & bit and x > table[s ^ bit]:
                         table[s ^ bit] = x
-        _check_residual(table, _mask(td.bags[t] - td.refined[t]), k)
+        _check_residual(table, mask_of(td.bags[t] - td.refined[t]), k)
         tables[t] = table
     return tables
 
@@ -129,7 +112,7 @@ def _rebuild_witness(nice, tables):
             elif child.get(s | bit, -1) > child[s]:
                 s |= bit
             stack.append((kids[0], s))
-    return frozenset(_members(chosen))
+    return frozenset(members(chosen))
 
 
 def solve_mwis(graph, weights, td, k):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .chordal import clique_tree
 from .decomposition import make_decomposition, trivial_decomposition
 from .errors import CapExceededError, GraphError
-from .exact import _max_clique_size
-from .graph import Graph, check_vertex_set
+from .exact import _complement_rows, _max_clique_size
+from .graph import Graph, check_vertex_set, mask_of, members
 
 DEFAULT_SUBSET_DP_CAP = 20
 DEFAULT_BRUTE_FORCE_CAP = 22
@@ -36,12 +36,7 @@ def elimination_bag(graph, v, eliminated):
     if v in elim:
         raise GraphError(f"vertex {v} is already eliminated")
     check_vertex_set(graph, [v])
-    rows = graph.bit_rows(cap=None)
-    emask = 0
-    for u in elim:
-        emask |= 1 << u
-    bag_mask = _bag_mask(rows, v, emask)
-    return frozenset(u for u in range(graph.n) if bag_mask >> u & 1)
+    return frozenset(members(_bag_mask(graph.bit_rows(), v, mask_of(elim))))
 
 
 def _bag_mask(rows, v, emask):
@@ -59,17 +54,15 @@ def _bag_mask(rows, v, emask):
 class _AlphaByMask:
     """Memoized independence numbers of induced sub-masks of one graph."""
 
-    def __init__(self, rows, n):
-        full = (1 << n) - 1
-        self.comp = [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
+    def __init__(self, rows):
+        self.comp = _complement_rows(rows)
         self.memo = {0: 0}
 
     def alpha(self, mask):
         got = self.memo.get(mask)
         if got is not None:
             return got
-        comp = self.comp
-        val = _max_clique_size([comp[v] & mask for v in range(len(comp))], mask)
+        val = _max_clique_size(self.comp, mask)
         self.memo[mask] = val
         return val
 
@@ -77,7 +70,7 @@ class _AlphaByMask:
 def _elimination_dp(graph, cost_of_bag):
     """min over elimination orderings of the max bag cost; returns (value, order)."""
     n = graph.n
-    rows = graph.bit_rows(cap=None)
+    rows = graph.bit_rows()
     size = 1 << n
     big = n + 2**30
     dp = [big] * size
@@ -123,26 +116,14 @@ def _elimination_dp(graph, cost_of_bag):
 
 def _fill_in(graph, order):
     """Chordal supergraph from eliminating vertices in the given order."""
-    rows = list(graph.bit_rows(cap=None))
+    rows = graph.bit_rows()
     emask = 0
     for v in order:
-        bag = _bag_mask(tuple(rows), v, emask)
-        members = []
-        m = bag
-        while m:
-            b = m & -m
-            m ^= b
-            members.append(b.bit_length() - 1)
-        for i, a in enumerate(members):
-            for c in members[i + 1 :]:
-                rows[a] |= 1 << c
-                rows[c] |= 1 << a
+        bag = _bag_mask(rows, v, emask)
+        for a in members(bag):
+            rows[a] |= bag ^ (1 << a)
         emask |= 1 << v
-    adj = []
-    for v in range(graph.n):
-        r = rows[v]
-        adj.append(tuple(u for u in range(graph.n) if r >> u & 1 and u != v))
-    return Graph(graph.n, tuple(adj))
+    return Graph(graph.n, tuple(tuple(members(r)) for r in rows))
 
 
 def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
@@ -166,7 +147,7 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
         raise CapExceededError(f"tin_exact refused for n={graph.n} > cap={cap}")
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
-    alpha = _AlphaByMask(graph.bit_rows(cap=None), graph.n)
+    alpha = _AlphaByMask(graph.bit_rows())
     value, order = _elimination_dp(graph, alpha.alpha)
     filled = _fill_in(graph, order)
     ct = clique_tree(filled)
@@ -185,7 +166,7 @@ def brute_force_mwis(graph, weights, cap=DEFAULT_BRUTE_FORCE_CAP):
         raise CapExceededError(f"brute_force_mwis refused for n={n} > cap={cap}")
     if n == 0:
         return Fraction(0), frozenset()
-    rows = graph.bit_rows(cap=None)
+    rows = graph.bit_rows()
     closed = [rows[v] | (1 << v) for v in range(n)]
     w = [weights[v] for v in range(n)]
     order = sorted(range(n), key=lambda v: (-w[v], v))
@@ -211,4 +192,4 @@ def brute_force_mwis(graph, weights, cap=DEFAULT_BRUTE_FORCE_CAP):
         rec(idx + 1, cand & ~(1 << v), cur_w, cur_set)
 
     rec(0, (1 << n) - 1, Fraction(0), 0)
-    return best_w, frozenset(v for v in range(n) if best_set >> v & 1)
+    return best_w, frozenset(members(best_set))

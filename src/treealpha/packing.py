@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
-from .graph import Graph, check_vertex_set
+from .graph import Graph, check_vertex_set, mask_of, members
 from .mwis import solve_mwis_plain
 from .weights import WeightMap, as_fraction
 
@@ -91,56 +91,31 @@ def make_instance(host, members, weights=None):
     return PackingInstance(fam, ws)
 
 
-def _member_masks(family):
-    masks = []
-    for s in family.members:
-        m = 0
-        for v in s:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
-def derived_graph(graph, family, method="bfs"):
+def derived_graph(graph, family):
     """The conflict graph on member indices.
 
-    The default method mirrors the reachability argument behind the
-    polynomial bound: for each member, one breadth-first sweep to distance
-    two from a virtual vertex attached to the member collects everything the
-    member can conflict with, and membership is then decided by set
-    intersection (bit rows play the role of the pre-sorted sets). The naive
-    pairwise scan is kept behind method="naive" as a cross-check.
+    Mirrors the reachability argument behind the polynomial bound: for each
+    member, one breadth-first sweep to distance two from a virtual vertex
+    attached to the member collects everything the member can conflict
+    with, and membership is then decided by set intersection on bit sets of
+    host vertices. `compatible` is the pairwise definition it agrees with.
     """
     if family.host != graph:
         raise GraphError("family references a different host graph")
     count = len(family.members)
-    masks = _member_masks(family)
-    edges = []
-    if method == "bfs":
-        rows = graph.bit_rows(cap=None)
-        for j in range(count):
-            # Distance 1 from the virtual vertex: the member itself.
-            # Distance 2: every host neighbor of a member vertex.
-            reach = masks[j]
-            m = masks[j]
-            while m:
-                b = m & -m
-                m ^= b
-                reach |= rows[b.bit_length() - 1]
-            for i in range(j):
-                if masks[i] & reach:
-                    edges.append((i, j))
-    elif method == "naive":
-        for j in range(count):
-            for i in range(j):
-                if _conflict_naive(graph, family.members[i], family.members[j]):
-                    edges.append((i, j))
-    else:
-        raise GraphError(f"unknown derived_graph method {method!r}")
+    masks = [mask_of(s) for s in family.members]
+    rows = graph.bit_rows()
     nbrs = [set() for _ in range(count)]
-    for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+    for j, s in enumerate(family.members):
+        # Distance 1 from the virtual vertex: the member itself.
+        # Distance 2: every host neighbor of a member vertex.
+        reach = masks[j]
+        for v in s:
+            reach |= rows[v]
+        for i in range(j):
+            if masks[i] & reach:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
     return Graph(count, tuple(tuple(sorted(s)) for s in nbrs))
 
 
@@ -258,7 +233,7 @@ def _connected_sets(graph, max_size):
     """
     if max_size < 1 or graph.n == 0:
         return []
-    rows = graph.bit_rows(cap=None)
+    rows = graph.bit_rows()
     out = []
 
     def grow(smask, size, ext, banned, allowed):
@@ -278,7 +253,7 @@ def _connected_sets(graph, max_size):
         vb = 1 << v
         allowed = ~((vb << 1) - 1)
         grow(vb, 1, rows[v] & allowed, 0, allowed)
-    return [frozenset(i for i in range(graph.n) if s >> i & 1) for s in out]
+    return [frozenset(members(s)) for s in out]
 
 
 def _spans_pattern(graph, members_sorted, pattern):

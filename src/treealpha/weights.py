@@ -41,10 +41,6 @@ class WeightMap:
             t += self[v]
         return t
 
-    def scaled(self, factor):
-        f = as_fraction(factor)
-        return WeightMap(self.n, {v: self[v] * f for v in range(self.n)})
-
     def items(self):
         for v in range(self.n):
             yield v, self[v]

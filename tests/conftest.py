@@ -15,6 +15,14 @@ def random_graph(n, p, rng):
     return build_graph(n, edges)
 
 
+def shuffled_path(n, rng):
+    """A path on n vertices with shuffled ids; returns the graph and the ids
+    in path order."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return build_graph(n, zip(ids, ids[1:])), ids
+
+
 def all_labeled_graphs(n):
     """Every labeled graph on exactly n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

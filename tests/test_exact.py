@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,12 @@ from treealpha import (
     ramsey_binding_bound,
 )
 
-from .conftest import alpha_by_enumeration, all_labeled_graphs, random_graph
+from .conftest import (
+    alpha_by_enumeration,
+    all_labeled_graphs,
+    random_graph,
+    shuffled_path,
+)
 
 
 def test_alpha_examples():
@@ -68,6 +74,18 @@ def test_alpha_of_subset():
     assert alpha_of_subset(g, {0, 1, 2, 3}) == 2  # induced P_4
     assert alpha_of_subset(g, set()) == 0
     assert alpha_of_subset(g, range(6)) == 3
+
+
+def test_alpha_of_subset_cost_follows_the_subset():
+    g, ids = shuffled_path(20000, random.Random(7))
+    bag = ids[10000:10003]
+    tracemalloc.start()
+    try:
+        assert alpha_of_subset(g, bag) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ramsey_binding_bound_values():

@@ -17,8 +17,14 @@ from treealpha import (
     path_graph,
 )
 from treealpha.exact import alpha_exact
+from treealpha.graph import mask_of, members
 
-from .conftest import alpha_by_enumeration, independent_by_edge_scan, random_graph
+from .conftest import (
+    alpha_by_enumeration,
+    independent_by_edge_scan,
+    random_graph,
+    shuffled_path,
+)
 
 
 def test_build_path():
@@ -89,6 +95,10 @@ def test_is_independent_matches_edge_scan():
         g = random_graph(rng.randint(0, 8), 0.5, rng)
         s = {v for v in range(g.n) if rng.random() < 0.5}
         assert is_independent(g, s) == independent_by_edge_scan(g, s)
+    # Large and sparse with shuffled ids, so a set's vertices lie far apart.
+    g, ids = shuffled_path(5000, rng)
+    for s in (ids[::2], ids[:3], set(rng.sample(ids, 40))):
+        assert is_independent(g, s) == independent_by_edge_scan(g, s)
 
 
 def test_contraction_drops_alpha_by_at_most_one():
@@ -120,12 +130,22 @@ def test_adjacency_is_symmetric_and_sorted(g):
             assert u != v
 
 
-@given(graphs())
+@given(graphs(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_bit_rows_agree_with_adjacency(g):
+def test_bit_rows_agree_with_adjacency(g, data):
     rows = g.bit_rows()
     for v in range(g.n):
         assert rows[v] == sum(1 << u for u in g.adj[v])
+        assert members(rows[v]) == list(g.adj[v])
+    sub = data.draw(st.sets(st.integers(0, g.n - 1))) if g.n else set()
+    order = sorted(sub)
+    local = g.bit_rows(sub)
+    assert len(local) == len(order)
+    for i, v in enumerate(order):
+        for j, u in enumerate(order):
+            assert (local[i] >> j & 1) == g.has_edge(v, u)
+        assert local[i] >> len(order) == 0
+    assert mask_of(order) == sum(1 << v for v in order)
 
 
 @given(graphs(max_n=6))

@@ -255,7 +255,10 @@ def test_zero_weights_and_scaling():
     w = WeightMap(7, random_weights(7, rng))
     base, _ = solve_mwis(g, w, trivial_decomposition(g), alpha_exact(g))
     scaled, _ = solve_mwis(
-        g, w.scaled(Fraction(3, 7)), trivial_decomposition(g), alpha_exact(g)
+        g,
+        WeightMap(7, {v: w[v] * Fraction(3, 7) for v in range(7)}),
+        trivial_decomposition(g),
+        alpha_exact(g),
     )
     assert scaled == base * Fraction(3, 7)
 

@@ -33,6 +33,7 @@ from treealpha import (
     trivial_decomposition,
     validate,
 )
+from treealpha.packing import compatible
 
 from .conftest import random_connected_set, random_graph
 
@@ -95,7 +96,12 @@ def test_derived_methods_agree():
         g = random_graph(rng.randint(1, 8), 0.4, rng)
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(6)}
         fam = make_family(g, sorted(members, key=sorted))
-        assert derived_graph(g, fam) == derived_graph(g, fam, method="naive")
+        conflicts = {
+            (i, j)
+            for (i, a), (j, b) in itertools.combinations(enumerate(fam.members), 2)
+            if not compatible(g, a, b)
+        }
+        assert set(derived_graph(g, fam).edges()) == conflicts
 
 
 def test_derived_rejects_foreign_family():
