@@ -39,7 +39,6 @@ from .generators import (
 from .graph import (
     Graph,
     build_graph,
-    contract_edge,
     induced_subgraph,
     is_independent,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "complete_graph",
     "compose_clique_cutset",
     "compute_tables",
-    "contract_edge",
     "cycle_graph",
     "derived_decomposition",
     "derived_graph",

@@ -109,18 +109,3 @@ def clique_tree(graph):
             if len(edges) == q - 1:
                 break
     return make_decomposition(graph, cliques, edges)
-
-
-def cycle_has_chord(graph, cycle):
-    """True iff the given cycle (vertex sequence) has a chord in the graph.
-
-    Small helper for desk-scale cross-checks of chordality.
-    """
-    k = len(cycle)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if graph.has_edge(cycle[i], cycle[j]):
-                return True
-    return False

@@ -16,6 +16,7 @@ from . import formats
 from .decomposition import (
     compose_clique_cutset,
     independence_number,
+    require_valid,
     residual_independence_number,
     trivial_decomposition,
     validate,
@@ -128,7 +129,7 @@ def _cmd_validate(args, inputs, started):
 def _cmd_measure(args, inputs, started):
     g = _load_graph(inputs, args.graph)
     td = _load_td(inputs, args.td, g)
-    _require_ok(g, td)
+    require_valid(g, td)
     _report(
         "measure",
         inputs,
@@ -144,12 +145,6 @@ def _cmd_measure(args, inputs, started):
         started,
     )
     return EXIT_OK
-
-
-def _require_ok(g, td):
-    report = validate(g, td)
-    if not report.ok:
-        raise InvalidDecompositionError(report)
 
 
 def _cmd_nice(args, inputs, started):
@@ -177,7 +172,7 @@ def _cmd_nice(args, inputs, started):
 def _cmd_mwis(args, inputs, started):
     g = _load_graph(inputs, args.graph)
     td = _load_td(inputs, args.td, g)
-    _require_ok(g, td)
+    require_valid(g, td)
     w = _load_weights(inputs, args.weights, g.n)
     k = args.k if args.k is not None else residual_independence_number(g, td)
     value, chosen = solve_mwis(g, w, td, k)
@@ -195,7 +190,7 @@ def _cmd_mwis(args, inputs, started):
 def _cmd_pack(args, inputs, started):
     g = _load_graph(inputs, args.graph)
     td = _load_td(inputs, args.td, g)
-    _require_ok(g, td)
+    require_valid(g, td)
     if args.family is not None:
         data, shown = inputs.text("family", args.family)
         inst = formats.parse_family(data, g, source=shown)
@@ -348,12 +343,6 @@ def build_parser():
             p.add_argument("--weights", help="vertex weight file, default all 1")
         if output:
             p.add_argument("-o", "--output", required=True, help="output path")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved; computations currently always run on one thread",
-        )
 
     p = sub.add_parser(
         "validate",
@@ -443,7 +432,6 @@ def build_parser():
         ),
     )
     common(p, td=False)
-    p.add_argument("--exact", action="store_true", help="accepted; always exact")
     p.add_argument(
         "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
     )
@@ -478,7 +466,6 @@ def build_parser():
     p.add_argument(
         "--emit-trivial-td", help="also write the single-bag decomposition here"
     )
-    p.add_argument("--threads", type=int, default=1, help="reserved")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
@@ -511,7 +498,9 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return e.code if e.code is not None else EXIT_USAGE
+        # argparse exits 0 after --help and 2 on a usage error; 2 is
+        # reserved for validation failures here.
+        return EXIT_USAGE if e.code else EXIT_OK
     started = time.monotonic()
     inputs = _Inputs()
     try:

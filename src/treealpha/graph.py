@@ -147,29 +147,6 @@ def induced_subgraph(graph, vertices):
     return build_graph(len(old), edges), relabel
 
 
-def contract_edge(graph, edge):
-    """Contract an edge: the merged vertex gets the union of both neighborhoods.
-
-    The two endpoints disappear; remaining vertices are renumbered 0..n-3 in
-    ascending order of old id and the merged vertex receives the largest id,
-    n-2. Parallel edges collapse, so the result is again simple.
-    """
-    u, v = edge
-    if not graph.has_edge(u, v):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    keep = [w for w in range(graph.n) if w != u and w != v]
-    relabel = {w: i for i, w in enumerate(keep)}
-    merged = graph.n - 2
-    edges = set()
-    for a in keep:
-        for b in graph.adj[a]:
-            if b in (u, v):
-                edges.add((relabel[a], merged))
-            elif b > a:
-                edges.add((relabel[a], relabel[b]))
-    return build_graph(graph.n - 1, edges)
-
-
 def is_independent(graph, vertices):
     """True iff no edge of the graph has both endpoints in `vertices`."""
     s = check_vertex_set(graph, vertices)

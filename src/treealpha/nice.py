@@ -1,9 +1,10 @@
 """Conversion of refined tree decompositions to nice form.
 
 A nice decomposition is rooted, has empty root and leaf bags, and every
-other node is an introduce, forget, or join node. The conversion keeps, for
-every output node, some input node t with X' <= X_t and U' = U_t & X', so
-the residual independence number never grows.
+other node is an introduce, forget, or join node. The conversion contracts
+tree edges whose bags are nested, then emits the nice nodes in one walk down
+from the root. It keeps, for every output node, some input node t with
+X' <= X_t and U' = U_t & X', so the residual independence number never grows.
 
 Node count of the output is at most NICE_NODE_FACTOR * (width(T) + 2) *
 |V(T)| on valid inputs; the constant is asserted by the test suite.
@@ -56,37 +57,6 @@ class NiceRefinedTreeDecomposition:
         return out
 
 
-class _Arena:
-    """Mutable rooted-tree workspace used while the steps rewrite the tree."""
-
-    def __init__(self):
-        self.bag = []
-        self.ref = []
-        self.kids = []
-        self.par = []
-
-    def new(self, bag, ref, parent=None):
-        i = len(self.bag)
-        self.bag.append(frozenset(bag))
-        self.ref.append(frozenset(ref))
-        self.kids.append([])
-        self.par.append(parent)
-        if parent is not None:
-            self.kids[parent].append(i)
-        return i
-
-    def splice_above(self, node, bag, ref):
-        """Insert a fresh node between `node` and its parent; return its id."""
-        p = self.par[node]
-        m = self.new(bag, ref, None)
-        self.par[m] = p
-        if p is not None:
-            self.kids[p][self.kids[p].index(node)] = m
-        self.par[node] = m
-        self.kids[m].append(node)
-        return m
-
-
 def _contract_comparable(td):
     """Step 1: repeatedly contract tree edges whose bags are nested."""
     n = td.node_count
@@ -135,10 +105,17 @@ def _contract_comparable(td):
 def make_nice(graph, td):
     """Rewrite a valid refined tree decomposition into nice form.
 
-    Deterministic everywhere the underlying construction has freedom: the
-    root is the lowest-index node of degree at most one after contraction,
-    children are ordered by id, and edge expansions forget then introduce
-    vertices in ascending id order.
+    After nested neighbours are contracted, the tree is rooted at its
+    lowest-index node of degree at most one and walked down from an empty
+    root, children in ascending id; a childless node leads to an empty leaf.
+    Each step down is a chain of one-vertex changes: first the upper bag's
+    extra vertices are dropped, then the lower bag's are added, each largest
+    id first, so the node above a drop introduces that vertex and the node
+    above an add forgets it. A chain node whose bag lies inside the lower
+    bag carries the lower U restricted to it, any other the upper U. A node
+    with m >= 2 children becomes m - 1 chained joins, each with two copies
+    of its bag and U: the first leads to the next child, the second is the
+    next join or leads to the last child.
     """
     require_valid(graph, td)
     bags, refs, edges = _contract_comparable(td)
@@ -152,141 +129,74 @@ def make_nice(graph, td):
             out, 0, (None,), (LEAF,), (None,), ((),)
         )
 
-    degree = [0] * k
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    root0 = min(t for t in range(k) if degree[t] <= 1)
-
-    arena = _Arena()
     nbrs = [[] for _ in range(k)]
     for a, b in edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
-    # Root the contracted tree (step 2), copying into the arena.
-    old_to_new = {root0: arena.new(bags[root0], refs[root0])}
-    queue = [root0]
-    seen = {root0}
-    while queue:
-        x = queue.pop(0)
-        for y in sorted(nbrs[x]):
-            if y not in seen:
-                seen.add(y)
-                old_to_new[y] = arena.new(bags[y], refs[y], old_to_new[x])
-                queue.append(y)
+    root0 = min(t for t in range(k) if len(nbrs[t]) <= 1)
 
-    # Step 3: binarize nodes with three or more children.
-    stack = [old_to_new[root0]]
+    bag, ref, kids, label = [], [], [], []
+
+    def new(b, u):
+        bag.append(b)
+        ref.append(u)
+        kids.append([])
+        label.append((LEAF, None))
+        return len(bag) - 1
+
+    def chain(top, target, marked):
+        """Step down from node `top` to a new node with bag `target`."""
+        cur, u_top = bag[top], ref[top]
+        if cur == target:
+            raise RuntimeError(f"internal: chain between equal bags at node {top}")
+        steps = [(INTRODUCE, v) for v in sorted(cur - target, reverse=True)]
+        steps += [(FORGET, v) for v in sorted(target - cur, reverse=True)]
+        for step, v in steps:
+            cur = cur - {v} if step == INTRODUCE else cur | {v}
+            below = new(cur, (marked if cur <= target else u_top) & cur)
+            label[top] = (step, v)
+            kids[top] = [below]
+            top = below
+        return top
+
+    empty = frozenset()
+    root = new(empty, empty)
+    stack = [(root0, None, chain(root, bags[root0], refs[root0]))]
     while stack:
-        t = stack.pop()
-        kids = arena.kids[t]
-        if len(kids) >= 3:
-            first, rest = kids[0], kids[1:]
-            arena.kids[t] = [first]
-            chain = t
-            for i, c in enumerate(rest):
-                if i < len(rest) - 1:
-                    nxt = arena.new(arena.bag[t], arena.ref[t], None)
-                    arena.par[nxt] = chain
-                    arena.kids[chain].append(nxt)
-                    arena.kids[nxt] = [c]
-                    arena.par[c] = nxt
-                    chain = nxt
-                else:
-                    arena.kids[chain].append(c)
-                    arena.par[c] = chain
-        stack.extend(arena.kids[t])
-
-    # Step 4: give every join node children with identical bags.
-    stack = [arena.par.index(None)]
-    all_nodes = []
-    while stack:
-        t = stack.pop()
-        all_nodes.append(t)
-        stack.extend(arena.kids[t])
-    for t in all_nodes:
-        if len(arena.kids[t]) == 2:
-            for c in list(arena.kids[t]):
-                if arena.bag[c] != arena.bag[t] or arena.ref[c] != arena.ref[t]:
-                    arena.splice_above(c, arena.bag[t], arena.ref[t])
-
-    # Step 5: pad every leaf with an empty child.
-    for t in range(len(arena.bag)):
-        if not arena.kids[t]:
-            arena.new((), (), t)
-
-    # Step 6: empty node above the root.
-    old_root = arena.par.index(None)
-    new_root = arena.new((), (), None)
-    arena.par[old_root] = new_root
-    arena.kids[new_root].append(old_root)
-
-    # Step 7: expand every single-child edge into forget-then-introduce chains.
-    for t in list(range(len(arena.bag))):
-        kids = arena.kids[t]
-        if len(kids) != 1:
+        x, up, t = stack.pop()
+        down = sorted(y for y in nbrs[x] if y != up)
+        if not down:
+            chain(t, empty, empty)
             continue
-        child = kids[0]
-        bx, bc = arena.bag[t], arena.bag[child]
-        uc = arena.ref[child]
-        ut = arena.ref[t]
-        forget = sorted(bc - bx)
-        introduce = sorted(bx - bc)
-        cur = bc
-        below = child
-        for v in forget[: len(forget) - (0 if introduce else 1)]:
-            cur = cur - {v}
-            below = arena.splice_above(below, cur, uc & cur)
-        for v in introduce[:-1] if introduce else []:
-            cur = cur | {v}
-            below = arena.splice_above(below, cur, ut & cur)
+        for c in down[:-1]:
+            first, rest = new(bags[x], refs[x]), new(bags[x], refs[x])
+            label[t] = (JOIN, None)
+            kids[t] = [first, rest]
+            stack.append((c, x, chain(first, bags[c], refs[c])))
+            t = rest
+        stack.append((down[-1], x, chain(t, bags[down[-1]], refs[down[-1]])))
 
     # Assemble, ordering nodes by BFS from the root for stable ids.
-    root = arena.par.index(None)
     order = [root]
     head = 0
     while head < len(order):
-        order.extend(arena.kids[order[head]])
+        order.extend(kids[order[head]])
         head += 1
     new_id = {old: i for i, old in enumerate(order)}
-    bags_out = [arena.bag[t] for t in order]
-    refs_out = [arena.ref[t] for t in order]
-    edges_out = [
-        (new_id[t], new_id[c]) for t in order for c in arena.kids[t]
-    ]
+    bags_out = [bag[t] for t in order]
+    refs_out = [ref[t] for t in order]
+    edges_out = [(new_id[t], new_id[c]) for t in order for c in kids[t]]
     out = make_decomposition(graph, bags_out, edges_out, refs_out)
 
     parent = [None] * len(order)
-    children = [tuple(new_id[c] for c in arena.kids[t]) for t in order]
-    for t, kids in enumerate(children):
-        for c in kids:
+    children = [tuple(new_id[c] for c in kids[t]) for t in order]
+    for t, cs in enumerate(children):
+        for c in cs:
             parent[c] = t
-    kinds = []
-    verts = []
-    for t in range(len(order)):
-        kids = children[t]
-        if not kids:
-            kinds.append(LEAF)
-            verts.append(None)
-        elif len(kids) == 2:
-            kinds.append(JOIN)
-            verts.append(None)
-        else:
-            bt, bc = bags_out[t], bags_out[kids[0]]
-            if len(bt) == len(bc) + 1 and bc < bt:
-                kinds.append(INTRODUCE)
-                verts.append(min(bt - bc))
-            elif len(bt) == len(bc) - 1 and bt < bc:
-                kinds.append(FORGET)
-                verts.append(min(bc - bt))
-            else:
-                raise RuntimeError(
-                    f"internal: node {t} is neither introduce, forget, nor join"
-                )
-    nice = NiceRefinedTreeDecomposition(
-        out, 0, tuple(parent), tuple(kinds), tuple(verts), tuple(children)
+    kinds, verts = zip(*(label[t] for t in order))
+    return NiceRefinedTreeDecomposition(
+        out, 0, tuple(parent), kinds, verts, tuple(children)
     )
-    return nice
 
 
 def nice_violations(graph, nice):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from treealpha import build_graph
+from treealpha import GraphError, build_graph
 
 
 def random_graph(n, p, rng):
@@ -76,6 +76,41 @@ def random_connected_set(graph, max_size, rng):
             break
         s.add(rng.choice(frontier))
     return frozenset(s)
+
+
+def contract_edge(graph, edge):
+    """Contract an edge: the merged vertex gets the union of both neighborhoods.
+
+    The two endpoints disappear; remaining vertices are renumbered 0..n-3 in
+    ascending order of old id and the merged vertex receives the largest id,
+    n-2. Parallel edges collapse, so the result is again simple.
+    """
+    u, v = edge
+    if not graph.has_edge(u, v):
+        raise GraphError(f"({u}, {v}) is not an edge")
+    keep = [w for w in range(graph.n) if w != u and w != v]
+    relabel = {w: i for i, w in enumerate(keep)}
+    merged = graph.n - 2
+    edges = set()
+    for a in keep:
+        for b in graph.adj[a]:
+            if b in (u, v):
+                edges.add((relabel[a], merged))
+            elif b > a:
+                edges.add((relabel[a], relabel[b]))
+    return build_graph(graph.n - 1, edges)
+
+
+def cycle_has_chord(graph, cycle):
+    """True iff the given cycle (vertex sequence) has a chord in the graph."""
+    k = len(cycle)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if i == 0 and j == k - 1:
+                continue
+            if graph.has_edge(cycle[i], cycle[j]):
+                return True
+    return False
 
 
 @pytest.fixture

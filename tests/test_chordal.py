@@ -15,9 +15,7 @@ from treealpha import (
     path_graph,
     validate,
 )
-from treealpha.chordal import cycle_has_chord
-
-from .conftest import all_labeled_graphs, random_graph
+from .conftest import all_labeled_graphs, cycle_has_chord, random_graph
 
 
 def chordal_by_cycle_enumeration(g):

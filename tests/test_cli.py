@@ -40,7 +40,7 @@ def test_gen_stdout_is_pipeable(capsys):
 def test_gen_tin_knn(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "knn", "3")
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
-    code, out, _ = run(capsys, "tin", "--graph", "-", "--exact")
+    code, out, _ = run(capsys, "tin", "--graph", "-")
     assert code == 0
     assert report_of(out)["results"]["tree_independence_number"] == 3
 
@@ -300,6 +300,14 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code != 0
+    code, _, _ = run(capsys, "mwis", "--td", str(tmp_path / "t.td"))
+    assert code == 1
+    code, _, _ = run(capsys, "mwis", "--graph", "g.gr", "--td", "t.td", "-k", "two")
+    assert code == 1
+    code, _, _ = run(capsys, "frobnicate", "--graph", "g.gr")
+    assert code == 1
+    code, out, _ = run(capsys, "mwis", "--help")
+    assert code == 0 and "--graph" in out
 
 
 def test_reports_are_deterministic_modulo_wall_time(tmp_path, capsys):

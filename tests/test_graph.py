@@ -10,7 +10,6 @@ from treealpha import (
     build_graph,
     complete_bipartite,
     complete_graph,
-    contract_edge,
     cycle_graph,
     induced_subgraph,
     is_independent,
@@ -21,6 +20,7 @@ from treealpha.graph import mask_of, members
 
 from .conftest import (
     alpha_by_enumeration,
+    contract_edge,
     independent_by_edge_scan,
     random_graph,
     shuffled_path,

@@ -159,3 +159,102 @@ def test_nice_with_connected_set_refinements():
         assert not nice_violations(g, nice)
         for bag, ref in zip(nice.td.bags, nice.td.refined):
             assert ref == u & bag
+
+
+def _rows(nice):
+    """One (bag, U, kind, vertex, children) row per nice node, sorted tuples."""
+    return [
+        (tuple(sorted(b)), tuple(sorted(u)), kind, v, kids)
+        for b, u, kind, v, kids in zip(
+            nice.td.bags, nice.td.refined, nice.kinds, nice.vertices, nice.children
+        )
+    ]
+
+
+def _path_edges(count):
+    return tuple((i, i + 1) for i in range(count - 1))
+
+
+def test_exact_output_star_with_a_join_chain():
+    # Clique tree of the 7-vertex star: rooted at bag {0,2}, the center bag
+    # {0,1} keeps four children, so three join nodes are chained.
+    star = build_graph(7, [(0, v) for v in range(1, 7)])
+    nice = make_nice(star, clique_tree(star))
+    assert nice.root == 0
+    assert _rows(nice) == [
+        ((), (), "forget", 2, (1,)),
+        ((2,), (), "forget", 0, (2,)),
+        ((0, 2), (), "introduce", 2, (3,)),
+        ((0,), (), "forget", 1, (4,)),
+        ((0, 1), (), "join", None, (5, 6)),
+        ((0, 1), (), "introduce", 1, (7,)),
+        ((0, 1), (), "join", None, (8, 9)),
+        ((0,), (), "forget", 3, (10,)),
+        ((0, 1), (), "introduce", 1, (11,)),
+        ((0, 1), (), "join", None, (12, 13)),
+        ((0, 3), (), "introduce", 3, (14,)),
+        ((0,), (), "forget", 4, (15,)),
+        ((0, 1), (), "introduce", 1, (16,)),
+        ((0, 1), (), "introduce", 1, (17,)),
+        ((0,), (), "introduce", 0, (18,)),
+        ((0, 4), (), "introduce", 4, (19,)),
+        ((0,), (), "forget", 5, (20,)),
+        ((0,), (), "forget", 6, (21,)),
+        ((), (), "leaf", None, ()),
+        ((0,), (), "introduce", 0, (22,)),
+        ((0, 5), (), "introduce", 5, (23,)),
+        ((0, 6), (), "introduce", 6, (24,)),
+        ((), (), "leaf", None, ()),
+        ((0,), (), "introduce", 0, (25,)),
+        ((0,), (), "introduce", 0, (26,)),
+        ((), (), "leaf", None, ()),
+        ((), (), "leaf", None, ()),
+    ]
+    assert nice.td.tree_edges == (
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 7), (6, 8), (6, 9),
+        (7, 10), (8, 11), (9, 12), (9, 13), (10, 14), (11, 15), (12, 16),
+        (13, 17), (14, 18), (15, 19), (16, 20), (17, 21), (19, 22), (20, 23),
+        (21, 24), (23, 25), (24, 26),
+    )
+
+
+def test_exact_output_equal_bags_with_different_marked_sets():
+    # Nodes 1 and 2 carry the same bag {1,2} but U = {1} and U = {2}; the
+    # contraction keeps node 1, so every node cut from {1,2} carries U & {1}.
+    g = path_graph(4)
+    td = make_decomposition(
+        g,
+        [{0, 1}, {1, 2}, {1, 2}, {2, 3}],
+        _path_edges(4),
+        [{0}, {1}, {2}, {3}],
+    )
+    nice = make_nice(g, td)
+    assert nice.root == 0
+    assert _rows(nice) == [
+        ((), (), "forget", 1, (1,)),
+        ((1,), (), "forget", 0, (2,)),
+        ((0, 1), (0,), "introduce", 0, (3,)),
+        ((1,), (1,), "forget", 2, (4,)),
+        ((1, 2), (1,), "introduce", 1, (5,)),
+        ((2,), (), "forget", 3, (6,)),
+        ((2, 3), (3,), "introduce", 3, (7,)),
+        ((2,), (), "introduce", 2, (8,)),
+        ((), (), "leaf", None, ()),
+    ]
+    assert nice.td.tree_edges == _path_edges(9)
+
+
+def test_exact_output_trivial_path():
+    g = path_graph(3)
+    nice = make_nice(g, trivial_decomposition(g))
+    assert nice.root == 0
+    assert _rows(nice) == [
+        ((), (), "forget", 2, (1,)),
+        ((2,), (), "forget", 1, (2,)),
+        ((1, 2), (), "forget", 0, (3,)),
+        ((0, 1, 2), (), "introduce", 2, (4,)),
+        ((0, 1), (), "introduce", 1, (5,)),
+        ((0,), (), "introduce", 0, (6,)),
+        ((), (), "leaf", None, ()),
+    ]
+    assert nice.td.tree_edges == _path_edges(7)

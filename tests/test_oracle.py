@@ -11,7 +11,6 @@ from treealpha import (
     build_graph,
     complete_bipartite,
     complete_graph,
-    contract_edge,
     cycle_graph,
     double_join,
     elimination_bag,
@@ -28,6 +27,7 @@ from treealpha.oracle import brute_force_mwis
 
 from .conftest import (
     all_labeled_graphs,
+    contract_edge,
     mwis_by_enumeration,
     random_graph,
     random_weights,
