@@ -43,7 +43,7 @@ from .graph import (
     is_independent,
 )
 from .mwis import compute_tables, solve_mwis, solve_mwis_plain
-from .nice import NiceRefinedTreeDecomposition, make_nice, nice_violations
+from .nice import NiceRefinedTreeDecomposition, make_nice
 from .oracle import brute_force_mwis, elimination_bag, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
@@ -108,7 +108,6 @@ __all__ = [
     "make_family",
     "make_instance",
     "make_nice",
-    "nice_violations",
     "omega_exact",
     "path_graph",
     "pattern_by_name",

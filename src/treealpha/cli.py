@@ -505,10 +505,7 @@ def main(argv=None):
     inputs = _Inputs()
     try:
         return args.func(args, inputs, started)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as e:
+    except (ParseError, GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidDecompositionError as e:
@@ -521,9 +518,6 @@ def main(argv=None):
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,60 +9,122 @@ Weights (.w):  lines `<v> <value>` with value a rational `p/q` or a decimal
 Family (.fam): header `s fam <count>`, lines `f <id> <weight> <size> <v...>`.
 Vertex set (.set): whitespace-separated vertex ids.
 
+Before anything is allocated, header counts (<n>, <#bags>, <count>) are
+capped at MAX_COUNT and a weight literal's length plus decimal exponent at
+MAX_WEIGHT_DIGITS; over a cap is a ParseError naming the line.
+
 Writers emit canonical form (sorted members, sorted edges), so write-read
 round trips are identity on canonicalized objects.
 """
 
+from contextlib import suppress
 from fractions import Fraction
+from pathlib import Path
 
 from .decomposition import make_decomposition
 from .errors import ParseError
 from .graph import build_graph
-from .packing import PackingInstance, make_family
+from .packing import PackingInstance, _is_connected_subset, make_family
 from .weights import WeightMap
 
+MAX_COUNT = 1 << 20
+MAX_WEIGHT_DIGITS = 1000
 
-def _lines(text):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield i, line.split()
+
+class _Reader:
+    """Checked fields of one input text. Iterating yields the tokens of each
+    non-blank, non-comment line and keeps its number in `no` for `fail` (0
+    once the text is exhausted); a header (`usage`, e.g. "p tw <n> <m>") must
+    come before any other line."""
+
+    def __init__(self, text, source, usage=None):
+        self.text, self.source, self.usage = text, source, usage
+        self.no, self.seen = 0, usage is None
+
+    def __iter__(self):
+        for i, raw in enumerate(self.text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("c"):
+                self.no = i
+                tok = line.split()
+                if not self.seen and tok[0] != self.usage.split()[0]:
+                    self.fail(f"line before `{self.usage}` header")
+                yield tok
+        self.no = 0
+        if not self.seen:
+            self.fail(f"missing `{self.usage}` header")
+
+    def fail(self, message):
+        raise ParseError(self.source, self.no, message)
+
+    def header(self, tok, what):
+        """Check a header line against `usage`; returns its count field, capped
+        since it sizes what is allocated, and the fields after it."""
+        if self.seen:
+            self.fail("duplicate header line")
+        form = self.usage.split()
+        if len(tok) != len(form) or tok[1] != form[1]:
+            self.fail(f"header must be `{self.usage}`")
+        self.seen = True
+        return self.integer(tok[2], what, 0, MAX_COUNT), tok[3:]
+
+    def integer(self, token, what, lo=None, hi=None):
+        """An int field, checked against [lo, hi] when `hi` is given."""
+        try:
+            v = int(token)
+        except ValueError:
+            self.fail(f"non-integer {what} {token!r}")
+        if hi is not None and not lo <= v <= hi:
+            self.fail(f"{what} {v} outside [{lo}, {hi}]")
+        return v
+
+    def ids(self, tokens, what, hi):
+        """1-based ids in [1, hi], returned 0-based."""
+        return [self.integer(t, what, 1, hi) - 1 for t in tokens]
+
+    def pair(self, tok, what, hi):
+        """`ids` of a two-id line, unrolled: edge lines are most of the input."""
+        if len(tok) != 2:
+            self.fail(f"line must hold two {what}s")
+        try:
+            a, b = int(tok[0]) - 1, int(tok[1]) - 1
+            if 0 <= a < hi and 0 <= b < hi:
+                return a, b
+        except ValueError:
+            pass
+        return self.ids(tok, what, hi)  # fails, naming the bad id
+
+    def weight(self, token):
+        """Exact nonnegative rational whose length plus exponent is capped."""
+        size = len(token)
+        if size <= MAX_WEIGHT_DIGITS and "e" in token.lower():
+            with suppress(ValueError):  # Fraction rejects a bad exponent below
+                size += abs(int(token.lower().partition("e")[2]))
+        if size > MAX_WEIGHT_DIGITS:
+            self.fail(f"weight literal over {MAX_WEIGHT_DIGITS} digits")
+        try:
+            f = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            self.fail(f"unparsable weight {token!r}")
+        if f < 0:
+            self.fail(f"negative weight {token}")
+        return f
 
 
 def parse_graph(text, source="<graph>"):
-    header = None
+    r = _Reader(text, source, "p tw <n> <m>")
     edges = []
-    n = m = 0
-    for no, tok in _lines(text):
+    for tok in r:
         if tok[0] == "p":
-            if header is not None:
-                raise ParseError(source, no, "duplicate header line")
-            if len(tok) != 4 or tok[1] != "tw":
-                raise ParseError(source, no, "header must be `p tw <n> <m>`")
-            try:
-                n, m = int(tok[2]), int(tok[3])
-            except ValueError:
-                raise ParseError(source, no, "non-integer header fields") from None
-            header = no
+            n, rest = r.header(tok, "vertex count")
+            m = r.integer(rest[0], "edge count")
         else:
-            if header is None:
-                raise ParseError(source, no, "edge before header")
-            if len(tok) != 2:
-                raise ParseError(source, no, "edge line must be `<u> <v>`")
-            try:
-                u, v = int(tok[0]), int(tok[1])
-            except ValueError:
-                raise ParseError(source, no, "non-integer endpoint") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(source, no, f"endpoint outside [1, {n}]")
+            u, v = r.pair(tok, "endpoint", n)
             if u == v:
-                raise ParseError(source, no, f"self-loop at {u}")
-            edges.append((u - 1, v - 1))
-    if header is None:
-        raise ParseError(source, 0, "missing `p tw` header")
+                r.fail(f"self-loop at {u + 1}")
+            edges.append((u, v))
     if len(edges) != m:
-        raise ParseError(source, 0, f"header announced {m} edges, found {len(edges)}")
+        r.fail(f"header announced {m} edges, found {len(edges)}")
     return build_graph(n, edges)
 
 
@@ -73,91 +135,31 @@ def format_graph(graph):
 
 
 def parse_td(text, graph, source="<td>"):
-    header = None
-    count = 0
-    bags = {}
-    refined = {}
-    edges = []
-    for no, tok in _lines(text):
+    r = _Reader(text, source, "s td <#bags> <max-bag-size> <n>")
+    bag_of, refined, edges = {}, {}, []
+    for tok in r:
         if tok[0] == "s":
-            if header is not None:
-                raise ParseError(source, no, "duplicate header line")
-            if len(tok) != 5 or tok[1] != "td":
-                raise ParseError(
-                    source, no, "header must be `s td <#bags> <max-bag-size> <n>`"
-                )
-            try:
-                count, _, n = int(tok[2]), int(tok[3]), int(tok[4])
-            except ValueError:
-                raise ParseError(source, no, "non-integer header fields") from None
+            count, rest = r.header(tok, "bag count")
+            r.integer(rest[0], "max bag size")
+            n = r.integer(rest[1], "vertex count")
             if n != graph.n:
-                raise ParseError(
-                    source, no, f"decomposition is over {n} vertices, graph has {graph.n}"
-                )
-            header = no
-        elif tok[0] == "b":
-            if header is None:
-                raise ParseError(source, no, "bag before header")
-            bid = _bag_id(tok, count, source, no)
-            if bid in bags:
-                raise ParseError(source, no, f"duplicate bag {bid + 1}")
-            bags[bid] = _vertices(tok[2:], graph.n, source, no)
-        elif tok[0] == "r":
-            if header is None:
-                raise ParseError(source, no, "refined set before header")
-            bid = _bag_id(tok, count, source, no)
-            if bid in refined:
-                raise ParseError(source, no, f"duplicate refined set for bag {bid + 1}")
-            refined[bid] = _vertices(tok[2:], graph.n, source, no)
+                r.fail(f"decomposition is over {n} vertices, graph has {graph.n}")
+        elif tok[0] in ("b", "r"):
+            what, found = ("bag", bag_of) if tok[0] == "b" else ("refined set", refined)
+            if len(tok) < 2:
+                r.fail("missing bag id")
+            bid = r.integer(tok[1], "bag id", 1, count) - 1
+            if bid in found:
+                r.fail(f"duplicate {what} {bid + 1}")
+            found[bid] = frozenset(r.ids(tok[2:], "vertex", graph.n))
         else:
-            if header is None:
-                raise ParseError(source, no, "tree edge before header")
-            if len(tok) != 2:
-                raise ParseError(source, no, "tree edge line must be `<i> <j>`")
-            try:
-                a, b = int(tok[0]), int(tok[1])
-            except ValueError:
-                raise ParseError(source, no, "non-integer bag id") from None
-            if not (1 <= a <= count and 1 <= b <= count):
-                raise ParseError(source, no, f"bag id outside [1, {count}]")
-            edges.append((a - 1, b - 1))
-    if header is None:
-        raise ParseError(source, 0, "missing `s td` header")
-    for bid in range(count):
-        bags.setdefault(bid, frozenset())
+            edges.append(r.pair(tok, "bag id", count))
+    bags = [bag_of.get(bid, frozenset()) for bid in range(count)]
     for bid, u in refined.items():
         if not u <= bags[bid]:
-            extra = min(u - bags[bid])
-            raise ParseError(
-                source, 0, f"refined vertex {extra + 1} is not in bag {bid + 1}"
-            )
+            r.fail(f"refined vertex {min(u - bags[bid]) + 1} is not in bag {bid + 1}")
     refs = [refined.get(bid, frozenset()) for bid in range(count)]
-    return make_decomposition(graph, [bags[b] for b in range(count)], edges, refs)
-
-
-def _bag_id(tok, count, source, no):
-    if len(tok) < 2:
-        raise ParseError(source, no, "missing bag id")
-    try:
-        bid = int(tok[1])
-    except ValueError:
-        raise ParseError(source, no, "non-integer bag id") from None
-    if not (1 <= bid <= count):
-        raise ParseError(source, no, f"bag id {bid} outside [1, {count}]")
-    return bid - 1
-
-
-def _vertices(tokens, n, source, no):
-    out = set()
-    for t in tokens:
-        try:
-            v = int(t)
-        except ValueError:
-            raise ParseError(source, no, f"non-integer vertex {t!r}") from None
-        if not (1 <= v <= n):
-            raise ParseError(source, no, f"vertex {v} outside [1, {n}]")
-        out.add(v - 1)
-    return frozenset(out)
+    return make_decomposition(graph, bags, edges, refs)
 
 
 def format_td(td):
@@ -168,90 +170,48 @@ def format_td(td):
     for i, u in enumerate(td.refined):
         if u:
             out.append("r " + " ".join([str(i + 1)] + [str(v + 1) for v in sorted(u)]))
-    for a, b in td.tree_edges:
-        out.append(f"{a + 1} {b + 1}")
+    out += [f"{a + 1} {b + 1}" for a, b in td.tree_edges]
     return "\n".join(out) + "\n"
 
 
 def parse_weights(text, n, source="<weights>"):
+    r = _Reader(text, source)
     values = {}
-    for no, tok in _lines(text):
+    for tok in r:
         if len(tok) != 2:
-            raise ParseError(source, no, "weight line must be `<v> <value>`")
-        try:
-            v = int(tok[0])
-        except ValueError:
-            raise ParseError(source, no, "non-integer vertex") from None
-        if not (1 <= v <= n):
-            raise ParseError(source, no, f"vertex {v} outside [1, {n}]")
-        if v - 1 in values:
-            raise ParseError(source, no, f"duplicate weight for vertex {v}")
-        try:
-            f = Fraction(tok[1])
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(source, no, f"unparsable weight {tok[1]!r}") from None
-        if f < 0:
-            raise ParseError(source, no, f"negative weight {tok[1]}")
-        values[v - 1] = f
+            r.fail("weight line must be `<v> <value>`")
+        v = r.integer(tok[0], "vertex", 1, n) - 1
+        if v in values:
+            r.fail(f"duplicate weight for vertex {v + 1}")
+        values[v] = r.weight(tok[1])
     return WeightMap(n, values)
 
 
 def parse_family(text, graph, source="<family>"):
-    header = None
-    count = 0
-    members = {}
-    weights = {}
-    for no, tok in _lines(text):
+    r = _Reader(text, source, "s fam <count>")
+    members, weights = {}, {}
+    for tok in r:
         if tok[0] == "s":
-            if header is not None:
-                raise ParseError(source, no, "duplicate header line")
-            if len(tok) != 3 or tok[1] != "fam":
-                raise ParseError(source, no, "header must be `s fam <count>`")
-            try:
-                count = int(tok[2])
-            except ValueError:
-                raise ParseError(source, no, "non-integer member count") from None
-            header = no
+            count, _ = r.header(tok, "member count")
         elif tok[0] == "f":
-            if header is None:
-                raise ParseError(source, no, "member before header")
             if len(tok) < 4:
-                raise ParseError(
-                    source, no, "member line must be `f <id> <weight> <size> <v...>`"
-                )
-            try:
-                fid = int(tok[1])
-            except ValueError:
-                raise ParseError(source, no, "non-integer member id") from None
-            if not (1 <= fid <= count):
-                raise ParseError(source, no, f"member id {fid} outside [1, {count}]")
-            if fid - 1 in members:
-                raise ParseError(source, no, f"duplicate member {fid}")
-            try:
-                w = Fraction(tok[2])
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(source, no, f"unparsable weight {tok[2]!r}") from None
-            if w < 0:
-                raise ParseError(source, no, f"negative weight {tok[2]}")
-            try:
-                size = int(tok[3])
-            except ValueError:
-                raise ParseError(source, no, "non-integer member size") from None
-            vs = _vertices(tok[4:], graph.n, source, no)
-            if len(vs) != size:
-                raise ParseError(
-                    source, no, f"member {fid} announced {size} vertices, found {len(vs)}"
-                )
-            members[fid - 1] = vs
-            weights[fid - 1] = w
+                r.fail("member line must be `f <id> <weight> <size> <v...>`")
+            fid = r.integer(tok[1], "member id", 1, count) - 1
+            if fid in members:
+                r.fail(f"duplicate member {fid + 1}")
+            weights[fid] = r.weight(tok[2])
+            vs = members[fid] = frozenset(r.ids(tok[4:], "vertex", graph.n))
+            if len(vs) != r.integer(tok[3], "member size"):
+                r.fail(f"member {fid + 1} announced {tok[3]} vertices, found {len(vs)}")
         else:
-            raise ParseError(source, no, f"unexpected line starting with {tok[0]!r}")
-    if header is None:
-        raise ParseError(source, 0, "missing `s fam` header")
-    missing = [i + 1 for i in range(count) if i not in members]
-    if missing:
-        raise ParseError(source, 0, f"missing member ids {missing}")
-    fam = make_family(graph, [members[i] for i in range(count)])
+            r.fail(f"unexpected line starting with {tok[0]!r}")
+    if len(members) < count:
+        r.fail(f"missing member id {min(set(range(count)) - members.keys()) + 1}")
+    sets = [members[i] for i in range(count)]
+    for i, s in enumerate(sets):
+        if not s or not _is_connected_subset(graph, s):
+            r.fail(f"member {i + 1} is empty or not connected")
+    fam = make_family(graph, sets)
     return PackingInstance(fam, tuple(weights[i] for i in range(count)))
 
 
@@ -265,52 +225,21 @@ def format_family(instance):
 
 
 def parse_vertex_set(text, n, source="<set>"):
-    out = set()
-    for no, tok in _lines(text):
-        for t in tok:
-            try:
-                v = int(t)
-            except ValueError:
-                raise ParseError(source, no, f"non-integer vertex {t!r}") from None
-            if not (1 <= v <= n):
-                raise ParseError(source, no, f"vertex {v} outside [1, {n}]")
-            out.add(v - 1)
-    return frozenset(out)
+    r = _Reader(text, source)
+    return frozenset(v for tok in r for v in r.ids(tok, "vertex", n))
 
 
 def read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def read_graph(path):
-    return parse_graph(read_text(path), source=str(path))
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_graph(graph, path):
     write_text(path, format_graph(graph))
 
 
-def read_td(path, graph):
-    return parse_td(read_text(path), graph, source=str(path))
-
-
 def write_td(td, path):
     write_text(path, format_td(td))
-
-
-def read_weights(path, n):
-    return parse_weights(read_text(path), n, source=str(path))
-
-
-def read_family(path, graph):
-    return parse_family(read_text(path), graph, source=str(path))
-
-
-def read_vertex_set(path, n):
-    return parse_vertex_set(read_text(path), n, source=str(path))

@@ -78,6 +78,11 @@ GENERATOR_KINDS = {
 
 def generate(kind, params=(), base=None):
     """Dispatch a generator by id. `double-join` takes its base via `base`."""
+    arity = GENERATOR_KINDS.get(kind)
+    if arity is None:
+        raise GraphError(f"unknown generator kind {kind!r}")
+    if len(params) < arity:
+        raise GraphError(f"{kind} takes {arity} parameter(s), got {len(params)}")
     if kind == "complete":
         return complete_graph(params[0])
     if kind == "path":
@@ -94,4 +99,3 @@ def generate(kind, params=(), base=None):
         if base is None:
             raise GraphError("double-join needs a base graph")
         return double_join(base)
-    raise GraphError(f"unknown generator kind {kind!r}")

@@ -12,8 +12,6 @@ from bisect import bisect_left
 
 from .errors import GraphError
 
-VertexSet = frozenset
-
 
 def mask_of(vertices):
     """The bit set of `vertices`: bit v stands for vertex v."""
@@ -46,9 +44,6 @@ class Graph:
     def m(self):
         """Number of edges."""
         return sum(len(a) for a in self.adj) // 2
-
-    def neighbors(self, v):
-        return self.adj[v]
 
     def degree(self, v):
         return len(self.adj[v])

@@ -51,22 +51,6 @@ def _bag_mask(rows, v, emask):
     return (nb & ~emask) | (1 << v)
 
 
-class _AlphaByMask:
-    """Memoized independence numbers of induced sub-masks of one graph."""
-
-    def __init__(self, rows):
-        self.comp = _complement_rows(rows)
-        self.memo = {0: 0}
-
-    def alpha(self, mask):
-        got = self.memo.get(mask)
-        if got is not None:
-            return got
-        val = _max_clique_size(self.comp, mask)
-        self.memo[mask] = val
-        return val
-
-
 def _elimination_dp(graph, cost_of_bag):
     """min over elimination orderings of the max bag cost; returns (value, order)."""
     n = graph.n
@@ -147,8 +131,8 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
         raise CapExceededError(f"tin_exact refused for n={graph.n} > cap={cap}")
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
-    alpha = _AlphaByMask(graph.bit_rows())
-    value, order = _elimination_dp(graph, alpha.alpha)
+    comp = _complement_rows(graph.bit_rows())
+    value, order = _elimination_dp(graph, lambda bag: _max_clique_size(comp, bag))
     filled = _fill_in(graph, order)
     ct = clique_tree(filled)
     witness = make_decomposition(graph, ct.bags, ct.tree_edges)

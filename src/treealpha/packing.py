@@ -23,7 +23,7 @@ from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
 from .graph import Graph, check_vertex_set, mask_of, members
 from .mwis import solve_mwis_plain
-from .weights import WeightMap, as_fraction
+from .weights import WeightMap
 
 DEFAULT_PATTERN_CAP = 5
 DEFAULT_BLOB_CAP = 12
@@ -87,7 +87,7 @@ def make_instance(host, members, weights=None):
     if weights is None:
         ws = tuple(Fraction(1) for _ in fam.members)
     else:
-        ws = tuple(as_fraction(w) for w in weights)
+        ws = tuple(Fraction(w) for w in weights)
     return PackingInstance(fam, ws)
 
 
@@ -119,19 +119,9 @@ def derived_graph(graph, family):
     return Graph(count, tuple(tuple(sorted(s)) for s in nbrs))
 
 
-def _conflict_naive(graph, s1, s2):
-    if s1 & s2:
-        return True
-    for u in s1:
-        for v in graph.adj[u]:
-            if v in s2:
-                return True
-    return False
-
-
 def compatible(graph, s1, s2):
     """Disjoint with no host edge between them."""
-    return not _conflict_naive(graph, s1, s2)
+    return not (s1 & s2 or any(v in s2 for u in s1 for v in graph.adj[u]))
 
 
 def derived_decomposition(graph, family, td, derived=None):
@@ -173,7 +163,7 @@ def solve_packing(instance, td, k):
     value, chosen = solve_mwis_plain(derived, weights, td2, k)
     picked = sorted(chosen)
     for a, b in combinations(picked, 2):
-        if _conflict_naive(graph, instance.family.members[a], instance.family.members[b]):
+        if not compatible(graph, instance.family.members[a], instance.family.members[b]):
             raise RuntimeError("internal: selected members conflict")
     return value, frozenset(picked)
 
@@ -194,7 +184,7 @@ def brute_force_packing(instance, cap=DEFAULT_PACKING_BRUTE_CAP):
     conflict = [0] * count
     for j in range(count):
         for i in range(j):
-            if _conflict_naive(graph, members[i], members[j]):
+            if not compatible(graph, members[i], members[j]):
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
     w = list(instance.member_weights)
@@ -339,7 +329,7 @@ def induced_matching(graph, edge_weights, td, k):
     lookup = {}
     if edge_weights:
         for (u, v), w in dict(edge_weights).items():
-            lookup[frozenset((u, v))] = as_fraction(w)
+            lookup[frozenset((u, v))] = Fraction(w)
     ws = [lookup.get(s, Fraction(1)) for s in fam.members]
     inst = PackingInstance(fam, tuple(ws))
     value, chosen = solve_packing(inst, td, k)

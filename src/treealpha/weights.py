@@ -7,12 +7,6 @@ lattice is ever a float. Missing vertices default to weight 1.
 from fractions import Fraction
 
 
-def as_fraction(value):
-    """Exact Fraction from an int, Fraction, or string like '3/4' or '0.25'."""
-    f = Fraction(value)
-    return f
-
-
 class WeightMap:
     """Per-vertex nonnegative rational weights over a graph of `n` vertices."""
 
@@ -25,7 +19,7 @@ class WeightMap:
             for v, x in dict(values).items():
                 if not (0 <= v < n):
                     raise ValueError(f"weighted vertex {v} out of range [0, {n})")
-                f = as_fraction(x)
+                f = Fraction(x)
                 if f < 0:
                     raise ValueError(f"weight of vertex {v} is negative: {f}")
                 w[v] = f

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from treealpha import GraphError, build_graph
+from treealpha import GraphError, build_graph, validate
+from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
 
 
 def random_graph(n, p, rng):
@@ -111,6 +112,46 @@ def cycle_has_chord(graph, cycle):
             if graph.has_edge(cycle[i], cycle[j]):
                 return True
     return False
+
+
+def nice_violations(graph, nice):
+    """List the nice-form invariants the given decomposition breaks."""
+    problems = []
+    td = nice.td
+    report = validate(graph, td)
+    if not report.ok:
+        problems.append(f"underlying decomposition invalid: {report}")
+    if td.bags[nice.root]:
+        problems.append("root bag is nonempty")
+    for t in range(td.node_count):
+        kids = nice.children[t]
+        kind = nice.kinds[t]
+        if not kids:
+            if kind != LEAF:
+                problems.append(f"childless node {t} is labeled {kind}")
+            if td.bags[t]:
+                problems.append(f"leaf {t} has a nonempty bag")
+        elif len(kids) == 1:
+            c = kids[0]
+            v = nice.vertices[t]
+            if kind == INTRODUCE:
+                if v is None or v in td.bags[c] or td.bags[t] != td.bags[c] | {v}:
+                    problems.append(f"introduce node {t} malformed")
+            elif kind == FORGET:
+                if v is None or v not in td.bags[c] or td.bags[t] != td.bags[c] - {v}:
+                    problems.append(f"forget node {t} malformed")
+            else:
+                problems.append(f"single-child node {t} labeled {kind}")
+        elif len(kids) == 2:
+            if kind != JOIN:
+                problems.append(f"two-child node {t} labeled {kind}")
+            if any(td.bags[c] != td.bags[t] for c in kids):
+                problems.append(f"join node {t} has a child with a different bag")
+        else:
+            problems.append(f"node {t} has {len(kids)} children")
+        if nice.parent[t] is None and t != nice.root:
+            problems.append(f"node {t} has no parent but is not the root")
+    return problems
 
 
 @pytest.fixture

@@ -32,7 +32,6 @@ from treealpha import (
     make_family,
     make_instance,
     make_nice,
-    nice_violations,
     path_graph,
     pattern_by_name,
     residual_independence_number,
@@ -49,7 +48,12 @@ from treealpha.nice import NICE_NODE_FACTOR
 from treealpha.oracle import brute_force_mwis
 from treealpha.packing import brute_force_packing
 
-from .conftest import all_labeled_graphs, random_connected_set, random_graph
+from .conftest import (
+    all_labeled_graphs,
+    nice_violations,
+    random_connected_set,
+    random_graph,
+)
 from .test_packing import graph_square, line_graph
 
 

@@ -306,6 +306,10 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "frobnicate", "--graph", "g.gr")
     assert code == 1
+    for params in (("path",), ("complete-bipartite", "3")):
+        code, _, err = run(capsys, "gen", *params)
+        assert code == 1
+        assert err.startswith("error:") and "parameter" in err
     code, out, _ = run(capsys, "mwis", "--help")
     assert code == 0 and "--graph" in out
 
@@ -344,3 +348,21 @@ def test_residual_violation_exit_code(tmp_path, capsys):
     witness = {int(x) - 1 for x in shown}
     assert len(shown) == len(witness) == 2
     assert witness <= set(range(4)) and is_independent(g, witness)
+
+
+def test_oversized_weight_literal_is_a_parse_error(tmp_path, capsys):
+    g = path_graph(2)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    (tmp_path / "w.w").write_text("1 1e300000\n")
+    code, out, err = run(
+        capsys,
+        "mwis",
+        "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"),
+        "--weights", str(tmp_path / "w.w"),
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "w.w:1:" in err

@@ -1,9 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treealpha import ParseError, cycle_graph, make_decomposition, path_graph
+from treealpha import (
+    ParseError,
+    build_graph,
+    cycle_graph,
+    make_decomposition,
+    make_family,
+    path_graph,
+)
 from treealpha.formats import (
+    MAX_COUNT,
     format_family,
     format_graph,
     format_td,
@@ -13,6 +23,7 @@ from treealpha.formats import (
     parse_vertex_set,
     parse_weights,
 )
+from treealpha.packing import PackingInstance
 
 
 def test_graph_round_trip():
@@ -86,9 +97,6 @@ def test_weights_errors():
 
 
 def test_family_round_trip():
-    from treealpha import make_family
-    from treealpha.packing import PackingInstance
-
     g = path_graph(4)
     inst = PackingInstance(
         make_family(g, [{0, 1}, {2}]), (Fraction(7, 2), Fraction(1))
@@ -102,9 +110,121 @@ def test_family_errors():
         parse_family("s fam 1\nf 1 1 2 1\n", g)
     with pytest.raises(ParseError, match="missing member"):
         parse_family("s fam 2\nf 1 1 1 1\n", g)
+    with pytest.raises(ParseError, match="not connected"):
+        parse_family("s fam 1\nf 1 1 2 1 3\n", g)
+    with pytest.raises(ParseError, match="empty"):
+        parse_family("s fam 1\nf 1 1 0\n", g)
 
 
 def test_vertex_set_parsing():
     assert parse_vertex_set("1 3\nc zap\n4\n", 5) == frozenset({0, 2, 3})
     with pytest.raises(ParseError):
         parse_vertex_set("9\n", 5)
+
+
+@pytest.mark.parametrize(
+    "parse, header",
+    [
+        (parse_graph, "p tw {} 0"),
+        (lambda text: parse_td(text, path_graph(2)), "s td {} 1 2"),
+        (lambda text: parse_family(text, path_graph(2)), "s fam {}"),
+    ],
+    ids=["graph", "td", "family"],
+)
+def test_header_counts_are_capped(parse, header):
+    with pytest.raises(ParseError, match="outside") as err:
+        parse("c counts drive allocation\n" + header.format(MAX_COUNT + 1) + "\n")
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError, match="outside"):
+        parse(header.format(-1) + "\n")
+
+
+@pytest.mark.parametrize("literal", ["1e300000", "1E-1001", "2.5e+995", "1" * 1001])
+def test_weight_literals_are_capped(literal):
+    with pytest.raises(ParseError, match="digits") as err:
+        parse_weights(f"1 1\n2 {literal}\n", 2)
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError, match="digits"):
+        parse_family(f"s fam 1\nf 1 {literal} 1 1\n", path_graph(2))
+
+
+def test_weight_literals_under_the_cap_stay_exact():
+    w = parse_weights("1 1e990\n2 3e-990\n", 2)
+    assert w[0] == 10**990
+    assert w[1] == Fraction(3, 10**990)
+
+
+# Valid texts of each format over 4 vertices, written by the library's own
+# writers, then mutated: tokens replaced or dropped, lines repeated or
+# removed. Replacements come from a small vocabulary or from free text
+# without decimal digits, so a header never asks for a large allocation;
+# the caps are tested above.
+_PATH4 = path_graph(4)
+_IDS = st.integers(0, 3)
+_WEIGHTS = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+_ODD = st.one_of(
+    st.sampled_from("-1 0 1 2 3 4 5".split()),
+    st.sampled_from(["", "+2", "1_0", "1/0", "0.5", "1e", "1e99999", "p", "s", "c"]),
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=4),
+)
+
+
+def _graph_text(edges):
+    return format_graph(build_graph(4, [(u, v) for u, v in edges if u != v]))
+
+
+def _td_text(bags_and_marks):
+    bags = [b for b, _ in bags_and_marks]
+    marks = [b & u for b, u in bags_and_marks]
+    tree = [(i, i - 1) for i in range(1, len(bags))]
+    return format_td(make_decomposition(_PATH4, bags, tree, marks))
+
+
+def _weights_text(weights):
+    return "".join(f"{v + 1} {w}\n" for v, w in weights.items())
+
+
+def _family_text(ends_and_weights):
+    members = [range(min(a, b), max(a, b) + 1) for a, b, _ in ends_and_weights]
+    weights = tuple(w for _, _, w in ends_and_weights)
+    return format_family(PackingInstance(make_family(_PATH4, members), weights))
+
+
+_VALID = {
+    "graph": st.lists(st.tuples(_IDS, _IDS)).map(_graph_text),
+    "td": st.lists(st.tuples(st.frozensets(_IDS), st.frozensets(_IDS)), max_size=4)
+    .map(_td_text),
+    "weights": st.dictionaries(_IDS, _WEIGHTS).map(_weights_text),
+    "family": st.lists(st.tuples(_IDS, _IDS, _WEIGHTS), max_size=4).map(_family_text),
+    "set": st.lists(_IDS).map(lambda vs: " ".join(str(v + 1) for v in vs)),
+}
+_PARSERS = {
+    "graph": parse_graph,
+    "td": lambda text: parse_td(text, _PATH4),
+    "weights": lambda text: parse_weights(text, 4),
+    "family": lambda text: parse_family(text, _PATH4),
+    "set": lambda text: parse_vertex_set(text, 4),
+}
+
+
+def _mutate(data, text):
+    """Replace about one token in six; drop or repeat about one line in six."""
+    out = []
+    for line in text.splitlines():
+        toks = [
+            data.draw(_ODD) if data.draw(st.integers(0, 5)) == 0 else tok
+            for tok in line.split()
+        ]
+        out += [" ".join(toks)] * data.draw(st.sampled_from([1, 1, 1, 1, 0, 2]))
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("name", sorted(_PARSERS))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_text_parses_or_raises_parse_error(name, data):
+    text = _mutate(data, data.draw(_VALID[name]))
+    try:
+        _PARSERS[name](text)
+    except ParseError:
+        pass

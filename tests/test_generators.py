@@ -57,6 +57,10 @@ def test_parameter_validation():
         complete_bipartite(0, 3)
     with pytest.raises(GraphError):
         generate("frobnicate", (1,))
+    with pytest.raises(GraphError, match="parameter"):
+        generate("path", ())
+    with pytest.raises(GraphError, match="parameter"):
+        generate("complete-bipartite", (3,))
 
 
 def test_generate_dispatch():

@@ -8,7 +8,6 @@ from treealpha import (
     clique_tree,
     make_decomposition,
     make_nice,
-    nice_violations,
     path_graph,
     residual_independence_number,
     tin_exact,
@@ -18,7 +17,7 @@ from treealpha import (
 )
 from treealpha.nice import NICE_NODE_FACTOR
 
-from .conftest import random_connected_set, random_graph
+from .conftest import nice_violations, random_connected_set, random_graph
 
 
 def test_path_trivial_expansion():
