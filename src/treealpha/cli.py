@@ -50,7 +50,14 @@ EXIT_CAP = 3
 
 
 def _rational(f):
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        # Python's int-to-str digit limit, left as the interpreter sets it.
+        limit = sys.get_int_max_str_digits()
+        raise CapExceededError(
+            f"rational result refused: a part has over cap={limit} digits"
+        ) from None
 
 
 def _one_indexed(vertices):
@@ -268,10 +275,7 @@ def _cmd_gen(args, inputs, started):
         if args.graph is None:
             raise GraphError("gen double-join needs --graph for the base graph")
         base = _load_graph(inputs, args.graph)
-        params = ()
-    else:
-        params = tuple(args.params)
-    g = generate(args.kind, params, base=base)
+    g = generate(args.kind, tuple(args.params), base=base)
     text = formats.format_graph(g)
     artifacts = {}
     if args.emit_trivial_td:

@@ -6,6 +6,7 @@ stored. Decompositions are constructed unchecked; `validate` is the explicit,
 first-class check and reports violations as data rather than raising.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GraphError, InvalidDecompositionError
@@ -34,13 +35,6 @@ class RefinedTreeDecomposition:
     def refinement_size(self):
         """The derived refinement budget ell = max |U_t|."""
         return max((len(u) for u in self.refined), default=0)
-
-    def node_neighbors(self):
-        nbrs = [[] for _ in range(self.node_count)]
-        for a, b in self.tree_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        return nbrs
 
     def __repr__(self):
         return (
@@ -87,109 +81,91 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _tree_violation(td):
-    nodes = td.node_count
-    if nodes < 1:
-        return Violation("tree", "decomposition has no nodes")
-    if len(td.tree_edges) != nodes - 1:
-        return Violation(
-            "tree", f"{len(td.tree_edges)} edges on {nodes} nodes (need {nodes - 1})"
-        )
-    seen_pairs = set()
-    nbrs = [[] for _ in range(nodes)]
-    for a, b in td.tree_edges:
-        if not (0 <= a < nodes and 0 <= b < nodes):
-            return Violation("tree", f"edge ({a}, {b}) references a missing node")
-        if a == b:
-            return Violation("tree", f"self-loop on node {a}")
-        key = (min(a, b), max(a, b))
-        if key in seen_pairs:
-            return Violation("tree", f"duplicate edge {key}")
-        seen_pairs.add(key)
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    # Correct edge count + no duplicates, so connectivity implies acyclicity.
-    stack = [0]
-    reached = {0}
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    if len(reached) != nodes:
-        missing = min(set(range(nodes)) - reached)
-        return Violation("tree", f"node {missing} is disconnected from node 0")
-    return None
-
-
 def validate(graph, td, universe=None):
     """Check the five decomposition clauses; report the first witness of each.
 
     `universe` restricts the check to a vertex subset: bags must cover exactly
     `universe` and every graph edge inside it. The default is all of V(G).
     Violations are data, not exceptions.
+
+    One index, vertex -> set of nodes holding it, serves every clause, so the
+    check is linear in the size of the graph plus the decomposition. An edge
+    is covered when its ends' node sets meet. Once the tree clause holds, the
+    nodes holding v induce a forest whose component count is their number
+    minus the tree edges (a, b) with v in X_a & X_b; they form a subtree
+    exactly when that difference is 1.
     """
     violations = []
-    tree_bad = _tree_violation(td)
+    nodes = td.node_count
+    edges = td.tree_edges
+    tree_bad = None
+    if nodes < 1:
+        tree_bad = "decomposition has no nodes"
+    elif len(edges) != nodes - 1:
+        tree_bad = f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+    else:
+        nbrs = [[] for _ in range(nodes)]
+        seen_pairs = set()
+        for a, b in edges:
+            key = (min(a, b), max(a, b))
+            if not (0 <= a < nodes and 0 <= b < nodes):
+                tree_bad = f"edge ({a}, {b}) references a missing node"
+            elif a == b:
+                tree_bad = f"self-loop on node {a}"
+            elif key in seen_pairs:
+                tree_bad = f"duplicate edge {key}"
+            else:
+                seen_pairs.add(key)
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+                continue
+            break
+        if tree_bad is None:
+            # Correct edge count + no duplicates, so connectivity implies acyclicity.
+            stack = [0]
+            reached = {0}
+            while stack:
+                for y in nbrs[stack.pop()]:
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            if len(reached) != nodes:
+                missing = min(set(range(nodes)) - reached)
+                tree_bad = f"node {missing} is disconnected from node 0"
     if tree_bad is not None:
-        violations.append(tree_bad)
+        violations.append(Violation("tree", tree_bad))
 
     if universe is None:
         universe = frozenset(range(graph.n))
     else:
         universe = check_vertex_set(graph, universe)
 
-    nodes = td.node_count
-    bag_nodes = {}
+    index = {v: set() for v in universe}
     coverage_bad = None
     for t in range(nodes):
         for v in td.bags[t]:
-            if not (0 <= v < graph.n) or v not in universe:
-                if coverage_bad is None:
-                    coverage_bad = Violation(
-                        "coverage", f"bag {t} contains {v}, outside the vertex universe"
-                    )
-                continue
-            bag_nodes.setdefault(v, []).append(t)
+            if v in index:
+                index[v].add(t)
+            elif coverage_bad is None:
+                coverage_bad = f"bag {t} contains {v}, outside the vertex universe"
     if coverage_bad is None:
-        for v in sorted(universe):
-            if v not in bag_nodes:
-                coverage_bad = Violation("coverage", f"vertex {v} is in no bag")
-                break
+        missing = next((v for v in sorted(index) if not index[v]), None)
+        if missing is not None:
+            coverage_bad = f"vertex {missing} is in no bag"
     if coverage_bad is not None:
-        violations.append(coverage_bad)
+        violations.append(Violation("coverage", coverage_bad))
 
-    for u in range(graph.n):
-        if u not in universe:
-            continue
-        hit = None
-        for v in graph.adj[u]:
-            if v < u or v not in universe:
-                continue
-            tu = bag_nodes.get(u, ())
-            tv = set(bag_nodes.get(v, ()))
-            if not any(t in tv for t in tu):
-                hit = Violation("edges", f"edge ({u}, {v}) is in no bag")
-                break
-        if hit is not None:
-            violations.append(hit)
+    for u, v in graph.edges():
+        if u in index and v in index and index[u].isdisjoint(index[v]):
+            violations.append(Violation("edges", f"edge ({u}, {v}) is in no bag"))
             break
 
     if tree_bad is None:
-        nbrs = td.node_neighbors()
-        for v in sorted(bag_nodes):
-            holding = set(bag_nodes[v])
-            start = bag_nodes[v][0]
-            stack = [start]
-            seen = {start}
-            while stack:
-                x = stack.pop()
-                for y in nbrs[x]:
-                    if y in holding and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if seen != holding:
+        shared = Counter()
+        for a, b in edges:
+            shared.update(td.bags[a] & td.bags[b])
+        for v in sorted(index):
+            if index[v] and len(index[v]) - shared[v] != 1:
                 violations.append(
                     Violation(
                         "connectivity",
@@ -268,16 +244,10 @@ def compose_clique_cutset(graph, a_side, b_side, cutset, td_a, td_b):
     require_valid(graph, td_a, universe=a_side | cutset)
     require_valid(graph, td_b, universe=b_side | cutset)
 
-    def bag_containing(td, name):
-        for t in range(td.node_count):
-            if cutset <= td.bags[t]:
-                return t
-        raise InvalidDecompositionError(
-            validate(graph, td), f"no bag of {name} contains the cutset"
-        )
-
-    ta = bag_containing(td_a, "T_A")
-    tb = bag_containing(td_b, "T_B")
+    # C is a clique, so by the Helly property of subtrees some bag of each
+    # valid part holds all of C.
+    ta = next(t for t, bag in enumerate(td_a.bags) if cutset <= bag)
+    tb = next(t for t, bag in enumerate(td_b.bags) if cutset <= bag)
     offset = td_a.node_count
     edges = list(td_a.tree_edges)
     edges += [(a + offset, b + offset) for a, b in td_b.tree_edges]

@@ -81,7 +81,7 @@ def generate(kind, params=(), base=None):
     arity = GENERATOR_KINDS.get(kind)
     if arity is None:
         raise GraphError(f"unknown generator kind {kind!r}")
-    if len(params) < arity:
+    if len(params) != arity:
         raise GraphError(f"{kind} takes {arity} parameter(s), got {len(params)}")
     if kind == "complete":
         return complete_graph(params[0])

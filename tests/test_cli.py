@@ -2,6 +2,7 @@ import io
 import json
 
 from treealpha import (
+    build_graph,
     cycle_graph,
     is_independent,
     make_decomposition,
@@ -306,9 +307,16 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 1
     code, _, _ = run(capsys, "frobnicate", "--graph", "g.gr")
     assert code == 1
-    for params in (("path",), ("complete-bipartite", "3")):
-        code, _, err = run(capsys, "gen", *params)
-        assert code == 1
+    write_graph(path_graph(2), tmp_path / "g.gr")
+    for params in (
+        ("path",),
+        ("complete-bipartite", "3"),
+        ("path", "3", "4"),
+        ("double-join", "7", "--graph", str(tmp_path / "g.gr")),
+    ):
+        code, out, err = run(capsys, "gen", *params)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "parameter" in err
     code, out, _ = run(capsys, "mwis", "--help")
     assert code == 0 and "--graph" in out
@@ -366,3 +374,72 @@ def test_oversized_weight_literal_is_a_parse_error(tmp_path, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "w.w:1:" in err
+
+
+def test_oversized_rational_result_is_a_cap(tmp_path, capsys):
+    # Every literal is under the weight-digit cap, but the optimum's
+    # denominator passes Python's 4300-digit int-to-str limit.
+    g = build_graph(5, [])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    powers = (3**2000, 7**1100, 11**900, 13**840, 17**760)
+    (tmp_path / "w.w").write_text(
+        "".join(f"{v + 1} 1/{q}\n" for v, q in enumerate(powers))
+    )
+    code, out, err = run(
+        capsys,
+        "mwis",
+        "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"),
+        "--weights", str(tmp_path / "w.w"),
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "cap" in err
+
+
+def test_invalid_decomposition_wins_over_later_faults(tmp_path, capsys):
+    def assert_invalid(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: decomposition failed validation")
+        return err
+
+    g = path_graph(2)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(make_decomposition(g, [{0}, {1}], [(0, 1)]), tmp_path / "bad.td")
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "bad.td"))
+    (tmp_path / "junk.w").write_text("1 not-a-weight\n")
+    (tmp_path / "junk.fam").write_text("s fam 1\nf 1 junk\n")
+    err = assert_invalid("mwis", *graph_td, "--weights", str(tmp_path / "junk.w"))
+    assert "[edges]" in err
+    assert_invalid("pack", *graph_td, "--family", str(tmp_path / "junk.fam"))
+    # With a valid decomposition the same files are parse errors.
+    write_td(trivial_decomposition(g), tmp_path / "ok.td")
+    ok_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "ok.td"))
+    for argv in (
+        ("mwis", *ok_td, "--weights", str(tmp_path / "junk.w")),
+        ("pack", *ok_td, "--family", str(tmp_path / "junk.fam")),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "junk" in err
+    assert_invalid("nice", *graph_td, "-o", str(tmp_path / "n.td"))
+    assert not (tmp_path / "n.td").exists()
+
+    # Two 70-vertex bags and no tree edge: the tree clause is reported
+    # before the 64-vertex alpha cap (exit 3) is reached.
+    wide = build_graph(70, [])
+    write_graph(wide, tmp_path / "wide.gr")
+    bag = " ".join(str(v) for v in range(1, 71))
+    (tmp_path / "wide.td").write_text(f"s td 2 70 70\nb 1 {bag}\nb 2 {bag}\n")
+    err = assert_invalid(
+        "measure", "--graph", str(tmp_path / "wide.gr"), "--td", str(tmp_path / "wide.td")
+    )
+    assert "[tree] 0 edges on 2 nodes" in err
+    (tmp_path / "one.td").write_text(f"s td 1 70 70\nb 1 {bag}\n")
+    code, _, err = run(
+        capsys, "measure", "--graph", str(tmp_path / "wide.gr"), "--td", str(tmp_path / "one.td")
+    )
+    assert code == 3 and "cap" in err

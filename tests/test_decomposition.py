@@ -77,6 +77,110 @@ def test_validate_reports_refined_outside_bag():
     assert any(v.clause == "refined" for v in report.violations)
 
 
+def _random_valid_decomposition(rng):
+    """A random tree whose nodes each vertex holds along a random subtree,
+    with graph edges only between vertices whose subtrees meet."""
+    nodes = rng.randint(1, 6)
+    tree = [(rng.randrange(t), t) for t in range(1, nodes)]
+    n = rng.randint(0, 7)
+    bags = [set() for _ in range(nodes)]
+    for v in range(n):
+        held = {rng.randrange(nodes)}
+        for a, b in rng.sample(tree, len(tree)):
+            if (a in held) != (b in held) and rng.random() < 0.5:
+                held |= {a, b}
+        for t in held:
+            bags[t].add(v)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if any(u in b and v in b for b in bags) and rng.random() < 0.6
+    ]
+    refined = [set(rng.sample(sorted(b), rng.randint(0, len(b)))) for b in bags]
+    return n, edges, bags, tree, refined
+
+
+def _mutate(rng, n, bags, tree, refined):
+    bags = [set(b) for b in bags]
+    tree = list(tree)
+    refined = [set(u) for u in refined]
+    nodes = len(bags)
+    kind = rng.randrange(7)
+    if kind == 0:
+        rng.choice(bags).add(rng.randint(-1, n))
+    elif kind == 1:
+        bag = rng.choice(bags)
+        if bag:
+            bag.discard(rng.choice(sorted(bag)))
+    elif kind == 2 and tree:
+        tree.pop(rng.randrange(len(tree)))
+    elif kind == 3:
+        tree.append((rng.randint(-1, nodes), rng.randint(0, nodes)))
+    elif kind == 4 and tree:
+        i = rng.randrange(len(tree))
+        tree[i] = (tree[i][0], rng.randrange(nodes))
+    elif kind == 5:
+        rng.choice(refined).add(rng.randint(0, n))
+    else:
+        bags.append(set(rng.sample(range(n), rng.randint(0, n))))
+        refined.append(set())
+        tree.append((nodes, rng.randrange(nodes)))
+    return bags, tree, refined
+
+
+def _violated_by_definition(nx, graph, td, universe):
+    """Clause names violated, checked from the definitions with networkx."""
+    nodes = td.node_count
+    bad = set()
+    tree = nx.MultiGraph()
+    tree.add_nodes_from(range(nodes))
+    in_range = all(0 <= t < nodes for e in td.tree_edges for t in e)
+    if in_range:
+        tree.add_edges_from(td.tree_edges)
+    if nodes < 1 or not in_range or not nx.is_tree(tree):
+        bad.add("tree")
+    held = set().union(*td.bags)
+    if not held <= universe or not universe <= held:
+        bad.add("coverage")
+    for u, v in graph.edges():
+        if u in universe and v in universe and not any(u in b and v in b for b in td.bags):
+            bad.add("edges")
+    if "tree" not in bad:
+        for v in universe & held:
+            holding = [t for t in range(nodes) if v in td.bags[t]]
+            if not nx.is_connected(tree.subgraph(holding)):
+                bad.add("connectivity")
+    if any(not u <= b for u, b in zip(td.refined, td.bags)):
+        bad.add("refined")
+    return bad
+
+
+def test_validate_matches_definitions_checked_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(3000):
+        n, edges, bags, tree, refined = _random_valid_decomposition(rng)
+        g = build_graph(n, edges)
+        mutated = rng.random() < 0.7
+        if mutated:
+            bags, tree, refined = _mutate(rng, n, bags, tree, refined)
+        universe = None
+        if rng.random() < 0.3:
+            universe = {v for v in range(n) if rng.random() < 0.7}
+        td = make_decomposition(g, bags, tree, refined)
+        report = validate(g, td, universe)
+        expected = _violated_by_definition(
+            nx, g, td, frozenset(range(n)) if universe is None else universe
+        )
+        assert {v.clause for v in report.violations} == expected
+        assert report.ok == (not expected)
+        assert mutated or universe is not None or report.ok
+        seen |= expected
+    assert seen == {"tree", "coverage", "edges", "connectivity", "refined"}
+
+
 def test_measures():
     g = complete_bipartite(3, 3)
     td = trivial_decomposition(g)
