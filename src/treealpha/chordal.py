@@ -1,10 +1,26 @@
 """Chordality testing and clique trees.
 
-Recognition runs maximum cardinality search and verifies the resulting order;
-for a chordal graph the bags of the clique tree are exactly the maximal
-cliques, and the tree is a maximum-weight spanning tree of the clique
+Recognition runs maximum cardinality search (Tarjan & Yannakakis, SIAM J.
+Comput. 1984) and verifies the resulting order; for a chordal graph the bags
+of the clique tree are exactly the maximal cliques, read off that order
+(Blair & Peyton, "An introduction to chordal graphs and clique trees",
+1993), and the tree is a maximum-weight spanning tree of the clique
 intersection graph.
+
+Costs: the search keeps a lazy heap, so recognition is O((n + m) log n);
+reading the cliques is O(n + m); Kruskal sorts only the P clique pairs that
+share a vertex, O(n + m + P log P). P is the sum over vertices of (cliques
+holding it choose 2): linear when each vertex lies in few maximal cliques,
+as in interval graphs of bounded clique number, quadratic for a star.
+
+The output is fixed by tie rules: the search takes the largest weight, then
+the smallest id; bags are sorted by their sorted members; the tree is the
+one Kruskal builds over all pairs (i, j) ordered by (-|C_i & C_j|, i, j),
+weight-0 pairs included.
 """
+
+import heapq
+from collections import Counter
 
 from .decomposition import make_decomposition
 from .errors import GraphError
@@ -18,59 +34,45 @@ def is_chordal(graph):
     order always removes a simplicial vertex. The null graph is chordal.
     """
     n = graph.n
-    if n == 0:
-        return True, ()
+    adj = graph.adj
     weight = [0] * n
     visited = [False] * n
+    heap = [(0, v) for v in range(n)]
     order = []
-    for _ in range(n):
-        z = max(
-            (v for v in range(n) if not visited[v]),
-            key=lambda v: (weight[v], -v),
-        )
+    while heap:
+        w, z = heapq.heappop(heap)
+        if visited[z] or -w != weight[z]:
+            continue  # a stale entry: z was visited or has gained weight
         visited[z] = True
         order.append(z)
-        for y in graph.adj[z]:
+        for y in adj[z]:
             if not visited[y]:
                 weight[y] += 1
+                heapq.heappush(heap, (-weight[y], y))
 
-    # Verify in position space: padj[i] holds the positions of order[i]'s
-    # neighbors. Each vertex's earlier neighbors minus the latest of them
-    # must all be adjacent to that latest one.
+    # Each vertex's earlier neighbors minus the latest of them, f, must all
+    # be adjacent to f. The tests are grouped by f, so each adjacency list
+    # is marked once.
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    padj = [0] * n
+    need = [[] for _ in range(n)]
     for i, v in enumerate(order):
-        r = 0
-        for u in graph.adj[v]:
-            r |= 1 << pos[u]
-        padj[i] = r
-    for i in range(n):
-        earlier = padj[i] & ((1 << i) - 1)
-        if not earlier:
+        earlier = [u for u in adj[v] if pos[u] < i]
+        if len(earlier) > 1:
+            f = max(earlier, key=pos.__getitem__)
+            need[f].append(earlier)
+    mark = [-1] * n
+    for f, lists in enumerate(need):
+        if not lists:
             continue
-        f = earlier.bit_length() - 1
-        if earlier & ~(1 << f) & ~padj[f]:
-            return False, None
+        mark[f] = f
+        for u in adj[f]:
+            mark[u] = f
+        for earlier in lists:
+            if any(mark[u] != f for u in earlier):
+                return False, None
     return True, tuple(order)
-
-
-def _maximal_cliques_from_order(graph, order):
-    pos = [0] * graph.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    cliques = []
-    for i, v in enumerate(order):
-        c = frozenset({v} | {u for u in graph.adj[v] if pos[u] < i})
-        cliques.append(c)
-    cliques.sort(key=len, reverse=True)
-    maximal = []
-    for c in cliques:
-        if not any(c <= k for k in maximal):
-            maximal.append(c)
-    maximal.sort(key=sorted)
-    return maximal
 
 
 def clique_tree(graph):
@@ -84,14 +86,33 @@ def clique_tree(graph):
         raise GraphError("clique_tree requires a chordal graph")
     if graph.n == 0:
         raise GraphError("clique_tree requires a nonnull graph")
-    cliques = _maximal_cliques_from_order(graph, order)
-    q = len(cliques)
+    # The candidate at position i, order[i] with its earlier neighbors, is a
+    # maximal clique exactly when it is last or the next candidate is no
+    # larger (the next vertex's MCS weight is its earlier-neighbor count).
+    pos = [0] * graph.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    candidates = [
+        [v] + [u for u in graph.adj[v] if pos[u] < i] for i, v in enumerate(order)
+    ]
+    maximal = [
+        frozenset(c)
+        for c, nxt in zip(candidates, candidates[1:] + [()])
+        if len(nxt) <= len(c)
+    ]
+    maximal.sort(key=sorted)
+    q = len(maximal)
+
     # Maximum-weight spanning tree over pairwise intersections (Kruskal).
-    # Weight-0 edges only ever link distinct components of the graph.
-    pairs = sorted(
-        ((i, j) for i in range(q) for j in range(i + 1, q)),
-        key=lambda p: (-len(cliques[p[0]] & cliques[p[1]]), p),
+    # Only pairs that share a vertex have positive weight.
+    holding = [[] for _ in range(graph.n)]
+    for i, c in enumerate(maximal):
+        for v in c:
+            holding[v].append(i)
+    shared = Counter(
+        (i, j) for ids in holding for a, i in enumerate(ids) for j in ids[a + 1 :]
     )
+    pairs = sorted((-w, i, j) for (i, j), w in shared.items())
     parent = list(range(q))
 
     def find(x):
@@ -101,11 +122,15 @@ def clique_tree(graph):
         return x
 
     edges = []
-    for i, j in pairs:
+    for _, i, j in pairs:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
             edges.append((i, j))
-            if len(edges) == q - 1:
-                break
-    return make_decomposition(graph, cliques, edges)
+    # The rest are weight-0 pairs, taken in (i, j) order: each component
+    # without clique 0 joins it through its smallest clique id.
+    for j in range(1, q):
+        if find(j) != find(0):
+            parent[find(j)] = find(0)
+            edges.append((0, j))
+    return make_decomposition(graph, maximal, edges)

@@ -3,7 +3,8 @@
 Every command prints one machine-readable JSON report to stdout (rational
 values appear as `p/q` strings, never floats) and is deterministic up to the
 wall_time_s field. Exit codes: 0 success, 1 usage or unreadable input,
-2 validation failure or violated precondition, 3 size cap exceeded.
+2 validation failure or violated precondition, 3 size cap exceeded,
+4 internal fault (a failed self-check or an exhausted memory).
 """
 
 import argparse
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _rational(f):
@@ -522,6 +524,9 @@ def main(argv=None):
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
+    except (RuntimeError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

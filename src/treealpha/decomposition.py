@@ -43,12 +43,17 @@ class RefinedTreeDecomposition:
         )
 
 
+#: The one empty set that empty bags and marked sets share: CPython builds
+#: a new object for each `frozenset()`, and `frozenset(_EMPTY) is _EMPTY`.
+_EMPTY = frozenset()
+
+
 def make_decomposition(graph, bags, tree_edges=(), refined=None):
     """Normalize raw data into a RefinedTreeDecomposition (still unvalidated)."""
     bags = tuple(frozenset(b) for b in bags)
     edges = tuple(sorted((min(a, b), max(a, b)) for a, b in tree_edges))
     if refined is None:
-        refs = tuple(frozenset() for _ in bags)
+        refs = (_EMPTY,) * len(bags)
     else:
         refs = tuple(frozenset(u) for u in refined)
         if len(refs) != len(bags):

@@ -21,7 +21,7 @@ from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
-from .decomposition import make_decomposition
+from .decomposition import _EMPTY, make_decomposition
 from .errors import ParseError
 from .graph import build_graph
 from .packing import PackingInstance, _is_connected_subset, make_family
@@ -154,11 +154,11 @@ def parse_td(text, graph, source="<td>"):
             found[bid] = frozenset(r.ids(tok[2:], "vertex", graph.n))
         else:
             edges.append(r.pair(tok, "bag id", count))
-    bags = [bag_of.get(bid, frozenset()) for bid in range(count)]
+    bags = [bag_of.get(bid, _EMPTY) for bid in range(count)]
     for bid, u in refined.items():
         if not u <= bags[bid]:
             r.fail(f"refined vertex {min(u - bags[bid]) + 1} is not in bag {bid + 1}")
-    refs = [refined.get(bid, frozenset()) for bid in range(count)]
+    refs = [refined.get(bid, _EMPTY) for bid in range(count)]
     return make_decomposition(graph, bags, edges, refs)
 
 

@@ -9,6 +9,7 @@ use concurrently.
 """
 
 from bisect import bisect_left
+from collections import defaultdict
 
 from .errors import GraphError
 
@@ -100,11 +101,13 @@ def build_graph(n, edges):
     """Canonical graph from a vertex count and an iterable of endpoint pairs.
 
     Duplicate edges (in either orientation) collapse to one. Self-loops and
-    out-of-range endpoints are rejected with the offending pair.
+    out-of-range endpoints are rejected with the offending pair. Only
+    vertices that meet an edge get a neighbor set while building; the
+    others share the empty tuple.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    neighbor_sets = [set() for _ in range(n)]
+    neighbor_sets = defaultdict(set)
     for pair in edges:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
@@ -113,7 +116,13 @@ def build_graph(n, edges):
             raise GraphError(f"self-loop ({u}, {v}) is not allowed")
         neighbor_sets[u].add(v)
         neighbor_sets[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in neighbor_sets))
+    return Graph(
+        n,
+        tuple(
+            tuple(sorted(neighbor_sets[v])) if v in neighbor_sets else ()
+            for v in range(n)
+        ),
+    )
 
 
 def check_vertex_set(graph, vertices):

@@ -10,6 +10,7 @@ Node count of the output is at most NICE_NODE_FACTOR * (width(T) + 2) *
 |V(T)| on valid inputs; the constant is asserted by the test suite.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .decomposition import make_decomposition, require_valid
@@ -58,7 +59,16 @@ class NiceRefinedTreeDecomposition:
 
 
 def _contract_comparable(td):
-    """Step 1: repeatedly contract tree edges whose bags are nested."""
+    """Step 1: contract tree edges whose bags are nested, one at a time.
+
+    Each step takes the lowest node a with a nested neighbour and its lowest
+    such neighbour b; the node with the smaller bag (b if they are equal) is
+    merged into the other, which keeps its bag and U. In a valid
+    decomposition, merging a node into a superset neighbour never makes two
+    bags nested that were not, so no node below a gains a nested neighbour
+    again: one sweep over the nodes, each with a heap of its nested
+    neighbours, performs the same steps.
+    """
     n = td.node_count
     bag = list(td.bags)
     ref = list(td.refined)
@@ -67,30 +77,34 @@ def _contract_comparable(td):
         nbrs[a].add(b)
         nbrs[b].add(a)
     alive = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            if not alive[a]:
-                continue
-            for b in sorted(nbrs[a]):
-                if bag[b] <= bag[a]:
-                    keep, drop = a, b
-                elif bag[a] < bag[b]:
-                    keep, drop = b, a
-                else:
-                    continue
-                nbrs[keep].discard(drop)
-                nbrs[drop].discard(keep)
-                for c in nbrs[drop]:
-                    nbrs[c].discard(drop)
-                    nbrs[c].add(keep)
-                    nbrs[keep].add(c)
-                nbrs[drop].clear()
-                alive[drop] = False
-                changed = True
-                break
-            if changed:
+
+    def nested(a, b):
+        return bag[b] <= bag[a] or bag[a] < bag[b]
+
+    def merge(keep, drop):
+        moved = nbrs[drop]
+        moved.discard(keep)
+        nbrs[keep].discard(drop)
+        for c in moved:
+            nbrs[c].discard(drop)
+            nbrs[c].add(keep)
+        nbrs[keep] |= moved
+        alive[drop] = False
+        return moved
+
+    for a in range(n):
+        if not alive[a]:
+            continue
+        heap = [b for b in nbrs[a] if nested(a, b)]
+        heapq.heapify(heap)
+        while heap:
+            b = heapq.heappop(heap)
+            if bag[b] <= bag[a]:
+                for c in merge(a, b):
+                    if nested(a, c):
+                        heapq.heappush(heap, c)
+            else:
+                merge(b, a)
                 break
     ids = [i for i in range(n) if alive[i]]
     remap = {old: new for new, old in enumerate(ids)}

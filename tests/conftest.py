@@ -24,6 +24,20 @@ def shuffled_path(n, rng):
     return build_graph(n, zip(ids, ids[1:])), ids
 
 
+def chordal_fill_in(g, rng):
+    """Edges of g plus the fill of a random elimination order: a chordal
+    supergraph, disconnected whenever g is."""
+    adj = [set(a) for a in g.adj]
+    order = list(range(g.n))
+    rng.shuffle(order)
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1 :] if u in adj[v]]
+        for a, b in itertools.combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return build_graph(g.n, [(u, v) for u in range(g.n) for v in adj[u] if u < v])
+
+
 def all_labeled_graphs(n):
     """Every labeled graph on exactly n vertices."""
     pairs = list(itertools.combinations(range(n), 2))

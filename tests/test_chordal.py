@@ -15,7 +15,7 @@ from treealpha import (
     path_graph,
     validate,
 )
-from .conftest import all_labeled_graphs, cycle_has_chord, random_graph
+from .conftest import all_labeled_graphs, chordal_fill_in, cycle_has_chord, random_graph
 
 
 def chordal_by_cycle_enumeration(g):
@@ -134,3 +134,68 @@ def test_clique_tree_bags_are_exactly_maximal_cliques():
                     cliques.add(frozenset(combo))
         maximal = {c for c in cliques if not any(c < d for d in cliques)}
         assert set(ct.bags) == maximal
+
+
+# Exact output on small graphs whose ties decide it. The MCS order picks the
+# largest weight, then the smallest id; bags are the maximal cliques sorted
+# by their sorted members; tree edges come from Kruskal over (-|C_i & C_j|,
+# i, j), and a component without clique 0 joins it by (0, smallest id).
+PINNED = [
+    # Equal MCS weights at every step of a shuffled path.
+    (5, [(3, 1), (1, 4), (4, 0), (0, 2)],
+     (0, 2, 4, 1, 3), [[0, 2], [0, 4], [1, 3], [1, 4]],
+     ((0, 1), (1, 3), (2, 3))),
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)],
+     (0, 1, 2, 3, 4, 5), [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]],
+     ((0, 1), (1, 2), (2, 3))),
+    # Equal intersection sizes: every pair of cliques shares the centre.
+    (5, [(2, 0), (2, 1), (2, 3), (2, 4)],
+     (0, 2, 1, 3, 4), [[0, 2], [1, 2], [2, 3], [2, 4]],
+     ((0, 1), (0, 2), (0, 3))),
+    # Three cliques share {1, 2}, the fourth meets one of them in {4}.
+    (6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (4, 5)],
+     (0, 1, 2, 3, 4, 5), [[0, 1, 2], [1, 2, 3], [1, 2, 4], [4, 5]],
+     ((0, 1), (0, 2), (2, 3))),
+    # Disconnected: later components join clique 0.
+    (9, [(5, 6), (6, 7), (5, 7), (1, 8), (3, 4), (4, 0)],
+     (0, 4, 3, 1, 8, 2, 5, 6, 7), [[0, 4], [1, 8], [2], [3, 4], [5, 6, 7]],
+     ((0, 1), (0, 2), (0, 3), (0, 4))),
+    # Disconnected with interleaved clique ids: each component joins clique
+    # 0 through its smallest id, not through the clique first reached.
+    (7, [(1, 3), (3, 5), (2, 4), (4, 6)],
+     (0, 1, 3, 5, 2, 4, 6), [[0], [1, 3], [2, 4], [3, 5], [4, 6]],
+     ((0, 1), (0, 2), (1, 3), (2, 4))),
+]
+
+
+@pytest.mark.parametrize("n, edges, order, bags, tree_edges", PINNED)
+def test_exact_order_bags_and_tree_edges(n, edges, order, bags, tree_edges):
+    g = build_graph(n, edges)
+    assert is_chordal(g) == (True, order)
+    ct = clique_tree(g)
+    assert [sorted(b) for b in ct.bags] == bags
+    assert ct.tree_edges == tree_edges
+
+
+def test_recognition_and_bags_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    seen = {"chordal": 0, "not chordal": 0, "disconnected chordal": 0}
+    for i in range(600):
+        g = random_graph(rng.randint(1, 14), rng.choice([0.1, 0.25, 0.5, 0.8]), rng)
+        if i % 2:
+            g = chordal_fill_in(g, rng)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        ok = is_chordal(g)[0]
+        assert ok == nx.is_chordal(ng)
+        if not ok:
+            seen["not chordal"] += 1
+            continue
+        seen["chordal"] += 1
+        seen["disconnected chordal"] += not nx.is_connected(ng)
+        bags = clique_tree(g).bags
+        assert len(bags) == len(set(bags))
+        assert set(bags) == set(nx.chordal_graph_cliques(ng))
+    assert min(seen.values()) >= 50, seen

@@ -443,3 +443,30 @@ def test_invalid_decomposition_wins_over_later_faults(tmp_path, capsys):
         capsys, "measure", "--graph", str(tmp_path / "wide.gr"), "--td", str(tmp_path / "one.td")
     )
     assert code == 3 and "cap" in err
+
+
+def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
+    g = path_graph(3)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+
+    def fail_with(exc):
+        def solver(*args, **kwargs):
+            raise exc
+
+        return solver
+
+    for exc, shown in (
+        (RuntimeError("internal: witness set is not independent"),
+         "error: internal: witness set is not independent"),
+        (MemoryError(), "error: MemoryError"),
+    ):
+        monkeypatch.setattr("treealpha.cli.solve_mwis", fail_with(exc))
+        code, out, err = run(capsys, "mwis", *graph_td)
+        assert code == 4 and out == ""
+        assert err.strip().splitlines() == [shown]
+    monkeypatch.setattr("treealpha.cli.make_nice", fail_with(RuntimeError("internal: x")))
+    code, out, err = run(capsys, "nice", *graph_td, "-o", str(tmp_path / "n.td"))
+    assert (code, out, err) == (4, "", "error: internal: x\n")
+    assert not (tmp_path / "n.td").exists()

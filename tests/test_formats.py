@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,28 @@ def test_header_counts_are_capped(parse, header):
     assert err.value.line_no == 2
     with pytest.raises(ParseError, match="outside"):
         parse(header.format(-1) + "\n")
+
+
+def traced_peak(parse, *args):
+    """The result of `parse` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = parse(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_header_only_inputs_cost_pointers_not_sets():
+    # At the cap the graph keeps one pointer per vertex and the
+    # decomposition two per bag (8 and 16 MiB); no set is built per count.
+    pointers = 8 * MAX_COUNT
+    graph, peak = traced_peak(parse_graph, f"p tw {MAX_COUNT} 0\n")
+    assert graph.n == MAX_COUNT and graph.m == 0
+    assert peak <= 2 * pointers, f"graph peak {peak >> 20} MiB"
+    td, peak = traced_peak(parse_td, f"s td {MAX_COUNT} 0 {MAX_COUNT}\n", graph)
+    assert td.node_count == MAX_COUNT and not any(td.bags)
+    assert peak <= 5 * pointers, f"decomposition peak {peak >> 20} MiB"
 
 
 @pytest.mark.parametrize("literal", ["1e300000", "1E-1001", "2.5e+995", "1" * 1001])

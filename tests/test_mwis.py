@@ -34,7 +34,7 @@ from treealpha import (
 from treealpha.nice import INTRODUCE, JOIN, LEAF
 from treealpha.oracle import brute_force_mwis
 
-from .conftest import mwis_by_enumeration, random_graph, random_weights
+from .conftest import chordal_fill_in, mwis_by_enumeration, random_graph, random_weights
 
 
 def _key_sets(table):
@@ -212,6 +212,23 @@ def _perturb(td, rng):
     m = len(bags) - 1
     edges += [(a, m), (m, b)]
     return make_decomposition(td.graph, bags, edges, refined)
+
+
+def test_integer_weights_on_clique_trees_match_networkx():
+    # An independent set of g is a clique of its complement.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for _ in range(120):
+        n = rng.randint(1, 16)
+        g = chordal_fill_in(random_graph(n, rng.choice([0.1, 0.2, 0.4]), rng), rng)
+        weights = {v: rng.randint(0, 30) for v in range(n)}
+        value, chosen = solve_mwis(g, WeightMap(n, weights), clique_tree(g), 1)
+        co = nx.Graph()
+        co.add_nodes_from((v, {"weight": w}) for v, w in weights.items())
+        co.add_edges_from((u, v) for u in range(n) for v in range(u) if not g.has_edge(u, v))
+        _, best = nx.max_weight_clique(co, weight="weight")
+        assert value == best
+        assert is_independent(g, chosen) and sum(weights[v] for v in chosen) == best
 
 
 def test_decomposition_independence_of_value():
