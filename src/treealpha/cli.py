@@ -2,9 +2,15 @@
 
 Every command prints one machine-readable JSON report to stdout (rational
 values appear as `p/q` strings, never floats) and is deterministic up to the
-wall_time_s field. Exit codes: 0 success, 1 usage or unreadable input,
-2 validation failure or violated precondition, 3 size cap exceeded,
-4 internal fault (a failed self-check or an exhausted memory).
+wall_time_s field; `gen` without -o prints the raw graph instead. Exit codes:
+0 success, 1 usage or unreadable input, 2 validation failure or violated
+precondition, 3 size cap exceeded, 4 internal fault (a failed self-check or an
+exhausted memory).
+
+Each `_cmd_*` reads its inputs through `_Inputs.parse` and returns the report's
+parameters, results and artifacts (report key -> (path, text)); `validate`
+appends its exit code. Only `main` writes artifacts, once the command has
+succeeded, and prints.
 """
 
 import argparse
@@ -67,151 +73,87 @@ def _one_indexed(vertices):
 
 
 class _Inputs:
-    """Tracks consumed input files and their content digests for the report."""
+    """Reads input files in order, recording each path and content digest
+    for the report's `inputs`."""
 
     def __init__(self):
         self.seen = {}
 
-    def text(self, name, path):
+    def parse(self, name, path, parser, *args):
+        """`parser(text, *args, source=...)` on the file at `path` (`-`: stdin)."""
         if path == "-":
-            data = sys.stdin.read()
-            shown = "<stdin>"
+            data, shown = sys.stdin.read(), "<stdin>"
         else:
-            data = formats.read_text(path)
-            shown = str(path)
-        self.seen[name] = {
-            "path": shown,
-            "sha256": hashlib.sha256(data.encode("utf-8")).hexdigest(),
-        }
-        return data, shown
+            data, shown = formats.read_text(path), str(path)
+        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        self.seen[name] = {"path": shown, "sha256": digest}
+        return parser(data, *args, source=shown)
 
 
-def _report(command, inputs, parameters, results, artifacts, started):
-    doc = {
-        "command": command,
-        "inputs": inputs.seen,
-        "parameters": parameters,
-        "results": results,
-        "artifacts": artifacts,
-        "wall_time_s": round(time.monotonic() - started, 6),
-    }
-    print(json.dumps(doc, indent=2))
-
-
-def _load_graph(inputs, path):
-    data, shown = inputs.text("graph", path)
-    return formats.parse_graph(data, source=shown)
-
-
-def _load_td(inputs, path, graph):
-    data, shown = inputs.text("td", path)
-    return formats.parse_td(data, graph, source=shown)
-
-
-def _load_weights(inputs, path, n):
-    if path is None:
-        return WeightMap(n)
-    data, shown = inputs.text("weights", path)
-    return formats.parse_weights(data, n, source=shown)
-
-
-def _cmd_validate(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    td = _load_td(inputs, args.td, g)
+def _cmd_validate(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    td = inputs.parse("td", args.td, formats.parse_td, g)
     report = validate(g, td)
-    _report(
-        "validate",
-        inputs,
-        {},
-        {
-            "ok": report.ok,
-            "violations": [
-                {"clause": v.clause, "detail": v.detail} for v in report.violations
-            ],
-        },
-        {},
-        started,
-    )
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    violations = [{"clause": v.clause, "detail": v.detail} for v in report.violations]
+    code = EXIT_OK if report.ok else EXIT_VIOLATION
+    return {}, {"ok": report.ok, "violations": violations}, {}, code
 
 
-def _cmd_measure(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    td = _load_td(inputs, args.td, g)
+def _cmd_measure(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    td = inputs.parse("td", args.td, formats.parse_td, g)
     require_valid(g, td)
-    _report(
-        "measure",
-        inputs,
-        {},
-        {
-            "width": width(td),
-            "independence_number": independence_number(g, td),
-            "residual_independence_number": residual_independence_number(g, td),
-            "refinement_size": td.refinement_size,
-            "nodes": td.node_count,
-        },
-        {},
-        started,
-    )
-    return EXIT_OK
+    results = {
+        "width": width(td),
+        "independence_number": independence_number(g, td),
+        "residual_independence_number": residual_independence_number(g, td),
+        "refinement_size": td.refinement_size,
+        "nodes": td.node_count,
+    }
+    return {}, results, {}
 
 
-def _cmd_nice(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    td = _load_td(inputs, args.td, g)
+def _cmd_nice(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    td = inputs.parse("td", args.td, formats.parse_td, g)
     nice = make_nice(g, td)
-    formats.write_td(nice.td, args.output)
     kinds = {k: nice.kinds.count(k) for k in ("leaf", "introduce", "forget", "join")}
-    _report(
-        "nice",
-        inputs,
-        {},
-        {
-            "nodes": nice.node_count,
-            "kinds": kinds,
-            "width": width(nice.td),
-            "residual_independence_number": residual_independence_number(g, nice.td),
-        },
-        {"td": str(args.output)},
-        started,
-    )
-    return EXIT_OK
+    results = {
+        "nodes": nice.node_count,
+        "kinds": kinds,
+        "width": width(nice.td),
+        "residual_independence_number": residual_independence_number(g, nice.td),
+    }
+    return {}, results, {"td": (args.output, formats.format_td(nice.td))}
 
 
-def _cmd_mwis(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    td = _load_td(inputs, args.td, g)
+def _cmd_mwis(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    td = inputs.parse("td", args.td, formats.parse_td, g)
     require_valid(g, td)
-    w = _load_weights(inputs, args.weights, g.n)
+    w = WeightMap(g.n)
+    if args.weights is not None:
+        w = inputs.parse("weights", args.weights, formats.parse_weights, g.n)
     k = args.k if args.k is not None else residual_independence_number(g, td)
     value, chosen = solve_mwis(g, w, td, k)
-    _report(
-        "mwis",
-        inputs,
-        {"k": k},
-        {"weight": _rational(value), "independent_set": _one_indexed(chosen)},
-        {},
-        started,
-    )
-    return EXIT_OK
+    results = {"weight": _rational(value), "independent_set": _one_indexed(chosen)}
+    return {"k": k}, results, {}
 
 
-def _cmd_pack(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    td = _load_td(inputs, args.td, g)
+def _cmd_pack(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    td = inputs.parse("td", args.td, formats.parse_td, g)
     require_valid(g, td)
     if args.family is not None:
-        data, shown = inputs.text("family", args.family)
-        inst = formats.parse_family(data, g, source=shown)
+        inst = inputs.parse("family", args.family, formats.parse_family, g)
     elif args.patterns is not None or args.pattern_file:
-        pats = []
-        if args.patterns is not None:
-            pats += [pattern_by_name(p) for p in args.patterns.split(",") if p]
+        pats = [pattern_by_name(p) for p in (args.patterns or "").split(",") if p]
         for i, path in enumerate(args.pattern_file or ()):
-            data, shown = inputs.text(f"pattern_{i}", path)
-            pats.append(formats.parse_graph(data, source=shown))
+            pats.append(inputs.parse(f"pattern_{i}", path, formats.parse_graph))
         fam = enumerate_F_subgraphs(g, pats)
-        w = _load_weights(inputs, args.weights, g.n)
+        w = WeightMap(g.n)
+        if args.weights is not None:
+            w = inputs.parse("weights", args.weights, formats.parse_weights, g.n)
         inst = PackingInstance(fam, tuple(w.total(s) for s in fam.members))
     else:
         raise GraphError("pack needs --family, --patterns, or --pattern-file")
@@ -220,113 +162,67 @@ def _cmd_pack(args, inputs, started):
     if args.emit_derived or args.emit_derived_td:
         derived = derived_graph(g, inst.family)
         if args.emit_derived:
-            formats.write_graph(derived, args.emit_derived)
-            artifacts["derived_graph"] = str(args.emit_derived)
+            artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
         if args.emit_derived_td:
             td2 = derived_decomposition(g, inst.family, td, derived=derived)
-            formats.write_td(td2, args.emit_derived_td)
-            artifacts["derived_td"] = str(args.emit_derived_td)
+            artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
     value, chosen = solve_packing(inst, td, k)
-    _report(
-        "pack",
-        inputs,
-        {"k": k, "members": len(inst.family)},
-        {
-            "weight": _rational(value),
-            "selected": [
-                {"index": j + 1, "vertices": _one_indexed(inst.family.members[j])}
-                for j in sorted(chosen)
-            ],
-        },
-        artifacts,
-        started,
-    )
-    return EXIT_OK
+    selected = [
+        {"index": j + 1, "vertices": _one_indexed(inst.family.members[j])}
+        for j in sorted(chosen)
+    ]
+    results = {"weight": _rational(value), "selected": selected}
+    return {"k": k, "members": len(inst.family)}, results, artifacts
 
 
-def _cmd_tin(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
+def _cmd_subset_dp(args, inputs):
+    """`tin` and `tw`: one cap rule, lifted to the graph's order by --force."""
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
     cap = g.n if args.force else DEFAULT_SUBSET_DP_CAP
+    if args.command == "tw":
+        return {}, {"treewidth": treewidth_exact(g, cap=cap)}, {}
     value, witness = tin_exact(g, cap=cap)
+    results = {"tree_independence_number": value, "witness_nodes": witness.node_count}
     artifacts = {}
     if args.output:
-        formats.write_td(witness, args.output)
-        artifacts["witness_td"] = str(args.output)
-    _report(
-        "tin",
-        inputs,
-        {"exact": True},
-        {"tree_independence_number": value, "witness_nodes": witness.node_count},
-        artifacts,
-        started,
-    )
-    return EXIT_OK
+        artifacts["witness_td"] = (args.output, formats.format_td(witness))
+    return {"exact": True}, results, artifacts
 
 
-def _cmd_tw(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    cap = g.n if args.force else DEFAULT_SUBSET_DP_CAP
-    value = treewidth_exact(g, cap=cap)
-    _report("tw", inputs, {}, {"treewidth": value}, {}, started)
-    return EXIT_OK
-
-
-def _cmd_gen(args, inputs, started):
+def _cmd_gen(args, inputs):
     base = None
     if args.kind == "double-join":
         if args.graph is None:
             raise GraphError("gen double-join needs --graph for the base graph")
-        base = _load_graph(inputs, args.graph)
+        base = inputs.parse("graph", args.graph, formats.parse_graph)
     g = generate(args.kind, tuple(args.params), base=base)
     text = formats.format_graph(g)
     artifacts = {}
     if args.emit_trivial_td:
-        formats.write_td(trivial_decomposition(g), args.emit_trivial_td)
-        artifacts["trivial_td"] = str(args.emit_trivial_td)
-    if args.output:
-        formats.write_text(args.output, text)
-        artifacts["graph"] = str(args.output)
-        _report(
-            "gen",
-            inputs,
-            {"kind": args.kind, "params": list(args.params)},
-            {"n": g.n, "m": g.m},
-            artifacts,
-            started,
-        )
-    else:
-        # Raw graph on stdout so generators can be piped into other commands.
-        sys.stdout.write(text)
-    return EXIT_OK
+        td = trivial_decomposition(g)
+        artifacts["trivial_td"] = (args.emit_trivial_td, formats.format_td(td))
+    if not args.output:
+        return {}, text, artifacts  # text results: the raw graph, for piping
+    artifacts["graph"] = (args.output, text)
+    parameters = {"kind": args.kind, "params": list(args.params)}
+    return parameters, {"n": g.n, "m": g.m}, artifacts
 
 
-def _cmd_compose(args, inputs, started):
-    g = _load_graph(inputs, args.graph)
-    a_txt, a_src = inputs.text("cut_a", args.cut[0])
-    b_txt, b_src = inputs.text("cut_b", args.cut[1])
-    c_txt, c_src = inputs.text("cut_c", args.cut[2])
-    a = formats.parse_vertex_set(a_txt, g.n, source=a_src)
-    b = formats.parse_vertex_set(b_txt, g.n, source=b_src)
-    c = formats.parse_vertex_set(c_txt, g.n, source=c_src)
-    td_a_txt, sa = inputs.text("td_a", args.td_a)
-    td_b_txt, sb = inputs.text("td_b", args.td_b)
-    td_a = formats.parse_td(td_a_txt, g, source=sa)
-    td_b = formats.parse_td(td_b_txt, g, source=sb)
-    composed = compose_clique_cutset(g, a, b, c, td_a, td_b)
-    formats.write_td(composed, args.output)
-    _report(
-        "compose",
-        inputs,
-        {},
-        {
-            "nodes": composed.node_count,
-            "width": width(composed),
-            "independence_number": independence_number(g, composed),
-        },
-        {"td": str(args.output)},
-        started,
+def _cmd_compose(args, inputs):
+    g = inputs.parse("graph", args.graph, formats.parse_graph)
+    a, b, c = (
+        inputs.parse(f"cut_{side}", path, formats.parse_vertex_set, g.n)
+        for side, path in zip("abc", args.cut)
     )
-    return EXIT_OK
+    td_a = inputs.parse("td_a", args.td_a, formats.parse_td, g)
+    td_b = inputs.parse("td_b", args.td_b, formats.parse_td, g)
+    composed = compose_clique_cutset(g, a, b, c, td_a, td_b)
+    results = {
+        "nodes": composed.node_count,
+        "width": width(composed),
+        "independence_number": independence_number(g, composed),
+    }
+    return {}, results, {"td": (args.output, formats.format_td(composed))}
 
 
 def build_parser():
@@ -442,7 +338,7 @@ def build_parser():
         "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
     )
     p.add_argument("-o", "--output", help="write the witness decomposition here")
-    p.set_defaults(func=_cmd_tin)
+    p.set_defaults(func=_cmd_subset_dp)
 
     p = sub.add_parser(
         "tw",
@@ -452,7 +348,7 @@ def build_parser():
     p.add_argument(
         "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
     )
-    p.set_defaults(func=_cmd_tw)
+    p.set_defaults(func=_cmd_subset_dp)
 
     p = sub.add_parser(
         "gen",
@@ -510,7 +406,22 @@ def main(argv=None):
     started = time.monotonic()
     inputs = _Inputs()
     try:
-        return args.func(args, inputs, started)
+        parameters, results, artifacts, *code = args.func(args, inputs)
+        for path, text in artifacts.values():
+            formats.write_text(path, text)
+        if isinstance(results, str):
+            sys.stdout.write(results)
+            return EXIT_OK
+        doc = {
+            "command": args.command,
+            "inputs": inputs.seen,
+            "parameters": parameters,
+            "results": results,
+            "artifacts": {key: path for key, (path, _) in artifacts.items()},
+            "wall_time_s": round(time.monotonic() - started, 6),
+        }
+        print(json.dumps(doc, indent=2))
+        return code[0] if code else EXIT_OK
     except (ParseError, GraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,11 +23,10 @@ from pathlib import Path
 
 from .decomposition import _EMPTY, make_decomposition
 from .errors import ParseError
-from .graph import build_graph
+from .graph import MAX_COUNT, build_graph
 from .packing import PackingInstance, _is_connected_subset, make_family
 from .weights import WeightMap
 
-MAX_COUNT = 1 << 20
 MAX_WEIGHT_DIGITS = 1000
 
 

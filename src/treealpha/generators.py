@@ -1,7 +1,7 @@
 """Graph generators: standard families and the two gadget constructions."""
 
-from .errors import GraphError
-from .graph import build_graph
+from .errors import CapExceededError, GraphError
+from .graph import MAX_COUNT, build_graph
 
 
 def complete_graph(n):
@@ -64,38 +64,38 @@ def sharpness_gadget(k):
     return build_graph(nxt, edges)
 
 
-#: CLI-facing generator ids and their arities.
+#: CLI-facing generator ids: builder, arity, and the (n, m) it builds.
 GENERATOR_KINDS = {
-    "complete": 1,
-    "path": 1,
-    "cycle": 1,
-    "complete-bipartite": 2,
-    "knn": 1,
-    "double-join": 0,
-    "sharpness": 1,
+    "complete": (complete_graph, 1, lambda n: (n, n * (n - 1) // 2)),
+    "path": (path_graph, 1, lambda n: (n, n - 1)),
+    "cycle": (cycle_graph, 1, lambda n: (n, n)),
+    "complete-bipartite": (complete_bipartite, 2, lambda a, b: (a + b, a * b)),
+    "knn": (lambda n: complete_bipartite(n, n), 1, lambda n: (2 * n, n * n)),
+    "double-join": (double_join, 0, lambda h: (2 * h.n, 2 * h.m + h.n * h.n)),
+    "sharpness": (
+        sharpness_gadget, 1, lambda k: (k + k * k * (k - 1) // 2, k * k * (k - 1))
+    ),
 }
 
 
 def generate(kind, params=(), base=None):
-    """Dispatch a generator by id. `double-join` takes its base via `base`."""
-    arity = GENERATOR_KINDS.get(kind)
-    if arity is None:
+    """Dispatch a generator by id. `double-join` takes its base via `base`.
+
+    A graph with over MAX_COUNT vertices or edges is refused before it is built.
+    """
+    if kind not in GENERATOR_KINDS:
         raise GraphError(f"unknown generator kind {kind!r}")
+    build, arity, size = GENERATOR_KINDS[kind]
     if len(params) != arity:
         raise GraphError(f"{kind} takes {arity} parameter(s), got {len(params)}")
-    if kind == "complete":
-        return complete_graph(params[0])
-    if kind == "path":
-        return path_graph(params[0])
-    if kind == "cycle":
-        return cycle_graph(params[0])
-    if kind == "complete-bipartite":
-        return complete_bipartite(params[0], params[1])
-    if kind == "knn":
-        return complete_bipartite(params[0], params[0])
-    if kind == "sharpness":
-        return sharpness_gadget(params[0])
     if kind == "double-join":
         if base is None:
             raise GraphError("double-join needs a base graph")
-        return double_join(base)
+        params = (base,)
+        n, m = size(base)
+    else:
+        # A negative parameter counts as 0 here; its builder rejects it.
+        n, m = size(*(max(p, 0) for p in params))
+    if max(n, m) > MAX_COUNT:
+        raise CapExceededError(f"{kind} refused for n={n}, m={m} > cap={MAX_COUNT}")
+    return build(*params)

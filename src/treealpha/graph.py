@@ -13,6 +13,10 @@ from collections import defaultdict
 
 from .errors import GraphError
 
+#: Largest count a file header (vertices, bags, members) or a generator
+#: (vertices, edges) may ask for; larger asks are refused before building.
+MAX_COUNT = 1 << 20
+
 
 def mask_of(vertices):
     """The bit set of `vertices`: bit v stands for vertex v."""

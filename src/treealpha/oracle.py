@@ -13,6 +13,7 @@ State is the set of already-eliminated vertices only, since the bag of the
 next vertex depends on nothing else: 2^n * n states, capped at n = 20.
 """
 
+import sys
 from fractions import Fraction
 
 from .chordal import clique_tree
@@ -23,6 +24,9 @@ from .graph import Graph, check_vertex_set, mask_of, members
 
 DEFAULT_SUBSET_DP_CAP = 20
 DEFAULT_BRUTE_FORCE_CAP = 22
+# The DP holds lists of 2^n pointers; past this n (59 on 64-bit builds) such a
+# list exceeds sys.maxsize bytes, so no `cap` lifts it.
+_SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
 
 
 def elimination_bag(graph, v, eliminated):
@@ -49,6 +53,12 @@ def _bag_mask(rows, v, emask):
         nb |= rows[b.bit_length() - 1]
         pend = nb & emask & ~seen
     return (nb & ~emask) | (1 << v)
+
+
+def _refuse_over_cap(name, graph, cap):
+    cap = min(cap, _SUBSET_DP_LIMIT)
+    if graph.n > cap:
+        raise CapExceededError(f"{name} refused for n={graph.n} > cap={cap}")
 
 
 def _elimination_dp(graph, cost_of_bag):
@@ -112,8 +122,7 @@ def _fill_in(graph, order):
 
 def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     """Exact treewidth by subset DP; the null graph has treewidth -1."""
-    if graph.n > cap:
-        raise CapExceededError(f"treewidth_exact refused for n={graph.n} > cap={cap}")
+    _refuse_over_cap("treewidth_exact", graph, cap)
     if graph.n == 0:
         return -1
     value, _ = _elimination_dp(graph, lambda bag: bag.bit_count() - 1)
@@ -127,8 +136,7 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     ordering, expressed over the input graph's vertices; it validates and its
     independence number equals the returned value.
     """
-    if graph.n > cap:
-        raise CapExceededError(f"tin_exact refused for n={graph.n} > cap={cap}")
+    _refuse_over_cap("tin_exact", graph, cap)
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
     comp = _complement_rows(graph.bit_rows())

@@ -470,3 +470,78 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "nice", *graph_td, "-o", str(tmp_path / "n.td"))
     assert (code, out, err) == (4, "", "error: internal: x\n")
     assert not (tmp_path / "n.td").exists()
+
+
+def test_failed_commands_write_no_artifacts(tmp_path, capsys):
+    g_gr, t_td = str(tmp_path / "g.gr"), str(tmp_path / "t.td")
+    code, _, _ = run(capsys, "gen", "path", "4", "-o", g_gr, "--emit-trivial-td", t_td)
+    assert code == 0
+    code, out, err = run(
+        capsys,
+        "pack",
+        "--graph", g_gr,
+        "--td", t_td,
+        "--patterns", "k2",
+        "-k", "0",
+        "--emit-derived", str(tmp_path / "d.gr"),
+        "--emit-derived-td", str(tmp_path / "d.td"),
+    )
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert not (tmp_path / "d.gr").exists() and not (tmp_path / "d.td").exists()
+    # The nice form converts, then measuring its 70-vertex bag hits the alpha cap.
+    write_graph(build_graph(70, []), tmp_path / "wide.gr")
+    bag = " ".join(str(v) for v in range(1, 71))
+    (tmp_path / "one.td").write_text(f"s td 1 70 70\nb 1 {bag}\n")
+    code, out, err = run(
+        capsys,
+        "nice",
+        "--graph", str(tmp_path / "wide.gr"),
+        "--td", str(tmp_path / "one.td"),
+        "-o", str(tmp_path / "n.td"),
+    )
+    assert code == 3 and out == "" and "cap" in err
+    assert not (tmp_path / "n.td").exists()
+
+
+def test_gen_trivial_td_without_output_pipes_the_graph(tmp_path, capsys):
+    t_td = tmp_path / "t.td"
+    code, out, err = run(capsys, "gen", "sharpness", "3", "--emit-trivial-td", str(t_td))
+    assert code == 0 and err == ""
+    assert out.startswith("p tw 12 18\n")
+    (tmp_path / "g.gr").write_text(out)
+    code, out, _ = run(
+        capsys, "validate", "--graph", str(tmp_path / "g.gr"), "--td", str(t_td)
+    )
+    assert code == 0 and report_of(out)["results"]["ok"]
+
+
+def test_forced_subset_dp_refuses_unaddressable_tables(tmp_path, capsys):
+    # 2^70 table entries cannot even be counted in a list; --force does not
+    # lift that.
+    write_graph(build_graph(70, []), tmp_path / "g.gr")
+    for command in ("tin", "tw"):
+        code, out, err = run(capsys, command, "--graph", str(tmp_path / "g.gr"), "--force")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "n=70 > cap=" in err
+
+
+def test_gen_refuses_oversized_output_before_building(tmp_path, capsys):
+    def assert_refused(*argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "cap=1048576" in err
+
+    # 1,999,000 edges.
+    assert_refused("complete", "2000")
+    assert_refused(
+        "complete", "2000",
+        "-o", str(tmp_path / "k.gr"),
+        "--emit-trivial-td", str(tmp_path / "k.td"),
+    )
+    assert not (tmp_path / "k.gr").exists() and not (tmp_path / "k.td").exists()
+    # A header-only base of 2000 vertices asks for 2000^2 cross edges.
+    (tmp_path / "base.gr").write_text("p tw 2000 0\n")
+    assert_refused("double-join", "--graph", str(tmp_path / "base.gr"))

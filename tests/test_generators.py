@@ -1,6 +1,7 @@
 import pytest
 
 from treealpha import (
+    CapExceededError,
     GraphError,
     alpha_exact,
     complete_bipartite,
@@ -10,6 +11,8 @@ from treealpha import (
     path_graph,
     sharpness_gadget,
 )
+from treealpha.generators import GENERATOR_KINDS
+from treealpha.graph import MAX_COUNT, build_graph
 
 
 def test_complete_bipartite_counts():
@@ -67,3 +70,30 @@ def test_generate_dispatch():
     assert generate("knn", (3,)).m == 9
     assert generate("path", (4,)).m == 3
     assert generate("double-join", base=path_graph(2)).n == 4
+
+
+def test_generate_knows_sizes_before_building():
+    for kind, (_, arity, size) in GENERATOR_KINDS.items():
+        for p in range(3, 7):
+            if kind == "double-join":
+                base = cycle_graph(p)
+                g = generate(kind, base=base)
+                assert (g.n, g.m) == size(base)
+            else:
+                params = (p, p + 2)[:arity]
+                g = generate(kind, params)
+                assert (g.n, g.m) == size(*params), kind
+
+
+def test_generate_refuses_oversized_graphs():
+    # K_1449 has 1,048,676 edges, one step over the cap; K_1448 fits.
+    assert GENERATOR_KINDS["complete"][2](1448)[1] <= MAX_COUNT
+    with pytest.raises(CapExceededError, match="complete"):
+        generate("complete", (1449,))
+    with pytest.raises(CapExceededError, match="double-join"):
+        generate("double-join", base=build_graph(1025, []))
+    with pytest.raises(CapExceededError, match="path"):
+        generate("path", (MAX_COUNT + 1,))
+    # Invalid parameters keep their own error, however large.
+    with pytest.raises(GraphError):
+        generate("complete", (-5000,))

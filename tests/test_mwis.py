@@ -30,6 +30,7 @@ from treealpha import (
     solve_mwis_plain,
     tin_exact,
     trivial_decomposition,
+    validate,
 )
 from treealpha.nice import INTRODUCE, JOIN, LEAF
 from treealpha.oracle import brute_force_mwis
@@ -212,6 +213,37 @@ def _perturb(td, rng):
     m = len(bags) - 1
     edges += [(a, m), (m, b)]
     return make_decomposition(td.graph, bags, edges, refined)
+
+
+def _coarsen(td, rng, rounds):
+    """Grow random bags by random vertices of a neighbouring bag. A vertex of
+    X_b added to X_a, with a-b a tree edge, keeps its node set connected, so
+    the result stays a valid decomposition; marked sets are kept."""
+    bags = list(td.bags)
+    for _ in range(rounds if td.tree_edges else 0):
+        a, b = rng.sample(rng.choice(td.tree_edges), 2)
+        bags[a] |= frozenset(v for v in bags[b] if rng.random() < 0.6)
+    return make_decomposition(td.graph, bags, td.tree_edges, td.refined)
+
+
+def test_coarsened_decompositions_match_brute_force():
+    rng = random.Random(46)
+    grown = 0
+    for _ in range(150):
+        n = rng.randint(1, 11)
+        g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng)
+        w = WeightMap(n, random_weights(n, rng))
+        base = _perturb(tin_exact(g)[1], rng)
+        if rng.random() < 0.5:
+            marked = [frozenset(v for v in b if rng.random() < 0.3) for b in base.bags]
+            base = make_decomposition(g, base.bags, base.tree_edges, marked)
+        td = _coarsen(base, rng, rng.randint(1, 4))
+        assert validate(g, td).ok
+        grown += td.bags != base.bags
+        value, chosen = solve_mwis(g, w, td, residual_independence_number(g, td))
+        assert value == brute_force_mwis(g, w)[0]
+        assert is_independent(g, chosen) and w.total(chosen) == value
+    assert grown >= 75  # most instances really are coarsened
 
 
 def test_integer_weights_on_clique_trees_match_networkx():
