@@ -141,6 +141,13 @@ def _cmd_mwis(args, inputs):
 
 
 def _cmd_pack(args, inputs):
+    if args.family is not None and (
+        args.patterns is not None or args.pattern_file or args.weights is not None
+    ):
+        raise GraphError(
+            "pack --family carries its member weights; "
+            "it takes no --patterns, --pattern-file or --weights"
+        )
     g = inputs.parse("graph", args.graph, formats.parse_graph)
     td = inputs.parse("td", args.td, formats.parse_td, g)
     require_valid(g, td)
@@ -195,6 +202,8 @@ def _cmd_gen(args, inputs):
         if args.graph is None:
             raise GraphError("gen double-join needs --graph for the base graph")
         base = inputs.parse("graph", args.graph, formats.parse_graph)
+    elif args.graph is not None:
+        raise GraphError(f"gen {args.kind} reads no --graph; only double-join does")
     g = generate(args.kind, tuple(args.params), base=base)
     text = formats.format_graph(g)
     artifacts = {}

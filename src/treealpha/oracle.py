@@ -9,8 +9,11 @@ fill-in is at least as good as the original decomposition; and every chordal
 fill-in arises from some elimination ordering. Minimizing the worst bag cost
 over all orderings therefore attains the true optimum.
 
-State is the set of already-eliminated vertices only, since the bag of the
-next vertex depends on nothing else: 2^n * n states, capped at n = 20.
+State is the set S of already-eliminated vertices only, since the bag of the
+next vertex depends on nothing else: 2^n states with up to n moves each,
+capped at n = 20. The components of G[S] are found once per state and give
+the bag of every move; bag costs are read from one table over all 2^n
+subsets (independence numbers for tin_exact, size - 1 for treewidth_exact).
 """
 
 import sys
@@ -19,7 +22,6 @@ from fractions import Fraction
 from .chordal import clique_tree
 from .decomposition import make_decomposition, trivial_decomposition
 from .errors import CapExceededError, GraphError
-from .exact import _complement_rows, _max_clique_size
 from .graph import Graph, check_vertex_set, mask_of, members
 
 DEFAULT_SUBSET_DP_CAP = 20
@@ -61,51 +63,78 @@ def _refuse_over_cap(name, graph, cap):
         raise CapExceededError(f"{name} refused for n={graph.n} > cap={cap}")
 
 
-def _elimination_dp(graph, cost_of_bag):
-    """min over elimination orderings of the max bag cost; returns (value, order)."""
+def _alpha_table(rows, n):
+    """Independence number of every subset of range(n), indexed by mask.
+
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])) for v the lowest
+    vertex of S; every value is at most n, so one byte per subset holds it.
+    """
+    alpha = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        b = s & -s
+        a = alpha[s ^ b]
+        c = alpha[s & ~(rows[b.bit_length() - 1] | b)] + 1
+        alpha[s] = a if a > c else c
+    return alpha
+
+
+def _elimination_dp(graph, cost):
+    """min over elimination orderings of the max bag cost; returns (value, order).
+
+    `cost[bag]` is the cost of the bag with that mask. Ties go to the first
+    state in mask order, then to the lowest vertex.
+    """
     n = graph.n
     rows = graph.bit_rows()
+    closed = [r | 1 << v for v, r in enumerate(rows)]
     size = 1 << n
-    big = n + 2**30
-    dp = [big] * size
+    full = size - 1
+    dp = [n + 1] * size
     dp[0] = -1
     choice = [0] * size
-    bag_cost = {}
     for s in range(size):
-        d = dp[s]
-        if d >= big:
-            continue
-        rest = (size - 1) ^ s
+        d = dp[s]  # final: every s - v is a smaller mask
+        out = full ^ s
+        # Two survivors are joined by a path through s exactly when both lie
+        # in O = N(C) - s for one component C of G[s]; add O to their bags.
+        reach = [0] * n
+        pend = s
+        while pend:
+            new = pend & -pend
+            comp = nbrs = 0
+            while new:
+                comp |= new
+                while new:
+                    u = new & -new
+                    new ^= u
+                    nbrs |= rows[u.bit_length() - 1]
+                new = nbrs & s & ~comp
+            pend ^= comp
+            o = nbrs & out
+            w = o
+            while w:
+                u = w & -w
+                w ^= u
+                reach[u.bit_length() - 1] |= o
+        rest = out
         while rest:
             b = rest & -rest
             rest ^= b
             v = b.bit_length() - 1
-            nb = rows[v]
-            seen = 0
-            pend = nb & s
-            while pend:
-                u = pend & -pend
-                seen |= u
-                nb |= rows[u.bit_length() - 1]
-                pend = nb & s & ~seen
-            bag = (nb & ~s) | b
-            c = bag_cost.get(bag)
-            if c is None:
-                c = cost_of_bag(bag)
-                bag_cost[bag] = c
+            c = cost[closed[v] & out | reach[v]]
             cand = d if d > c else c
             t = s | b
             if cand < dp[t]:
                 dp[t] = cand
                 choice[t] = v
     order = []
-    s = size - 1
+    s = full
     while s:
         v = choice[s]
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return dp[size - 1], order
+    return dp[full], order
 
 
 def _fill_in(graph, order):
@@ -125,7 +154,9 @@ def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     _refuse_over_cap("treewidth_exact", graph, cap)
     if graph.n == 0:
         return -1
-    value, _ = _elimination_dp(graph, lambda bag: bag.bit_count() - 1)
+    # Every bag holds its own vertex, so the empty mask's entry is never read.
+    sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << graph.n))
+    value, _ = _elimination_dp(graph, sizes)
     return value
 
 
@@ -139,8 +170,8 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     _refuse_over_cap("tin_exact", graph, cap)
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
-    comp = _complement_rows(graph.bit_rows())
-    value, order = _elimination_dp(graph, lambda bag: _max_clique_size(comp, bag))
+    alpha = _alpha_table(graph.bit_rows(), graph.n)
+    value, order = _elimination_dp(graph, alpha)
     filled = _fill_in(graph, order)
     ct = clique_tree(filled)
     witness = make_decomposition(graph, ct.bags, ct.tree_edges)

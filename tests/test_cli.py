@@ -545,3 +545,36 @@ def test_gen_refuses_oversized_output_before_building(tmp_path, capsys):
     # A header-only base of 2000 vertices asks for 2000^2 cross edges.
     (tmp_path / "base.gr").write_text("p tw 2000 0\n")
     assert_refused("double-join", "--graph", str(tmp_path / "base.gr"))
+
+
+def test_pack_family_refuses_options_it_would_ignore(tmp_path, capsys):
+    g = path_graph(4)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    (tmp_path / "f.fam").write_text("s fam 1\nf 1 2 1 1\n")
+    (tmp_path / "w.w").write_text("1 5\n")
+    family = ("--family", str(tmp_path / "f.fam"))
+    for graph in (tmp_path / "g.gr", tmp_path / "missing.gr"):
+        graph_td = ("--graph", str(graph), "--td", str(tmp_path / "t.td"))
+        for extra in (
+            ("--weights", str(tmp_path / "w.w")),
+            ("--weights", str(tmp_path / "missing.w")),
+            ("--patterns", "k1"),
+            ("--pattern-file", str(tmp_path / "g.gr")),
+        ):
+            code, out, err = run(capsys, "pack", *graph_td, *family, *extra)
+            assert code == 1 and out == ""
+            assert len(err.strip().splitlines()) == 1
+            # Refused before any file is read: the missing graph goes unnoticed.
+            assert err.startswith("error: pack --family") and extra[0] in err
+
+
+def test_gen_refuses_graph_for_kinds_that_read_none(tmp_path, capsys):
+    write_graph(path_graph(2), tmp_path / "g.gr")
+    for graph in (tmp_path / "g.gr", tmp_path / "missing.gr"):
+        for params in (("path", "3"), ("sharpness", "3", "-o", str(tmp_path / "s.gr"))):
+            code, out, err = run(capsys, "gen", *params, "--graph", str(graph))
+            assert code == 1 and out == ""
+            assert len(err.strip().splitlines()) == 1
+            assert err.startswith("error: gen") and "--graph" in err
+    assert not (tmp_path / "s.gr").exists()

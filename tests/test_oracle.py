@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from treealpha import (
     GraphError,
     WeightMap,
     alpha_exact,
+    alpha_of_subset,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -23,7 +25,8 @@ from treealpha import (
     treewidth_exact,
     validate,
 )
-from treealpha.oracle import brute_force_mwis
+from treealpha.graph import members
+from treealpha.oracle import _alpha_table, brute_force_mwis
 
 from .conftest import (
     all_labeled_graphs,
@@ -168,3 +171,71 @@ def test_deterministic_outputs():
     assert tin_exact(g) == tin_exact(g)
     w = WeightMap(8, random_weights(8, random.Random(30)))
     assert brute_force_mwis(g, w) == brute_force_mwis(g, w)
+
+
+def test_exact_witness_bags_and_tree_edges():
+    # Pinned outputs: the elimination order the DP picks (first strictly
+    # better candidate in state order, then vertex order) fixes the witness.
+    triangle_and_square = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    # Two 4-cycles sharing the edge 2-3: many orderings tie at the optimum.
+    tied = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 3)]
+    cases = [
+        (cycle_graph(6), 2, [{0, 1, 5}, {1, 2, 5}, {2, 3, 5}, {3, 4, 5}],
+         [(0, 1), (1, 2), (2, 3)], 2),
+        (complete_bipartite(3, 3), 3, [{0, 3, 4, 5}, {1, 3, 4, 5}, {2, 3, 4, 5}],
+         [(0, 1), (0, 2)], 3),
+        (sharpness_gadget(3), 3,
+         [{0, 1, 2, 5, 7, 8}, {0, 1, 3}, {0, 1, 4}, {0, 2, 6}, {1, 2, 9, 10, 11}],
+         [(0, 1), (0, 2), (0, 3), (0, 4)], 2),
+        (double_join(path_graph(3)), 2, [{0, 1, 3, 4, 5}, {1, 2, 3, 4, 5}],
+         [(0, 1)], 4),
+        (build_graph(7, triangle_and_square), 2, [{0, 1, 2}, {3, 4, 6}, {4, 5, 6}],
+         [(0, 1), (1, 2)], 2),
+        (build_graph(6, tied), 2, [{0, 1, 3}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}],
+         [(0, 1), (1, 2), (2, 3)], 2),
+    ]
+    for g, value, bags, tree_edges, tw in cases:
+        got, witness = tin_exact(g)
+        assert got == value
+        assert witness.bags == tuple(frozenset(b) for b in bags)
+        assert list(witness.tree_edges) == tree_edges
+        assert not any(witness.refined)
+        assert treewidth_exact(g) == tw
+
+
+def test_subset_dp_matches_every_ordering():
+    # Independent of the DP: walk all n! orderings, take each one's worst
+    # elimination_bag, and keep the best ordering.
+    rng = random.Random(42)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+        bag_of = {}
+        alpha_of = {}
+        best_tin = best_tw = n
+        for order in itertools.permutations(range(n)):
+            worst_tin = worst_tw = 0
+            for i, v in enumerate(order):
+                key = (frozenset(order[:i]), v)
+                if key not in bag_of:
+                    bag_of[key] = elimination_bag(g, v, key[0])
+                bag = bag_of[key]
+                if bag not in alpha_of:
+                    alpha_of[bag] = alpha_of_subset(g, bag)
+                worst_tin = max(worst_tin, alpha_of[bag])
+                worst_tw = max(worst_tw, len(bag) - 1)
+            best_tin = min(best_tin, worst_tin)
+            best_tw = min(best_tw, worst_tw)
+        assert tin_exact(g)[0] == best_tin
+        assert treewidth_exact(g) == best_tw
+
+
+def test_alpha_table_matches_alpha_of_subset():
+    rng = random.Random(43)
+    for _ in range(20):
+        n = rng.choice([0, 1, 7, 8, 9, 9])
+        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        table = _alpha_table(g.bit_rows(), n)
+        assert len(table) == 1 << n
+        for mask in range(1 << n):
+            assert table[mask] == alpha_of_subset(g, members(mask))
