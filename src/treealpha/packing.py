@@ -7,6 +7,13 @@ independent set of the derived graph, so packing reduces to MWIS over the
 transferred decomposition, whose independence number never exceeds that of
 the original decomposition.
 
+Both transfer steps read one index, host vertex -> ascending ids of the
+members holding it. Member j's derived neighbours are the union of the index
+over its closed neighbourhood N[H_j], in O(sum_j sum_{v in N[H_j]}
+|index[v]|) for the whole graph; bag t of the transferred decomposition is
+the union of the index over X_t, in O(sum_t sum_{v in X_t} |index[v]|). Both
+costs follow the size of the output, not |J|^2 or |J| per bag.
+
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
 set preserves optimal packings whenever weights depend only on the vertex
@@ -16,12 +23,12 @@ weights must pre-aggregate to the max weight per vertex set.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
-from .graph import Graph, check_vertex_set, mask_of, members
+from .graph import Graph, check_vertex_set, members
 from .mwis import solve_mwis_plain
 from .weights import WeightMap
 
@@ -91,32 +98,42 @@ def make_instance(host, members, weights=None):
     return PackingInstance(fam, ws)
 
 
+def _member_index(graph, family):
+    """Vertex -> ascending ids of the members holding it, one list per host
+    vertex, built in O(n + sum_j |H_j|)."""
+    if family.host != graph:
+        raise GraphError("family references a different host graph")
+    index = [[] for _ in range(graph.n)]
+    for j, s in enumerate(family.members):
+        for v in s:
+            index[v].append(j)
+    return index
+
+
 def derived_graph(graph, family):
     """The conflict graph on member indices.
 
-    Mirrors the reachability argument behind the polynomial bound: for each
-    member, one breadth-first sweep to distance two from a virtual vertex
-    attached to the member collects everything the member can conflict
-    with, and membership is then decided by set intersection on bit sets of
-    host vertices. `compatible` is the pairwise definition it agrees with.
+    Member j conflicts exactly with the members that meet its closed
+    neighbourhood N[H_j], the reach behind the polynomial bound. With the
+    vertex -> members index, j's neighbours are the union of the index over
+    N[H_j] minus j itself, so the cost is O(sum_j sum_{v in N[H_j]}
+    |index[v]|) plus sorting each list: every term is a conflict that j
+    finds, and no pair of members is compared. `compatible` is the pairwise
+    definition it agrees with.
     """
-    if family.host != graph:
-        raise GraphError("family references a different host graph")
-    count = len(family.members)
-    masks = [mask_of(s) for s in family.members]
-    rows = graph.bit_rows()
-    nbrs = [set() for _ in range(count)]
+    index = _member_index(graph, family)
+    adj = graph.adj
+    nbrs = []
     for j, s in enumerate(family.members):
-        # Distance 1 from the virtual vertex: the member itself.
-        # Distance 2: every host neighbor of a member vertex.
-        reach = masks[j]
+        reach = set(s)
         for v in s:
-            reach |= rows[v]
-        for i in range(j):
-            if masks[i] & reach:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    return Graph(count, tuple(tuple(sorted(s)) for s in nbrs))
+            reach.update(adj[v])
+        found = set()
+        for v in reach:
+            found.update(index[v])
+        found.discard(j)
+        nbrs.append(tuple(sorted(found)))
+    return Graph(len(family.members), tuple(nbrs))
 
 
 def compatible(graph, s1, s2):
@@ -128,21 +145,21 @@ def derived_decomposition(graph, family, td, derived=None):
     """Transfer a decomposition of the host to the derived graph.
 
     Same tree; node t's new bag holds every member index whose vertex set
-    meets X_t. All marked sets are dropped: the refinement does not survive
-    the transfer, so the result is plain. Its independence number is at most
-    the input's.
+    meets X_t, the union of the vertex -> members index over X_t, in
+    O(sum_t sum_{v in X_t} |index[v]|). All marked sets are dropped: the
+    refinement does not survive the transfer, so the result is plain. Its
+    independence number is at most the input's.
     """
     require_valid(graph, td)
+    index = _member_index(graph, family)
     if derived is None:
         derived = derived_graph(graph, family)
     bags = []
-    for t in range(td.node_count):
-        bag = td.bags[t]
-        bags.append(
-            frozenset(
-                j for j, s in enumerate(family.members) if s & bag
-            )
-        )
+    for bag in td.bags:
+        held = set()
+        for v in bag:
+            held.update(index[v])
+        bags.append(held)
     return make_decomposition(derived, bags, td.tree_edges)
 
 
@@ -151,7 +168,9 @@ def solve_packing(instance, td, k):
 
     `td` must be a valid decomposition of the host with independence number
     at most k. Returns the optimal weight and the selected member indices,
-    re-verified pairwise compatible before returning.
+    re-verified against the host before returning: one pass maps each
+    chosen vertex to its member and fails if a vertex has two owners or a
+    host neighbour has another.
     """
     graph = instance.family.host
     derived = derived_graph(graph, instance.family)
@@ -161,11 +180,16 @@ def solve_packing(instance, td, k):
         dict(enumerate(instance.member_weights)),
     )
     value, chosen = solve_mwis_plain(derived, weights, td2, k)
-    picked = sorted(chosen)
-    for a, b in combinations(picked, 2):
-        if not compatible(graph, instance.family.members[a], instance.family.members[b]):
-            raise RuntimeError("internal: selected members conflict")
-    return value, frozenset(picked)
+    owner = {}
+    for j in chosen:
+        for v in instance.family.members[j]:
+            if owner.setdefault(v, j) != j:
+                raise RuntimeError("internal: selected members conflict")
+    for v, j in owner.items():
+        for u in graph.adj[v]:
+            if owner.get(u, j) != j:
+                raise RuntimeError("internal: selected members conflict")
+    return value, frozenset(chosen)
 
 
 def brute_force_packing(instance, cap=DEFAULT_PACKING_BRUTE_CAP):

@@ -33,6 +33,7 @@ from treealpha import (
     trivial_decomposition,
     validate,
 )
+from treealpha.formats import parse_family
 from treealpha.packing import compatible
 
 from .conftest import random_connected_set, random_graph
@@ -104,10 +105,77 @@ def test_derived_methods_agree():
         assert set(derived_graph(g, fam).edges()) == conflicts
 
 
+def assert_transfer_matches_definitions(g, fam, td):
+    """Derived edges are the pairwise conflicts, and bag t holds exactly the
+    members meeting X_t, on the same tree with no marked sets."""
+    conflicts = {
+        (i, j)
+        for (i, a), (j, b) in itertools.combinations(enumerate(fam.members), 2)
+        if not compatible(g, a, b)
+    }
+    derived = derived_graph(g, fam)
+    assert derived.n == len(fam)
+    assert set(derived.edges()) == conflicts
+    td2 = derived_decomposition(g, fam, td)
+    assert td2.graph == derived
+    assert td2.tree_edges == td.tree_edges
+    assert td2.bags == tuple(
+        frozenset(j for j, s in enumerate(fam.members) if s & bag) for bag in td.bags
+    )
+    assert not any(td2.refined)
+    return derived, td2
+
+
+def test_transfer_matches_pairwise_definitions():
+    rng = random.Random(40)
+    pattern_sets = [["k1", "k2"], ["p3"]]
+    isolated = 0
+    for trial in range(150):
+        core = random_graph(rng.randint(1, 9), rng.choice((0.25, 0.5)), rng)
+        n = core.n + rng.randint(0, 3)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = build_graph(n, [(ids[u], ids[v]) for u, v in core.edges()])
+        isolated += sum(1 for v in range(n) if not g.adj[v])
+        td = trivial_decomposition(g) if trial % 2 else tin_exact(g)[1]
+        fams = [
+            enumerate_F_subgraphs(g, [pattern_by_name(p) for p in names])
+            for names in pattern_sets
+        ]
+        if n <= 7:
+            fams.append(blob_family(g))
+        for fam in fams:
+            assert_transfer_matches_definitions(g, fam, td)
+    assert isolated >= 150
+
+
+def test_transfer_of_duplicate_and_empty_families():
+    g = path_graph(3)
+    twice = parse_family("s fam 3\nf 1 1 2 1 2\nf 2 1 1 3\nf 3 1 2 1 2\n", g)
+    assert twice.family.members[0] == twice.family.members[2]
+    for td in (trivial_decomposition(g), tin_exact(g)[1]):
+        derived, _ = assert_transfer_matches_definitions(g, twice.family, td)
+        assert set(derived.edges()) == {(0, 1), (0, 2), (1, 2)}
+        assert solve_packing(twice, td, 2)[0] == 1
+
+    empty = parse_family("s fam 0\n", g)
+    for td in (trivial_decomposition(g), tin_exact(g)[1]):
+        derived, td2 = assert_transfer_matches_definitions(g, empty.family, td)
+        assert derived.n == 0
+        assert all(not bag for bag in td2.bags)
+        assert solve_packing(empty, td, 2) == (0, frozenset())
+
+
 def test_derived_rejects_foreign_family():
     fam = make_family(path_graph(3), [{0}])
     with pytest.raises(GraphError, match="host"):
         derived_graph(cycle_graph(4), fam)
+    derived = derived_graph(path_graph(3), fam)
+    for given in (None, derived):
+        with pytest.raises(GraphError, match="host"):
+            derived_decomposition(
+                cycle_graph(4), fam, trivial_decomposition(cycle_graph(4)), derived=given
+            )
 
 
 def test_line_graph_square_identity():
@@ -343,3 +411,23 @@ def test_selected_members_always_compatible():
             sa, sb = inst.family.members[a], inst.family.members[b]
             assert not (sa & sb)
             assert all(not g.has_edge(u, v) for u in sa for v in sb)
+
+
+def test_packing_check_rejects_conflicting_selections(monkeypatch):
+    # On the path 0-1-2-3, members 0 and 1 share vertex 1, members 2 and 3
+    # are joined by the host edge 0-1, and members 2 and 4 lie at distance 2.
+    g = path_graph(4)
+    inst = make_instance(g, [{0, 1}, {1, 2}, {0}, {1}, {2}])
+    td = trivial_decomposition(g)
+    for picked in ({0, 1}, {2, 3}):
+        monkeypatch.setattr(
+            "treealpha.packing.solve_mwis_plain",
+            lambda *args, picked=picked: (Fraction(2), frozenset(picked)),
+        )
+        with pytest.raises(RuntimeError, match="selected members conflict"):
+            solve_packing(inst, td, 2)
+    monkeypatch.setattr(
+        "treealpha.packing.solve_mwis_plain",
+        lambda *args: (Fraction(2), frozenset({2, 4})),
+    )
+    assert solve_packing(inst, td, 2) == (Fraction(2), frozenset({2, 4}))
