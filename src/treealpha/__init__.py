@@ -42,7 +42,7 @@ from .graph import (
     induced_subgraph,
     is_independent,
 )
-from .mwis import compute_tables, solve_mwis, solve_mwis_plain
+from .mwis import solve_mwis, solve_mwis_plain
 from .nice import NiceRefinedTreeDecomposition, make_nice
 from .oracle import brute_force_mwis, elimination_bag, tin_exact, treewidth_exact
 from .packing import (
@@ -89,7 +89,6 @@ __all__ = [
     "complete_bipartite",
     "complete_graph",
     "compose_clique_cutset",
-    "compute_tables",
     "cycle_graph",
     "derived_decomposition",
     "derived_graph",

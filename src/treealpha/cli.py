@@ -295,9 +295,9 @@ def build_parser():
         "mwis",
         help="exact max weight independent set over the decomposition",
         description=(
-            "Dynamic program over the nice form of the decomposition, "
-            "indexing tables by bag subsets that combine any part of the "
-            "marked set with at most k residual vertices. Runs in "
+            "Dynamic program over the decomposition with nested neighbours "
+            "contracted, indexing tables by bag subsets that combine any part "
+            "of the marked set with at most k residual vertices. Runs in "
             "O(2^ell * n^(k+1) * |T|) for residual bound k."
         ),
     )

@@ -1,118 +1,122 @@
 """Max Weight Independent Set over a refined tree decomposition.
 
-The solver converts the decomposition to nice form and runs one bottom-up
-pass over it. c[t, S] is the best weight of an independent set I of the
-subtree's vertices with I restricted to the bag X_t equal to S. Table keys
-are int bit masks (bit v stands for vertex v), and each node's table is
-derived from its child's:
+One bottom-up pass runs over the tree of `nice.rooted_contraction`, nested
+neighbours contracted, children taken largest id first; no nice form is
+built. c[t, S] is the best weight of an independent set I of the subtree's
+vertices with I & X_t = S, and t's table maps every independent subset S of
+X_t (an int bit mask, bit v for vertex v) to c[t, S]:
 
-- leaf: {0: 0};
-- introduce v: the child's entries, plus S | v with value c + w(v) for
-  every child key S that holds no neighbor of v;
-- forget v: the child's entries with v projected out, keeping the larger
-  value (the entry without v on ties);
-- join: c1[S] + c2[S] - w(S) over the common keys of the two children.
+- child c passes its parent p one projection onto X_c & X_p: for each key
+  S', the max of c[c, S] over the keys S with S & X_p = S', and for the
+  witness the numerically smallest such S attaining it;
+- t starts from its largest-id child's projection (a leaf from {0: 0}) and
+  extends it over the rest of X_t one vertex v at a time, smallest id
+  first: S | v gets c[t, S] + w(v) for each key S with no neighbour of v;
+- each further child c adds its projection at S & X_c less w(S & X_c).
 
-So every table is keyed by exactly the independent subsets of its bag.
-The refinement promise bounds them: each independent S of X_t has at most
-k vertices outside the marked part U_t, which leaves at most
-2^|U_t| * sum_{s<=k} C(|X_t - U_t|, s) keys. The pass checks the promise
-on every key of every node and reports a decomposition that breaks it via
-ResidualBoundViolation, with k+1 independent residual vertices as witness.
-
-Values are exact rationals end to end. One optimal witness set is rebuilt
-top-down from the stored values, with the same tie rule as the forget
-step, and re-verified before it is returned.
+The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
+C(|X_t - U_t|, s) keys. The promise is checked after every added vertex,
+so a broken one fails before its bag is enumerated, as a
+ResidualBoundViolation with k+1 independent residual vertices as witness.
+Weights are scaled once by the lcm L of their denominators; the pass runs
+on ints and the optimum is value / L. The witness is read top-down and
+re-verified against the rational weights. Answers, witnesses and
+violations are those of the textbook pass over `make_nice`'s form, which
+forgets X_c - X_p smallest id first and keeps v only where strictly better.
 """
 
 from fractions import Fraction
+from math import lcm
 
+from .decomposition import require_valid
 from .errors import GraphError, ResidualBoundViolation
 from .graph import is_independent, mask_of, members
-from .nice import INTRODUCE, JOIN, LEAF, make_nice
+from .nice import rooted_contraction
 
 
-def _check_residual(table, residual, k):
-    """Raise ResidualBoundViolation if a key has more than k residual bits.
+def _dp(graph, weights, td, k):
+    """Optimum, witness set and the final table of every contracted node.
 
-    The witness is the lexicographically first independent (k+1)-subset of
-    the residual: every such subset is itself a key, and any key over the
-    bound starts with one.
+    `weights` holds one exact nonnegative weight per vertex (Fraction or
+    int). Tables map keys to L * c[t, S], indexed by the node ids of
+    `rooted_contraction(td)`.
     """
-    over = [s for s in table if (s & residual).bit_count() > k]
-    if over:
-        first = min(members(s & residual)[: k + 1] for s in over)
-        raise ResidualBoundViolation(
-            f"residual bound violated: independent set of size {k + 1} "
-            f"in bag residual",
-            witness=frozenset(first),
-        )
-
-
-def compute_tables(graph, weights, nice, k):
-    """Bottom-up tables for every node of a nice decomposition.
-
-    Returns {node: {key mask: value}}. Exposed for inspection and tests;
-    `solve_mwis` is a thin shell over this plus witness reconstruction.
-    """
+    require_valid(graph, td)
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
-    td = nice.td
-    tables = {}
-    for t in nice.postorder():
-        kind = nice.kinds[t]
-        kids = nice.children[t]
-        if kind == LEAF:
-            table = {0: Fraction(0)}
-        elif kind == JOIN:
-            other = tables[kids[1]]
-            table = {
-                s: x + other[s] - weights.total(members(s))
-                for s, x in tables[kids[0]].items()
-            }
-        else:
-            child = tables[kids[0]]
-            v = nice.vertices[t]
-            bit = 1 << v
-            if kind == INTRODUCE:
-                nbrs = mask_of(graph.adj[v])
-                wv = weights[v]
-                table = dict(child)
-                for s, x in child.items():
-                    if not s & nbrs:
-                        table[s | bit] = x + wv
-            else:  # FORGET
-                table = {s: x for s, x in child.items() if not s & bit}
-                for s, x in child.items():
-                    if s & bit and x > table[s ^ bit]:
-                        table[s ^ bit] = x
-        _check_residual(table, mask_of(td.bags[t] - td.refined[t]), k)
-        tables[t] = table
-    return tables
-
-
-def _rebuild_witness(nice, tables):
-    """One optimal set, read top-down from the tables."""
-    chosen = 0
-    stack = [(nice.root, 0)]
+    scale = lcm(*(x.denominator for x in weights))
+    w = [x.numerator * (scale // x.denominator) for x in weights]
+    bags, refs, root, parent, kids = rooted_contraction(td)
+    bag = [mask_of(b) for b in bags]
+    order, stack, nbrs = [], [root], {}
     while stack:
-        t, s = stack.pop()
-        chosen |= s
-        kind = nice.kinds[t]
-        kids = nice.children[t]
-        if kind == JOIN:
-            stack.extend((c, s) for c in kids)
-        elif kind != LEAF:
-            bit = 1 << nice.vertices[t]
-            child = tables[kids[0]]
-            if kind == INTRODUCE:
-                s &= ~bit
-            # Forget: take v only where the forget step did, strictly better
-            # (values are nonnegative, so -1 stands for "no entry with v").
-            elif child.get(s | bit, -1) > child[s]:
-                s |= bit
-            stack.append((kids[0], s))
-    return frozenset(members(chosen))
+        t = stack.pop()
+        order.append(t)
+        stack.extend(reversed(kids[t]))
+
+    def extend(table, t, start):
+        """Grow `table` over X_t - `start`, checking each added vertex."""
+        residual = bag[t] & ~mask_of(refs[t])
+        for i, v in enumerate(members(bag[t] & ~start)):
+            if v not in nbrs:
+                nbrs[v] = mask_of(graph.adj[v])
+            bit, avoid, wv = 1 << v, nbrs[v], w[v]
+            grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}
+            table.update(grown)
+            if i and not bit & residual:
+                continue
+            for s in grown if i else table:
+                if (s & residual).bit_count() > k:
+                    # Every independent (k+1)-subset of the residual is a
+                    # key; report the lexicographically first.
+                    first = min(
+                        members(s & residual)[: k + 1]
+                        for s in table
+                        if (s & residual).bit_count() > k
+                    )
+                    raise ResidualBoundViolation(
+                        f"residual bound violated: independent set of size "
+                        f"{k + 1} in bag residual",
+                        witness=frozenset(first),
+                    )
+        return table
+
+    tables, picks = {}, {}
+    for t in reversed(order):
+        if not kids[t]:
+            tables[t] = extend({0: 0}, t, 0)
+        p = parent[t]
+        keep = 0 if p is None else bag[t] & bag[p]
+        best, pick = {}, {}
+        table = tables[t]
+        for s, x in table.items():
+            key = s & keep
+            y = best.get(key, -1)
+            if x > y or x == y and s < pick[key]:
+                best[key] = x
+                pick[key] = s
+        picks[t] = pick
+        if p is None:
+            value = best[0]
+        elif t == kids[p][-1]:
+            tables[p] = extend(best, p, keep)
+        else:
+            for key in best:
+                best[key] -= sum(w[v] for v in members(key))
+            tables[p] = {s: x + best[s & keep] for s, x in tables[p].items()}
+
+    chosen, union = [0] * len(bags), 0
+    for t in order:
+        p = parent[t]
+        chosen[t] = picks[t][0 if p is None else chosen[p] & bag[t]]
+        union |= chosen[t]
+    witness = frozenset(members(union))
+    value = Fraction(value, scale)
+    if not is_independent(graph, witness):
+        raise RuntimeError("internal: witness set is not independent")
+    if sum(weights[v] for v in witness) != value:
+        raise RuntimeError("internal: witness weight does not match optimum")
+    return value, witness, tables
 
 
 def solve_mwis(graph, weights, td, k):
@@ -123,14 +127,7 @@ def solve_mwis(graph, weights, td, k):
     reported via ResidualBoundViolation rather than silently blowing up.
     The witness is re-verified before returning.
     """
-    nice = make_nice(graph, td)
-    tables = compute_tables(graph, weights, nice, k)
-    value = tables[nice.root][0]
-    witness = _rebuild_witness(nice, tables)
-    if not is_independent(graph, witness):
-        raise RuntimeError("internal: witness set is not independent")
-    if weights.total(witness) != value:
-        raise RuntimeError("internal: witness weight does not match optimum")
+    value, witness, _ = _dp(graph, [weights[v] for v in range(graph.n)], td, k)
     return value, witness
 
 

@@ -7,7 +7,9 @@ from the root. It keeps, for every output node, some input node t with
 X' <= X_t and U' = U_t & X', so the residual independence number never grows.
 
 Node count of the output is at most NICE_NODE_FACTOR * (width(T) + 2) *
-|V(T)| on valid inputs; the constant is asserted by the test suite.
+|V(T)| on valid inputs; the constant is asserted by the test suite. Only
+the `nice` command converts: the MWIS solver walks the contracted tree of
+`rooted_contraction` directly.
 """
 
 import heapq
@@ -58,8 +60,8 @@ class NiceRefinedTreeDecomposition:
         return out
 
 
-def _contract_comparable(td):
-    """Step 1: contract tree edges whose bags are nested, one at a time.
+def rooted_contraction(td):
+    """Contract tree edges whose bags are nested, then root the result.
 
     Each step takes the lowest node a with a nested neighbour and its lowest
     such neighbour b; the node with the smaller bag (b if they are equal) is
@@ -68,6 +70,10 @@ def _contract_comparable(td):
     bags nested that were not, so no node below a gains a nested neighbour
     again: one sweep over the nodes, each with a heap of its nested
     neighbours, performs the same steps.
+
+    The contracted tree is rooted at its lowest-id node of degree at most
+    one. Returns (bags, refined, root, parent, children), children in
+    ascending id; `make_nice` and the MWIS solver both walk this tree.
     """
     n = td.node_count
     bag = list(td.bags)
@@ -110,18 +116,23 @@ def _contract_comparable(td):
     remap = {old: new for new, old in enumerate(ids)}
     bags = [bag[i] for i in ids]
     refs = [ref[i] for i in ids]
-    edges = sorted(
-        {(min(remap[a], remap[b]), max(remap[a], remap[b])) for a in ids for b in nbrs[a]}
-    )
-    return bags, refs, edges
+    adj = [sorted(remap[b] for b in nbrs[a]) for a in ids]
+    root = min(t for t in range(len(ids)) if len(adj[t]) <= 1)
+    kids, up, stack = [None] * len(ids), [None] * len(ids), [root]
+    while stack:
+        t = stack.pop()
+        kids[t] = [c for c in adj[t] if c != up[t]]
+        for c in kids[t]:
+            up[c] = t
+        stack.extend(kids[t])
+    return bags, refs, root, up, kids
 
 
 def make_nice(graph, td):
     """Rewrite a valid refined tree decomposition into nice form.
 
-    After nested neighbours are contracted, the tree is rooted at its
-    lowest-index node of degree at most one and walked down from an empty
-    root, children in ascending id; a childless node leads to an empty leaf.
+    The tree of `rooted_contraction` is walked down from an empty root,
+    children in ascending id; a childless node leads to an empty leaf.
     Each step down is a chain of one-vertex changes: first the upper bag's
     extra vertices are dropped, then the lower bag's are added, each largest
     id first, so the node above a drop introduces that vertex and the node
@@ -132,22 +143,15 @@ def make_nice(graph, td):
     next join or leads to the last child.
     """
     require_valid(graph, td)
-    bags, refs, edges = _contract_comparable(td)
-    k = len(bags)
+    bags, refs, root0, _, down_of = rooted_contraction(td)
 
-    if k == 1 and not bags[0]:
+    if len(bags) == 1 and not bags[0]:
         # Null graph or an all-empty decomposition: a single empty node is
         # already nice (the root is its own leaf).
         out = make_decomposition(graph, [frozenset()])
         return NiceRefinedTreeDecomposition(
             out, 0, (None,), (LEAF,), (None,), ((),)
         )
-
-    nbrs = [[] for _ in range(k)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    root0 = min(t for t in range(k) if len(nbrs[t]) <= 1)
 
     bag, ref, kids, label = [], [], [], []
 
@@ -175,10 +179,10 @@ def make_nice(graph, td):
 
     empty = frozenset()
     root = new(empty, empty)
-    stack = [(root0, None, chain(root, bags[root0], refs[root0]))]
+    stack = [(root0, chain(root, bags[root0], refs[root0]))]
     while stack:
-        x, up, t = stack.pop()
-        down = sorted(y for y in nbrs[x] if y != up)
+        x, t = stack.pop()
+        down = down_of[x]
         if not down:
             chain(t, empty, empty)
             continue
@@ -186,9 +190,9 @@ def make_nice(graph, td):
             first, rest = new(bags[x], refs[x]), new(bags[x], refs[x])
             label[t] = (JOIN, None)
             kids[t] = [first, rest]
-            stack.append((c, x, chain(first, bags[c], refs[c])))
+            stack.append((c, chain(first, bags[c], refs[c])))
             t = rest
-        stack.append((down[-1], x, chain(t, bags[down[-1]], refs[down[-1]])))
+        stack.append((down[-1], chain(t, bags[down[-1]], refs[down[-1]])))
 
     # Assemble, ordering nodes by BFS from the root for stable ids.
     order = [root]

@@ -29,7 +29,7 @@ from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
 from .graph import Graph, check_vertex_set, members
-from .mwis import solve_mwis_plain
+from .mwis import _dp
 from .weights import WeightMap
 
 DEFAULT_PATTERN_CAP = 5
@@ -85,6 +85,8 @@ class PackingInstance:
         if len(self.member_weights) != len(self.family):
             raise GraphError("need exactly one weight per family member")
         for j, w in enumerate(self.member_weights):
+            if not isinstance(w, (int, Fraction)):
+                raise GraphError(f"weight of member {j} is not an int or Fraction")
             if w < 0:
                 raise GraphError(f"weight of member {j} is negative")
 
@@ -175,11 +177,7 @@ def solve_packing(instance, td, k):
     graph = instance.family.host
     derived = derived_graph(graph, instance.family)
     td2 = derived_decomposition(graph, instance.family, td, derived=derived)
-    weights = WeightMap(
-        len(instance.family),
-        dict(enumerate(instance.member_weights)),
-    )
-    value, chosen = solve_mwis_plain(derived, weights, td2, k)
+    value, chosen, _ = _dp(derived, instance.member_weights, td2, k)
     owner = {}
     for j in chosen:
         for v in instance.family.members[j]:

@@ -6,6 +6,8 @@ lattice is ever a float. Missing vertices default to weight 1.
 
 from fractions import Fraction
 
+_ONE = Fraction(1)
+
 
 class WeightMap:
     """Per-vertex nonnegative rational weights over a graph of `n` vertices."""
@@ -26,7 +28,7 @@ class WeightMap:
         self._w = w
 
     def __getitem__(self, v):
-        return self._w.get(v, Fraction(1))
+        return self._w.get(v, _ONE)
 
     def total(self, vertices):
         """w(S) = sum of the member weights."""

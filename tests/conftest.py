@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from treealpha import GraphError, build_graph, validate
+from treealpha import GraphError, ResidualBoundViolation, build_graph, make_nice, validate
+from treealpha.graph import mask_of, members
 from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
 
 
@@ -166,6 +167,84 @@ def nice_violations(graph, nice):
         if nice.parent[t] is None and t != nice.root:
             problems.append(f"node {t} has no parent but is not the root")
     return problems
+
+
+def _check_residual(table, residual, k):
+    """Raise ResidualBoundViolation if a key has more than k residual bits,
+    with the lexicographically first independent (k+1)-subset of the
+    residual as witness."""
+    over = [s for s in table if (s & residual).bit_count() > k]
+    if over:
+        first = min(members(s & residual)[: k + 1] for s in over)
+        raise ResidualBoundViolation(
+            f"residual bound violated: independent set of size {k + 1} "
+            f"in bag residual",
+            witness=frozenset(first),
+        )
+
+
+def nice_form_tables(graph, weights, nice, k):
+    """Reference MWIS tables: the textbook pass over every node of a nice
+    decomposition, {node: {key mask: Fraction c[t, S]}}, checking the
+    residual bound at every node in `nice.postorder()`."""
+    if k < 0:
+        raise GraphError("residual bound k must be nonnegative")
+    td = nice.td
+    tables = {}
+    for t in nice.postorder():
+        kind = nice.kinds[t]
+        kids = nice.children[t]
+        if kind == LEAF:
+            table = {0: Fraction(0)}
+        elif kind == JOIN:
+            other = tables[kids[1]]
+            table = {
+                s: x + other[s] - weights.total(members(s))
+                for s, x in tables[kids[0]].items()
+            }
+        else:
+            child = tables[kids[0]]
+            v = nice.vertices[t]
+            bit = 1 << v
+            if kind == INTRODUCE:
+                nbrs = mask_of(graph.adj[v])
+                table = dict(child)
+                for s, x in child.items():
+                    if not s & nbrs:
+                        table[s | bit] = x + weights[v]
+            else:  # FORGET
+                table = {s: x for s, x in child.items() if not s & bit}
+                for s, x in child.items():
+                    if s & bit and x > table[s ^ bit]:
+                        table[s ^ bit] = x
+        _check_residual(table, mask_of(td.bags[t] - td.refined[t]), k)
+        tables[t] = table
+    return tables
+
+
+def nice_form_mwis(graph, weights, td, k):
+    """Reference MWIS: nice_form_tables plus the top-down witness, which
+    takes a forgotten vertex only where that is strictly better."""
+    nice = make_nice(graph, td)
+    tables = nice_form_tables(graph, weights, nice, k)
+    chosen = 0
+    stack = [(nice.root, 0)]
+    while stack:
+        t, s = stack.pop()
+        chosen |= s
+        kind = nice.kinds[t]
+        kids = nice.children[t]
+        if kind == JOIN:
+            stack.extend((c, s) for c in kids)
+        elif kind != LEAF:
+            bit = 1 << nice.vertices[t]
+            child = tables[kids[0]]
+            if kind == INTRODUCE:
+                s &= ~bit
+            elif child.get(s | bit, -1) > child[s]:
+                s |= bit
+            stack.append((kids[0], s))
+    return tables[nice.root][0], frozenset(members(chosen))
 
 
 @pytest.fixture

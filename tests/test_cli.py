@@ -358,6 +358,22 @@ def test_residual_violation_exit_code(tmp_path, capsys):
     assert witness <= set(range(4)) and is_independent(g, witness)
 
 
+def test_broken_promise_on_a_wide_bag_exits_2(tmp_path, capsys):
+    # 51 unmarked isolated vertices in one bag: the solver stops at the
+    # third vertex instead of enumerating the bag.
+    g = build_graph(60, [])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(make_decomposition(g, [range(60)], [], [range(0, 60, 7)]), tmp_path / "t.td")
+    code, out, err = run(
+        capsys, "mwis", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"), "-k", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: residual bound violated: independent set of size 2 in bag residual; "
+        "witness vertices 2 3\n"
+    )
+
+
 def test_oversized_weight_literal_is_a_parse_error(tmp_path, capsys):
     g = path_graph(2)
     write_graph(g, tmp_path / "g.gr")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from treealpha import (
     clique_tree,
     complete_bipartite,
     complete_graph,
-    compute_tables,
     cycle_graph,
     double_join,
     is_chordal,
@@ -32,10 +32,18 @@ from treealpha import (
     trivial_decomposition,
     validate,
 )
-from treealpha.nice import INTRODUCE, JOIN, LEAF
+from treealpha.graph import mask_of
+from treealpha.mwis import _dp
+from treealpha.nice import rooted_contraction
 from treealpha.oracle import brute_force_mwis
 
-from .conftest import chordal_fill_in, mwis_by_enumeration, random_graph, random_weights
+from .conftest import (
+    chordal_fill_in,
+    mwis_by_enumeration,
+    nice_form_mwis,
+    random_graph,
+    random_weights,
+)
 
 
 def _key_sets(table):
@@ -52,13 +60,16 @@ def _independent_subsets(g, bag):
     }
 
 
+def _tables(g, w, td, k):
+    """The solver's final table at every contracted bag, with the rooted
+    contracted tree (bags, marked sets, root, parent, children) it indexes."""
+    return rooted_contraction(td), _dp(g, [w[v] for v in range(g.n)], td, k)[2]
+
+
 def _full_bag_table(g, td, k):
-    """The table of the first nice node whose bag is the whole vertex set."""
-    nice = make_nice(g, td)
-    tables = compute_tables(g, WeightMap(g.n), nice, k)
-    full = frozenset(range(g.n))
-    t = next(t for t in nice.postorder() if nice.td.bags[t] == full)
-    return tables[t]
+    """The table of the contracted node whose bag is the whole vertex set."""
+    (bags, *_), tables = _tables(g, WeightMap(g.n), td, k)
+    return tables[bags.index(frozenset(range(g.n)))]
 
 
 def test_enumerate_path_bag():
@@ -87,8 +98,21 @@ def test_enumerate_detects_residual_violation():
         solve_mwis(g, WeightMap(4), td, 1)
     assert err.value.witness == frozenset({1, 3})
     with pytest.raises(ResidualBoundViolation) as err:
-        compute_tables(g, WeightMap(4), make_nice(g, td), 1)
+        nice_form_mwis(g, WeightMap(4), td, 1)
     assert err.value.witness == frozenset({1, 3})
+
+
+def test_broken_promise_on_a_wide_bag_fails_fast():
+    # An edgeless 60-vertex bag with every 7th vertex marked has 2^60
+    # independent subsets; k = 1 breaks at its third vertex, 2, and the
+    # check there stops the pass before the bag is enumerated.
+    g = build_graph(60, [])
+    td = make_decomposition(g, [range(60)], [], [range(0, 60, 7)])
+    started = time.perf_counter()
+    with pytest.raises(ResidualBoundViolation) as err:
+        solve_mwis(g, WeightMap(60), td, 1)
+    assert time.perf_counter() - started < 0.5
+    assert err.value.witness == frozenset({1, 2})
 
 
 def test_enumerate_refined_bag_with_adequate_bound():
@@ -107,19 +131,19 @@ def test_enumerate_refined_bag_with_adequate_bound():
 
 
 def test_enumerate_count_bound():
-    # At every nice node the keys are exactly the independent subsets of
-    # the bag, and there are at most 2^|U_t| * sum_{s<=k} C(|X_t - U_t|, s).
+    # At every contracted bag the keys are exactly the independent subsets
+    # of the bag, and there are at most 2^|U_t| * sum_{s<=k} C(|X_t - U_t|, s).
     rng = random.Random(18)
-    for _ in range(20):
-        g = random_graph(rng.randint(1, 7), 0.4, rng)
-        u = frozenset(v for v in range(g.n) if rng.random() < 0.3)
-        td = make_decomposition(g, [range(g.n)], [], [u])
-        k = alpha_exact(g)
-        nice = make_nice(g, td)
-        tables = compute_tables(g, WeightMap(g.n), nice, k)
-        assert set(tables) == set(range(nice.node_count))
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 8), 0.4, rng)
+        td = _perturb(tin_exact(g)[1], rng) if rng.random() < 0.5 else trivial_decomposition(g)
+        marked = [frozenset(v for v in b if rng.random() < 0.3) for b in td.bags]
+        td = make_decomposition(g, td.bags, td.tree_edges, marked)
+        k = residual_independence_number(g, td)
+        (bags, refs, *_), tables = _tables(g, WeightMap(g.n), td, k)
+        assert set(tables) == set(range(len(bags)))
         for t, table in tables.items():
-            bag, marked = nice.td.bags[t], nice.td.refined[t]
+            bag, marked = bags[t], refs[t]
             assert _key_sets(table) == _independent_subsets(g, bag)
             residual = len(bag - marked)
             cap = (2 ** len(marked)) * sum(math.comb(residual, i) for i in range(k + 1))
@@ -351,33 +375,136 @@ def test_solver_is_deterministic():
 
 
 def test_tables_expose_the_recurrences():
+    # c[t, S] = w(S) + sum over children c of (P_c[S & X_c] - w(S & X_c)),
+    # P_c[S'] = max of c[c, s] over the keys s with s & X_t = S', all scaled
+    # by the lcm L of the weight denominators; the optimum is max c[root, S].
     g = cycle_graph(5)
-    w = WeightMap(5, {0: 2, 1: 3, 2: 5, 3: 7, 4: 11})
+    w = WeightMap(5, {0: 2, 1: Fraction(3, 2), 2: 5, 3: Fraction(7, 3), 4: 11})
+    scale = 6
     rng = random.Random(24)
     for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(tin_exact(g)[1], rng)):
-        nice = make_nice(g, td)
-        tables = compute_tables(g, w, nice, 2)
-        assert set(tables) == set(range(nice.node_count))
+        (bags, _, root, _, kids), tables = _tables(g, w, td, 2)
+        assert set(tables) == set(range(len(bags)))
+
+        def scaled(s):
+            return scale * w.total(_key_sets([s]).pop())
+
         for t, table in tables.items():
-            kids = nice.children[t]
-            kind = nice.kinds[t]
             for key, value in table.items():
-                members = _key_sets([key]).pop()
-                if kind == LEAF:
-                    assert (key, value) == (0, 0)
-                elif kind == JOIN:
-                    a, b = (tables[c][key] for c in kids)
-                    assert value == a + b - w.total(members)
-                elif kind == INTRODUCE:
-                    v = nice.vertices[t]
-                    child = tables[kids[0]]
-                    expect = child[key & ~(1 << v)] + (w[v] if v in members else 0)
-                    assert value == expect
-                else:
-                    v = nice.vertices[t]
-                    child = tables[kids[0]]
-                    assert value == max(child[key], child.get(key | 1 << v, 0))
-        assert tables[nice.root][0] == brute_force_mwis(g, w)[0]
+                expect = scaled(key)
+                for c in kids[t]:
+                    common = key & mask_of(bags[c])
+                    top = max(x for s, x in tables[c].items() if s & mask_of(bags[t]) == common)
+                    expect += top - scaled(common)
+                assert value == expect
+        assert Fraction(max(tables[root].values()), scale) == brute_force_mwis(g, w)[0]
+
+
+def _elimination_decomposition(g, rng):
+    """A decomposition from a random elimination order, half the time
+    sorted by degree: v's bag is v plus its later neighbours in the fill-in,
+    hung below the first of them to be eliminated (or, with none, below the
+    next node in the order)."""
+    adj = [set(a) for a in g.adj]
+    order = list(range(g.n))
+    rng.shuffle(order)
+    if rng.random() < 0.5:  # low degree first: hubs go last, with many children
+        order.sort(key=lambda v: len(adj[v]))
+    pos = {v: i for i, v in enumerate(order)}
+    bags, edges = [], []
+    for i, v in enumerate(order):
+        later = [u for u in adj[v] if pos[u] > i]
+        for a, b in itertools.combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        bags.append(frozenset(later) | {v})
+        if later:
+            edges.append((i, min(pos[u] for u in later)))
+        elif i + 1 < g.n:
+            edges.append((i, i + 1))
+    return make_decomposition(g, bags, edges)
+
+
+def _sprout(td, rng, count):
+    """Hang `count` new leaves below random nodes, each with a random subset
+    of its parent's bag: nested bags and nodes with many children."""
+    bags, edges = list(td.bags), list(td.tree_edges)
+    for _ in range(count):
+        a = rng.randrange(len(bags))
+        bags.append(frozenset(v for v in bags[a] if rng.random() < 0.6))
+        edges.append((a, len(bags) - 1))
+    return make_decomposition(td.graph, bags, edges)
+
+
+def _tree_first(rng):
+    """A random tree whose nodes mostly hang off node 0, each bag with one
+    or two fresh vertices plus some of its parent's, and a graph drawn
+    inside the bags: a decomposition with many children per node."""
+    bags, edges, n = [], [], 0
+    for i in range(rng.randint(1, 7)):
+        fresh = rng.randint(1, 2)
+        bag = set(range(n, n + fresh))
+        n += fresh
+        if i:
+            a = rng.choice([0, 0, rng.randrange(i)])
+            bag |= {v for v in bags[a] if rng.random() < 0.5}
+            edges.append((a, i))
+        bags.append(frozenset(bag))
+    pairs = {e for b in bags for e in itertools.combinations(sorted(b), 2)}
+    g = build_graph(n, [e for e in sorted(pairs) if rng.random() < 0.5])
+    return g, make_decomposition(g, bags, edges)
+
+
+def _differential_corpus(rng, count):
+    """Weighted graphs (n <= 14) with varied decompositions: elimination
+    trees, tree-first bags, sprouted leaves, intersection bags on edges,
+    coarsened bags, random marked sets, weights in {0, 1, 2} half the time
+    (many ties), and a promised k that is often one too small."""
+    for _ in range(count):
+        if rng.random() < 0.5:
+            g, td = _tree_first(rng)
+        else:
+            g = random_graph(rng.randint(1, 10), rng.choice([0.15, 0.3, 0.5]), rng)
+            td = _elimination_decomposition(g, rng)
+        n = g.n
+        if rng.random() < 0.5:
+            w = WeightMap(n, random_weights(n, rng))
+        else:
+            w = WeightMap(n, {v: rng.randint(0, 2) for v in range(n)})
+        td = _sprout(td, rng, rng.randint(0, 4))
+        td = _perturb(td, rng)
+        if rng.random() < 0.3:
+            td = _coarsen(td, rng, 2)
+        if rng.random() < 0.6:
+            marked = [frozenset(v for v in b if rng.random() < 0.35) for b in td.bags]
+            td = make_decomposition(g, td.bags, td.tree_edges, marked)
+        k = max(residual_independence_number(g, td) - rng.choice([0, 0, 1]), 0)
+        yield g, w, td, k
+
+
+def _answer(solve, g, w, td, k):
+    try:
+        return solve(g, w, td, k)
+    except ResidualBoundViolation as err:
+        return "violation", err.witness, str(err)
+
+
+def test_contracted_pass_matches_the_nice_form_reference():
+    rng = random.Random(47)
+    seen = {"marked": 0, "nested": 0, "three kids": 0, "violation": 0, "tie": 0}
+    for g, w, td, k in _differential_corpus(rng, 500):
+        expect = _answer(nice_form_mwis, g, w, td, k)
+        assert _answer(solve_mwis, g, w, td, k) == expect
+        seen["marked"] += any(td.refined)
+        seen["nested"] += any(
+            td.bags[a] <= td.bags[b] or td.bags[b] <= td.bags[a] for a, b in td.tree_edges
+        )
+        seen["three kids"] += max(map(len, rooted_contraction(td)[4])) >= 3
+        seen["violation"] += expect[0] == "violation"
+        seen["tie"] += expect[0] != "violation" and len(
+            {w.total(s) for s in _independent_subsets(g, range(g.n))}
+        ) < len(_independent_subsets(g, range(g.n)))
+    assert min(seen.values()) >= 40, seen
 
 
 @st.composite

@@ -15,7 +15,7 @@ from treealpha import (
     validate,
     width,
 )
-from treealpha.nice import NICE_NODE_FACTOR
+from treealpha.nice import NICE_NODE_FACTOR, rooted_contraction
 
 from .conftest import nice_violations, random_connected_set, random_graph
 
@@ -257,3 +257,36 @@ def test_exact_output_trivial_path():
         ((), (), "leaf", None, ()),
     ]
     assert nice.td.tree_edges == _path_edges(7)
+
+
+def test_chains_forget_then_introduce_smallest_id_first():
+    # Walking up from a contracted node c to its parent p, the nice form
+    # forgets X_c - X_p and then introduces X_p - X_c, each smallest id
+    # first; the MWIS solver's tie rule and residual checks rely on it.
+    rng = random.Random(17)
+    corpus = _decomposition_corpus(rng, 12)
+    star = build_graph(7, [(0, v) for v in range(1, 7)])
+    corpus.append((star, clique_tree(star)))
+    for g, td in corpus:
+        bags, _, root, parent, kids = rooted_contraction(td)
+        if bags == [frozenset()]:
+            continue
+        nice = make_nice(g, td)
+        start_of = set()
+        for leaf in (t for t in range(nice.node_count) if nice.kinds[t] == "leaf"):
+            steps, t = [], nice.parent[leaf]
+            while t is not None:
+                if nice.kinds[t] != "join":
+                    steps.append((nice.kinds[t], nice.vertices[t]))
+                t = nice.parent[t]
+            first = next(i for i, (kind, _) in enumerate(steps) if kind != "introduce")
+            x = bags.index(frozenset(v for _, v in steps[:first]))
+            start_of.add(x)
+            expect = [("introduce", v) for v in sorted(bags[x])]
+            while x != root:
+                c, x = x, parent[x]
+                expect += [("forget", v) for v in sorted(bags[c] - bags[x])]
+                expect += [("introduce", v) for v in sorted(bags[x] - bags[c])]
+            expect += [("forget", v) for v in sorted(bags[root])]
+            assert steps == expect
+        assert start_of == {t for t in range(len(bags)) if not kids[t]}

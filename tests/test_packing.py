@@ -34,7 +34,7 @@ from treealpha import (
     validate,
 )
 from treealpha.formats import parse_family
-from treealpha.packing import compatible
+from treealpha.packing import PackingInstance, compatible
 
 from .conftest import random_connected_set, random_graph
 
@@ -164,6 +164,19 @@ def test_transfer_of_duplicate_and_empty_families():
         assert derived.n == 0
         assert all(not bag for bag in td2.bags)
         assert solve_packing(empty, td, 2) == (0, frozenset())
+
+
+def test_instance_weights_are_exact_and_nonnegative():
+    # The solver reads member weights as they are, so the instance admits
+    # only ints and Fractions; a float is refused, not rounded.
+    g = path_graph(3)
+    fam = make_family(g, [{0}, {2}])
+    with pytest.raises(GraphError, match="int or Fraction"):
+        PackingInstance(fam, (Fraction(1), 0.5))
+    with pytest.raises(GraphError, match="negative"):
+        PackingInstance(fam, (Fraction(1), -1))
+    inst = PackingInstance(fam, (1, Fraction(1, 2)))
+    assert solve_packing(inst, trivial_decomposition(g), 2) == (Fraction(3, 2), frozenset({0, 1}))
 
 
 def test_derived_rejects_foreign_family():
@@ -421,13 +434,13 @@ def test_packing_check_rejects_conflicting_selections(monkeypatch):
     td = trivial_decomposition(g)
     for picked in ({0, 1}, {2, 3}):
         monkeypatch.setattr(
-            "treealpha.packing.solve_mwis_plain",
-            lambda *args, picked=picked: (Fraction(2), frozenset(picked)),
+            "treealpha.packing._dp",
+            lambda *args, picked=picked: (Fraction(2), frozenset(picked), {}),
         )
         with pytest.raises(RuntimeError, match="selected members conflict"):
             solve_packing(inst, td, 2)
     monkeypatch.setattr(
-        "treealpha.packing.solve_mwis_plain",
-        lambda *args: (Fraction(2), frozenset({2, 4})),
+        "treealpha.packing._dp",
+        lambda *args: (Fraction(2), frozenset({2, 4}), {}),
     )
     assert solve_packing(inst, td, 2) == (Fraction(2), frozenset({2, 4}))
