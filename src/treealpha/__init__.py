@@ -44,7 +44,7 @@ from .graph import (
 )
 from .mwis import solve_mwis, solve_mwis_plain
 from .nice import NiceRefinedTreeDecomposition, make_nice
-from .oracle import brute_force_mwis, elimination_bag, tin_exact, treewidth_exact
+from .oracle import brute_force_mwis, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
     SubgraphFamily,
@@ -94,7 +94,6 @@ __all__ = [
     "derived_graph",
     "dissociation_set",
     "double_join",
-    "elimination_bag",
     "enumerate_F_subgraphs",
     "generate",
     "independence_number",

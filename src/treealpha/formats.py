@@ -183,7 +183,7 @@ def parse_weights(text, n, source="<weights>"):
         if v in values:
             r.fail(f"duplicate weight for vertex {v + 1}")
         values[v] = r.weight(tok[1])
-    return WeightMap(n, values)
+    return WeightMap._from_checked(n, values)
 
 
 def parse_family(text, graph, source="<family>"):

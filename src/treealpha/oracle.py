@@ -10,10 +10,13 @@ fill-in arises from some elimination ordering. Minimizing the worst bag cost
 over all orderings therefore attains the true optimum.
 
 State is the set S of already-eliminated vertices only, since the bag of the
-next vertex depends on nothing else: 2^n states with up to n moves each,
-capped at n = 20. The components of G[S] are found once per state and give
-the bag of every move; bag costs are read from one table over all 2^n
-subsets (independence numbers for tin_exact, size - 1 for treewidth_exact).
+next vertex depends on nothing else: 2^n states, capped at n = 20. The DP
+pulls each state from the states one vertex smaller, and eliminating v last
+among S leaves the bag {v} + N(C), C the component of G[S] holding v. Each
+state's components are read off two tables filled from smaller states (no
+search runs), and bag costs from one table over all 2^n subsets
+(independence numbers for tin_exact, size - 1 for treewidth_exact). The DP
+keeps 10 bytes per subset for n <= 32, beside the 1-byte cost table.
 """
 
 import sys
@@ -21,28 +24,14 @@ from fractions import Fraction
 
 from .chordal import clique_tree
 from .decomposition import make_decomposition, trivial_decomposition
-from .errors import CapExceededError, GraphError
-from .graph import Graph, check_vertex_set, mask_of, members
+from .errors import CapExceededError
+from .graph import Graph, members
 
 DEFAULT_SUBSET_DP_CAP = 20
 DEFAULT_BRUTE_FORCE_CAP = 22
-# The DP holds lists of 2^n pointers; past this n (59 on 64-bit builds) such a
-# list exceeds sys.maxsize bytes, so no `cap` lifts it.
+# The DP holds arrays of 2^n entries of up to 8 bytes; past this n (59 on 64-bit
+# builds) such an array exceeds sys.maxsize bytes, so no `cap` lifts it.
 _SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
-
-
-def elimination_bag(graph, v, eliminated):
-    """The closure bag of v against an eliminated set E.
-
-    Contains v plus every surviving vertex reachable from v along a path
-    whose internal vertices all lie in E. These are exactly the bags of the
-    fill-in triangulation induced by eliminating E's vertices first.
-    """
-    elim = check_vertex_set(graph, eliminated)
-    if v in elim:
-        raise GraphError(f"vertex {v} is already eliminated")
-    check_vertex_set(graph, [v])
-    return frozenset(members(_bag_mask(graph.bit_rows(), v, mask_of(elim))))
 
 
 def _bag_mask(rows, v, emask):
@@ -81,52 +70,67 @@ def _alpha_table(rows, n):
 def _elimination_dp(graph, cost):
     """min over elimination orderings of the max bag cost; returns (value, order).
 
-    `cost[bag]` is the cost of the bag with that mask. Ties go to the first
-    state in mask order, then to the lowest vertex.
+    `cost[bag]` is the cost of the bag with that mask, a byte. dp[t] is the
+    best worst bag over orderings that eliminate the set t first, pulled from
+    its predecessors: eliminating v last among t costs cost[{v} + N(C)], C
+    the component of G[t] holding v, so every v of one component shares N(C).
+    Of the optimal moves into t the largest v wins, which is the rule "first
+    state in mask order, then lowest vertex" of the forward (push) recurrence.
+
+    The components come from two tables over the states: low[t] is the
+    component of G[t] holding t's lowest vertex b, and nb[t] its open
+    neighbourhood. Those of G[t - b] are the chain low[r], r ^= low[r]; b
+    joins the ones it touches, and the rest stay components of G[t].
     """
     n = graph.n
     rows = graph.bit_rows()
-    closed = [r | 1 << v for v, r in enumerate(rows)]
     size = 1 << n
     full = size - 1
-    dp = [n + 1] * size
-    dp[0] = -1
-    choice = [0] * size
-    for s in range(size):
-        d = dp[s]  # final: every s - v is a smaller mask
-        out = full ^ s
-        # Two survivors are joined by a path through s exactly when both lie
-        # in O = N(C) - s for one component C of G[s]; add O to their bags.
-        reach = [0] * n
-        pend = s
-        while pend:
-            new = pend & -pend
-            comp = nbrs = 0
-            while new:
-                comp |= new
-                while new:
-                    u = new & -new
-                    new ^= u
-                    nbrs |= rows[u.bit_length() - 1]
-                new = nbrs & s & ~comp
-            pend ^= comp
-            o = nbrs & out
-            w = o
-            while w:
-                u = w & -w
-                w ^= u
-                reach[u.bit_length() - 1] |= o
-        rest = out
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            v = b.bit_length() - 1
-            c = cost[closed[v] & out | reach[v]]
-            cand = d if d > c else c
-            t = s | b
-            if cand < dp[t]:
-                dp[t] = cand
-                choice[t] = v
+    # Zeroed 4- or 8-byte cells over a bytearray; a memoryview cast needs no
+    # extension module loaded, unlike `array`.
+    tc, width = ("I", 4) if n <= 32 else ("Q", 8)
+    low = memoryview(bytearray(width * size)).cast(tc)
+    nb = memoryview(bytearray(width * size)).cast(tc)
+    # dp[0] stands in for -1: every cost is at least 0, so max(0, c) = c.
+    dp = bytearray(size)
+    choice = bytearray(size)
+    for t in range(1, size):
+        b = t & -t
+        rb = rows[b.bit_length() - 1]
+        comp = b
+        nbs = rb
+        rest = t ^ b
+        while rest & rb:
+            c = low[rest]
+            if c & rb:
+                comp |= c
+                nbs |= nb[rest]
+            rest ^= c
+        nbs &= ~t
+        low[t] = comp
+        nb[t] = nbs
+        best = 255
+        bb = 0
+        rest = t
+        while True:
+            rest ^= comp
+            while comp:
+                b = comp & -comp
+                comp ^= b
+                c = dp[t ^ b]
+                if c <= best:
+                    d = cost[b | nbs]
+                    if d > c:
+                        c = d
+                    if c <= best and (c < best or b > bb):
+                        best = c
+                        bb = b
+            if not rest:
+                break
+            comp = low[rest]
+            nbs = nb[rest]
+        dp[t] = best
+        choice[t] = bb.bit_length() - 1
     order = []
     s = full
     while s:
@@ -134,7 +138,7 @@ def _elimination_dp(graph, cost):
         order.append(v)
         s ^= 1 << v
     order.reverse()
-    return dp[full], order
+    return (dp[full] if n else -1), order
 
 
 def _fill_in(graph, order):

@@ -27,6 +27,15 @@ class WeightMap:
                 w[v] = f
         self._w = w
 
+    @classmethod
+    def _from_checked(cls, n, values):
+        """Wrap a dict the caller has already checked (ids in range(n),
+        nonnegative `Fraction` values) without copying or re-checking it."""
+        wm = cls.__new__(cls)
+        wm.n = n
+        wm._w = values
+        return wm
+
     def __getitem__(self, v):
         return self._w.get(v, _ONE)
 

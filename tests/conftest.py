@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from treealpha import GraphError, ResidualBoundViolation, build_graph, make_nice, validate
-from treealpha.graph import mask_of, members
+from treealpha.graph import check_vertex_set, mask_of, members
 from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
+from treealpha.oracle import _bag_mask
 
 
 def random_graph(n, p, rng):
@@ -167,6 +168,78 @@ def nice_violations(graph, nice):
         if nice.parent[t] is None and t != nice.root:
             problems.append(f"node {t} has no parent but is not the root")
     return problems
+
+
+def elimination_bag(graph, v, eliminated):
+    """The closure bag of v against an eliminated set E.
+
+    Contains v plus every surviving vertex reachable from v along a path
+    whose internal vertices all lie in E. These are exactly the bags of the
+    fill-in triangulation induced by eliminating E's vertices first.
+    """
+    elim = check_vertex_set(graph, eliminated)
+    if v in elim:
+        raise GraphError(f"vertex {v} is already eliminated")
+    check_vertex_set(graph, [v])
+    return frozenset(members(_bag_mask(graph.bit_rows(), v, mask_of(elim))))
+
+
+def push_form_elimination_dp(graph, cost):
+    """Reference subset DP in push form: every state s pushes each move
+    s -> s + v to the larger state, with the bag of v read off the
+    components of G[s] found by search. Ties go to the first state in mask
+    order, then to the lowest vertex; returns (value, order)."""
+    n = graph.n
+    rows = graph.bit_rows()
+    closed = [r | 1 << v for v, r in enumerate(rows)]
+    size = 1 << n
+    full = size - 1
+    dp = [n + 1] * size
+    dp[0] = -1
+    choice = [0] * size
+    for s in range(size):
+        d = dp[s]
+        out = full ^ s
+        # Two survivors are joined by a path through s exactly when both lie
+        # in O = N(C) - s for one component C of G[s]; add O to their bags.
+        reach = [0] * n
+        pend = s
+        while pend:
+            new = pend & -pend
+            comp = nbrs = 0
+            while new:
+                comp |= new
+                while new:
+                    u = new & -new
+                    new ^= u
+                    nbrs |= rows[u.bit_length() - 1]
+                new = nbrs & s & ~comp
+            pend ^= comp
+            o = nbrs & out
+            w = o
+            while w:
+                u = w & -w
+                w ^= u
+                reach[u.bit_length() - 1] |= o
+        rest = out
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            v = b.bit_length() - 1
+            c = cost[closed[v] & out | reach[v]]
+            cand = d if d > c else c
+            t = s | b
+            if cand < dp[t]:
+                dp[t] = cand
+                choice[t] = v
+    order = []
+    s = full
+    while s:
+        v = choice[s]
+        order.append(v)
+        s ^= 1 << v
+    order.reverse()
+    return dp[full], order
 
 
 def _check_residual(table, residual, k):

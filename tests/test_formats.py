@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treealpha import (
     ParseError,
+    WeightMap,
     build_graph,
     cycle_graph,
     make_decomposition,
@@ -95,6 +96,20 @@ def test_weights_errors():
         parse_weights("1 2\n1 3\n", 3)
     with pytest.raises(ParseError, match="unparsable"):
         parse_weights("1 x\n", 3)
+
+
+def test_parsed_weights_match_the_checking_constructor():
+    # parse_weights hands its own checked values over without a second check;
+    # the public constructor still checks whatever it is given.
+    w = parse_weights("1 3/4\n3 0\n", 3)
+    assert w == WeightMap(3, {0: Fraction(3, 4), 2: 0})
+    assert all(type(x) is Fraction for _, x in w.items())
+    with pytest.raises(ParseError, match="vertex 4 outside"):
+        parse_weights("4 1\n", 3)
+    with pytest.raises(ValueError, match="out of range"):
+        WeightMap(3, {3: 1})
+    with pytest.raises(ValueError, match="negative"):
+        WeightMap(3, {0: Fraction(-1, 2)})
 
 
 def test_family_round_trip():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from treealpha import (
     complete_graph,
     cycle_graph,
     double_join,
-    elimination_bag,
     independence_number,
     induced_subgraph,
     is_chordal,
@@ -26,12 +26,14 @@ from treealpha import (
     validate,
 )
 from treealpha.graph import members
-from treealpha.oracle import _alpha_table, brute_force_mwis
+from treealpha.oracle import _alpha_table, _elimination_dp, brute_force_mwis
 
 from .conftest import (
     all_labeled_graphs,
     contract_edge,
+    elimination_bag,
     mwis_by_enumeration,
+    push_form_elimination_dp,
     random_graph,
     random_weights,
 )
@@ -239,3 +241,56 @@ def test_alpha_table_matches_alpha_of_subset():
         assert len(table) == 1 << n
         for mask in range(1 << n):
             assert table[mask] == alpha_of_subset(g, members(mask))
+
+
+def _tie_heavy_graph(i, rng):
+    """Graph number i of the differential corpus: random graphs of every
+    density plus the families where many orderings tie (edgeless,
+    complete, cycles, complete bipartite, disjoint unions), relabeled at
+    random so that the tied moves fall on varied ids."""
+    n = rng.randint(1, 10)
+    kind = i % 6
+    if kind == 1:
+        g = build_graph(n, [])
+    elif kind == 2:
+        g = complete_graph(n)
+    elif kind == 3 and n >= 3:
+        g = cycle_graph(n)
+    elif kind == 4 and n >= 2:
+        a = rng.randint(1, n - 1)
+        g = complete_bipartite(a, n - a)
+    elif kind == 5:
+        a = rng.randint(0, n)
+        left = random_graph(a, rng.random(), rng)
+        right = random_graph(n - a, rng.random(), rng)
+        edges = list(left.edges()) + [(u + a, v + a) for u, v in right.edges()]
+        g = build_graph(n, edges)
+    else:
+        g = random_graph(n, rng.random(), rng)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return build_graph(n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+def test_pull_form_dp_matches_push_form_reference():
+    # Value and order, hence the tie rule, on both cost tables.
+    rng = random.Random(44)
+    for i in range(1200):
+        g = _tie_heavy_graph(i, rng)
+        n = g.n
+        sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
+        for cost in (_alpha_table(g.bit_rows(), n), sizes):
+            assert _elimination_dp(g, cost) == push_form_elimination_dp(g, cost), g.adj
+
+
+def test_subset_dp_memory_is_bytes_per_subset():
+    g = random_graph(14, 0.4, random.Random(45))
+    alpha = _alpha_table(g.bit_rows(), g.n)
+    tracemalloc.start()
+    try:
+        value, order = _elimination_dp(g, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(order) == list(range(14))
+    assert peak < 16 << 14
