@@ -42,11 +42,9 @@ from .nice import make_nice
 from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
-    derived_decomposition,
-    derived_graph,
+    _solve_packing,
     enumerate_F_subgraphs,
     pattern_by_name,
-    solve_packing,
 )
 from .weights import WeightMap
 
@@ -165,15 +163,12 @@ def _cmd_pack(args, inputs):
     else:
         raise GraphError("pack needs --family, --patterns, or --pattern-file")
     k = args.k if args.k is not None else independence_number(g, td)
+    value, chosen, derived, td2 = _solve_packing(inst, td, k)
     artifacts = {}
-    if args.emit_derived or args.emit_derived_td:
-        derived = derived_graph(g, inst.family)
-        if args.emit_derived:
-            artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
-        if args.emit_derived_td:
-            td2 = derived_decomposition(g, inst.family, td, derived=derived)
-            artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
-    value, chosen = solve_packing(inst, td, k)
+    if args.emit_derived:
+        artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
+    if args.emit_derived_td:
+        artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
     selected = [
         {"index": j + 1, "vertices": _one_indexed(inst.family.members[j])}
         for j in sorted(chosen)

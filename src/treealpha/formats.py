@@ -13,21 +13,35 @@ Before anything is allocated, header counts (<n>, <#bags>, <count>) are
 capped at MAX_COUNT and a weight literal's length plus decimal exponent at
 MAX_WEIGHT_DIGITS; over a cap is a ParseError naming the line.
 
+`_Reader` is the one grammar: it reads comments, blank lines and any line
+ends, and names the line of every ParseError. Canonical graph and weight
+text (what the writers emit: single spaces, `\n` line ends, no comments,
+`p/q` weights) is first read in bulk, checked by whole-text operations; when
+any of those checks fails, `_Reader` reads the text again, so the result or
+the error is the one it gives.
+
 Writers emit canonical form (sorted members, sorted edges), so write-read
 round trips are identity on canonicalized objects.
 """
 
+import re
 from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 
 from .decomposition import _EMPTY, make_decomposition
 from .errors import ParseError
-from .graph import MAX_COUNT, build_graph
+from .graph import MAX_COUNT, Graph, build_graph
 from .packing import PackingInstance, _is_connected_subset, make_family
 from .weights import WeightMap
 
 MAX_WEIGHT_DIGITS = 1000
+
+# Canonical shapes. Possessive repeats keep no backtracking state per line.
+_GRAPH_SHAPE = re.compile(r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?")
+# Each part is short enough that `p/q` stays within MAX_WEIGHT_DIGITS.
+_PART = f"[0-9]{{1,{(MAX_WEIGHT_DIGITS - 1) // 2}}}+"
+_WEIGHTS_SHAPE = re.compile(rf"(?:[0-9]++ {_PART}/{_PART}(?:\n|\Z))*+")
 
 
 class _Reader:
@@ -110,7 +124,50 @@ class _Reader:
         return f
 
 
+def _bulk_graph(text):
+    """The graph of canonical text with at least n ids, or None when a check
+    fails. Ids map through a table of the n id strings, so a bad id is a
+    KeyError; isolated vertices keep the shared empty tuple. Lines in
+    ascending order with u < v leave each row sorted and duplicate-free;
+    other orders are sorted and deduplicated per row."""
+    head = _GRAPH_SHAPE.fullmatch(text)
+    if head is None:
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # over the interpreter's digit limit
+        return None
+    if n > MAX_COUNT:
+        return None
+    tokens = text.split()
+    del tokens[:4]
+    if len(tokens) != 2 * m or len(tokens) < n:
+        return None
+    ids = map({str(v + 1): v for v in range(n)}.__getitem__, tokens)
+    rows = [[] for _ in range(n)]
+    ordered, last = True, -1
+    try:
+        for u, v in zip(ids, ids):
+            key = u * n + v
+            if key <= last or u >= v:
+                if u == v:
+                    return None
+                ordered = False
+            last = key
+            rows[u].append(v)
+            rows[v].append(u)
+    except KeyError:
+        return None
+    finish = tuple if ordered else lambda row: tuple(sorted(set(row)))
+    return Graph(n, tuple(map(finish, rows)))
+
+
 def parse_graph(text, source="<graph>"):
+    graph = _bulk_graph(text)
+    return _read_graph(text, source) if graph is None else graph
+
+
+def _read_graph(text, source):
     r = _Reader(text, source, "p tw <n> <m>")
     edges = []
     for tok in r:
@@ -173,7 +230,32 @@ def format_td(td):
     return "\n".join(out) + "\n"
 
 
+def _bulk_weights(text, n):
+    """The weights of canonical `<v> <p>/<q>` text, or None when a check
+    fails."""
+    if _WEIGHTS_SHAPE.fullmatch(text) is None:
+        return None
+    tokens = text.replace("/", " ").split()
+    parts = iter(tokens)
+    values = {}
+    try:
+        for v, p, q in zip(parts, parts, parts):
+            values[int(v) - 1] = Fraction(int(p), int(q))
+    except (ValueError, ZeroDivisionError):
+        return None
+    if 3 * len(values) != len(tokens):  # a vertex repeats
+        return None
+    if values and (min(values) < 0 or max(values) >= n):
+        return None
+    return WeightMap._from_checked(n, values)
+
+
 def parse_weights(text, n, source="<weights>"):
+    weights = _bulk_weights(text, n)
+    return _read_weights(text, n, source) if weights is None else weights
+
+
+def _read_weights(text, n, source):
     r = _Reader(text, source)
     values = {}
     for tok in r:

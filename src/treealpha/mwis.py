@@ -15,9 +15,11 @@ X_t (an int bit mask, bit v for vertex v) to c[t, S]:
 - each further child c adds its projection at S & X_c less w(S & X_c).
 
 The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
-C(|X_t - U_t|, s) keys. The promise is checked after every added vertex,
-so a broken one fails before its bag is enumerated, as a
-ResidualBoundViolation with k+1 independent residual vertices as witness.
+C(|X_t - U_t|, s) keys. A bag whose bound exceeds MAX_COUNT is refused
+with CapExceededError before any table is built. The promise is checked
+after every added vertex, so a broken one fails before its bag is
+enumerated, as a ResidualBoundViolation with k+1 independent residual
+vertices as witness.
 Weights are scaled once by the lcm L of their denominators; the pass runs
 on ints and the optimum is value / L. The witness is read top-down and
 re-verified against the rational weights. Answers, witnesses and
@@ -26,27 +28,36 @@ forgets X_c - X_p smallest id first and keeps v only where strictly better.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .decomposition import require_valid
-from .errors import GraphError, ResidualBoundViolation
-from .graph import is_independent, mask_of, members
+from .errors import CapExceededError, GraphError, ResidualBoundViolation
+from .graph import MAX_COUNT, is_independent, mask_of, members
 from .nice import rooted_contraction
 
 
 def _dp(graph, weights, td, k):
     """Optimum, witness set and the final table of every contracted node.
 
+    `td` must be a valid decomposition of `graph`; it is not checked here.
     `weights` holds one exact nonnegative weight per vertex (Fraction or
     int). Tables map keys to L * c[t, S], indexed by the node ids of
     `rooted_contraction(td)`.
     """
-    require_valid(graph, td)
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
+    bags, refs, root, parent, kids = rooted_contraction(td)
+    for b, u in zip(bags, refs):
+        if 1 << len(b) > MAX_COUNT:
+            r = len(b) - len(u)
+            keys = 2 ** len(u) * sum(comb(r, s) for s in range(min(k, r) + 1))
+            if keys > MAX_COUNT:
+                raise CapExceededError(
+                    f"mwis refused: a bag of {len(b)} vertices, {len(u)} marked, "
+                    f"allows {keys} table keys at k={k}, over cap={MAX_COUNT}"
+                )
     scale = lcm(*(x.denominator for x in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
-    bags, refs, root, parent, kids = rooted_contraction(td)
     bag = [mask_of(b) for b in bags]
     order, stack, nbrs = [], [root], {}
     while stack:
@@ -127,6 +138,7 @@ def solve_mwis(graph, weights, td, k):
     reported via ResidualBoundViolation rather than silently blowing up.
     The witness is re-verified before returning.
     """
+    require_valid(graph, td)
     value, witness, _ = _dp(graph, [weights[v] for v in range(graph.n)], td, k)
     return value, witness
 

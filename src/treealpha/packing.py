@@ -174,6 +174,15 @@ def solve_packing(instance, td, k):
     chosen vertex to its member and fails if a vertex has two owners or a
     host neighbour has another.
     """
+    value, chosen, _, _ = _solve_packing(instance, td, k)
+    return value, chosen
+
+
+def _solve_packing(instance, td, k):
+    """`solve_packing` plus the derived graph and decomposition it solved
+    over. The host decomposition is checked once, by
+    `derived_decomposition`; the transferred one is valid by construction
+    and goes to the MWIS core unchecked."""
     graph = instance.family.host
     derived = derived_graph(graph, instance.family)
     td2 = derived_decomposition(graph, instance.family, td, derived=derived)
@@ -187,7 +196,7 @@ def solve_packing(instance, td, k):
         for u in graph.adj[v]:
             if owner.get(u, j) != j:
                 raise RuntimeError("internal: selected members conflict")
-    return value, frozenset(chosen)
+    return value, frozenset(chosen), derived, td2
 
 
 def brute_force_packing(instance, cap=DEFAULT_PACKING_BRUTE_CAP):

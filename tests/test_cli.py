@@ -1,5 +1,7 @@
 import io
 import json
+import time
+from collections import Counter
 
 from treealpha import (
     build_graph,
@@ -9,8 +11,9 @@ from treealpha import (
     path_graph,
     trivial_decomposition,
 )
+from treealpha import cli, packing
 from treealpha.cli import main
-from treealpha.formats import write_graph, write_td
+from treealpha.formats import format_graph, format_td, write_graph, write_td
 
 
 def run(capsys, *argv):
@@ -148,6 +151,64 @@ def test_pack_patterns_and_artifacts(tmp_path, capsys):
         capsys, "validate", "--graph", str(tmp_path / "d.gr"), "--td", str(tmp_path / "d.td")
     )
     assert code == 0
+
+
+def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
+    tmp_path, capsys, monkeypatch
+):
+    g = path_graph(5)
+    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(packing, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("derived_graph", "derived_decomposition"):
+        wrapper = counted(name)
+        monkeypatch.setattr(packing, name, wrapper)
+        # Calls through a name the CLI imported count too.
+        monkeypatch.setattr(cli, name, wrapper, raising=False)
+    code, _, _ = run(
+        capsys,
+        "pack",
+        "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"),
+        "--patterns", "k1,k2",
+        "--emit-derived", str(tmp_path / "d.gr"),
+        "--emit-derived-td", str(tmp_path / "d.td"),
+    )
+    assert code == 0
+    assert calls == {"derived_graph": 1, "derived_decomposition": 1}
+    monkeypatch.undo()
+    fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
+    derived = packing.derived_graph(g, fam)
+    assert (tmp_path / "d.gr").read_text() == format_graph(derived)
+    want_td = format_td(packing.derived_decomposition(g, fam, td))
+    assert (tmp_path / "d.td").read_text() == want_td
+
+
+def test_mwis_refuses_a_table_over_the_cap_before_building_it(tmp_path, capsys):
+    # An edgeless 40-vertex bag measures k = 40: 2^40 keys, refused at once.
+    g = build_graph(40, [])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "mwis", *graph_td)
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "cap=1048576" in err
+    # A promise of k = 2 allows 821 keys; it breaks at the third vertex.
+    code, _, err = run(capsys, "mwis", *graph_td, "-k", "2")
+    assert code == 2 and "witness vertices 1 2 3" in err
 
 
 def test_pack_custom_pattern_file(tmp_path, capsys):

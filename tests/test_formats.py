@@ -14,6 +14,7 @@ from treealpha import (
     make_family,
     path_graph,
 )
+from treealpha import formats
 from treealpha.formats import (
     MAX_COUNT,
     format_family,
@@ -155,6 +156,15 @@ def test_header_counts_are_capped(parse, header):
         parse(header.format(-1) + "\n")
 
 
+def test_header_cap_holds_with_as_many_ids_as_vertices():
+    # Enough ids for the bulk path's table: the header is still refused.
+    n = MAX_COUNT + 1
+    text = f"p tw {n} {n // 2 + 1}\n" + "1 2\n" * (n // 2 + 1)
+    with pytest.raises(ParseError, match="outside") as err:
+        parse_graph(text)
+    assert err.value.line_no == 1
+
+
 def traced_peak(parse, *args):
     """The result of `parse` and the peak of memory traced while it ran."""
     tracemalloc.start()
@@ -266,3 +276,105 @@ def test_any_text_parses_or_raises_parse_error(name, data):
         _PARSERS[name](text)
     except ParseError:
         pass
+
+
+# The bulk path reads canonical graph and weight text; whenever one of its
+# checks fails, `_Reader` reads the text again. Texts in the canonical line
+# shape that break each check must give the reader's graph, weights or error.
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as e:
+        return "ParseError", e.source, e.line_no, str(e)
+
+
+_FAULTS = ["none", "none", "none", "zero", "range", "zeros", "repeat"]
+
+
+def _apply(draw, fault, rows, n):
+    """`rows` (lists of id strings) with one id broken as `fault` asks: 0,
+    n + 1, zero-padded (which the reader accepts), or, in a row of two, a
+    copy of the other id."""
+    if rows and fault in ("zero", "range", "zeros", "repeat"):
+        row = draw(st.sampled_from(rows))
+        i = draw(st.integers(0, len(row) - 1))
+        row[i] = {
+            "zero": "0",
+            "range": str(n + 1),
+            "zeros": "00" + row[i],
+            "repeat": row[i - 1],
+        }[fault]
+    return rows
+
+
+@st.composite
+def _canonical_graph_text(draw):
+    """Canonical-shape `.gr` text with at most one fault: a bad or padded
+    id, a self-loop (`repeat`), a wrong `m` or a header over the cap."""
+    fault = draw(st.sampled_from(_FAULTS + ["m", "cap"]))
+    n = draw(st.integers(2, 5))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pairs, max_size=9))
+    if draw(st.booleans()):
+        edges = sorted((min(e), max(e)) for e in edges)
+    rows = _apply(draw, fault, [[str(u), str(v)] for u, v in edges], n)
+    m = len(rows) + (draw(st.sampled_from([-1, 1])) if fault == "m" else 0)
+    lines = [f"p tw {MAX_COUNT + 1 if fault == 'cap' else n} {max(m, 0)}"]
+    lines += [" ".join(row) for row in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@st.composite
+def _canonical_weights_text(draw, n):
+    """Canonical-shape `.w` text over n vertices with at most one fault: a
+    bad or padded vertex id, a `p/0` weight, a repeated vertex, or a part
+    long enough to leave the bulk path (and, at 999 digits, the cap)."""
+    fault = draw(st.sampled_from(_FAULTS + ["q", "long"]))
+    vertices = draw(st.lists(st.integers(1, max(n, 1)), max_size=6, unique=True))
+    rows = _apply(draw, fault, [[str(v)] for v in vertices], n)
+    if fault == "repeat" and rows:
+        rows.append(draw(st.sampled_from(rows)))
+    nums = [str(draw(st.integers(0, 9))) for _ in rows]
+    dens = [str(draw(st.integers(1, 4))) for _ in rows]
+    if rows and fault == "q":
+        dens[draw(st.integers(0, len(rows) - 1))] = "0"
+    if rows and fault == "long":
+        nums[draw(st.integers(0, len(rows) - 1))] = "1" * draw(st.sampled_from([499, 600, 999]))
+    lines = [f"{row[0]} {p}/{q}" for row, p, q in zip(rows, nums, dens)]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def test_canonical_text_takes_the_bulk_path():
+    for g in (path_graph(5), cycle_graph(4), build_graph(0, [])):
+        assert formats._bulk_graph(format_graph(g)) == g
+    # Lines out of order or repeated are sorted and merged per row.
+    assert formats._bulk_graph("p tw 3 3\n2 3\n2 1\n1 2") == path_graph(3)
+    weights = WeightMap(3, {0: Fraction(3, 4), 2: 0})
+    assert formats._bulk_weights("1 6/8\n3 0/1", 3) == weights
+    # Comments, other line ends and fewer ids than vertices go to the reader.
+    for text in ("c x\np tw 2 1\n1 2\n", "p tw 2 1\r\n1 2\r\n", "p tw 3 1\n1 2\n"):
+        assert formats._bulk_graph(text) is None
+        assert parse_graph(text) == formats._read_graph(text, "<graph>")
+    # Numbers past the interpreter's int digit limit go to the reader too.
+    long = "9" * 5000
+    for text in (f"p tw {long} 0\n", f"p tw 1 {long}\n"):
+        assert _outcome(parse_graph, text, "g") == _outcome(formats._read_graph, text, "g")
+    text = f"{long} 1/2\n"
+    assert _outcome(parse_weights, text, 3, "w") == _outcome(formats._read_weights, text, 3, "w")
+
+
+@given(text=_canonical_graph_text())
+@settings(max_examples=400, deadline=None)
+def test_bulk_graph_path_matches_the_reader(text):
+    want = _outcome(formats._read_graph, text, "in.gr")
+    assert _outcome(parse_graph, text, "in.gr") == want
+
+
+@given(data=st.data(), n=st.integers(0, 5))
+@settings(max_examples=400, deadline=None)
+def test_bulk_weights_path_matches_the_reader(data, n):
+    text = data.draw(_canonical_weights_text(n))
+    want = _outcome(formats._read_weights, text, n, "in.w")
+    assert _outcome(parse_weights, text, n, "in.w") == want

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treealpha import (
+    CapExceededError,
     GraphError,
     ResidualBoundViolation,
     WeightMap,
@@ -113,6 +114,23 @@ def test_broken_promise_on_a_wide_bag_fails_fast():
         solve_mwis(g, WeightMap(60), td, 1)
     assert time.perf_counter() - started < 0.5
     assert err.value.witness == frozenset({1, 2})
+
+
+def test_tables_over_the_cap_are_refused_before_the_pass():
+    # 2^|U| * sum_{s<=k} C(|X - U|, s) bounds the keys; over 2^20 is refused.
+    g = build_graph(21, [])
+    with pytest.raises(CapExceededError, match="allows 2097152 table keys at k=21"):
+        solve_mwis(g, WeightMap(21), trivial_decomposition(g), 21)
+    marked = make_decomposition(g, [range(21)], [], [range(21)])
+    with pytest.raises(CapExceededError, match="21 marked"):
+        solve_mwis(g, WeightMap(21), marked, 0)
+    # A bound under the cap lets the pass run into the broken promise.
+    with pytest.raises(ResidualBoundViolation):
+        solve_mwis(g, WeightMap(21), trivial_decomposition(g), 3)
+    # 2^19 * (1 + 2) keys: over the cap although each part is under it.
+    half = make_decomposition(g, [range(21)], [], [range(19)])
+    with pytest.raises(CapExceededError, match="1572864 table keys"):
+        solve_mwis(g, WeightMap(21), half, 1)
 
 
 def test_enumerate_refined_bag_with_adequate_bound():

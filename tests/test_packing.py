@@ -33,6 +33,7 @@ from treealpha import (
     trivial_decomposition,
     validate,
 )
+from treealpha import decomposition
 from treealpha.formats import parse_family
 from treealpha.packing import PackingInstance, compatible
 
@@ -424,6 +425,33 @@ def test_selected_members_always_compatible():
             sa, sb = inst.family.members[a], inst.family.members[b]
             assert not (sa & sb)
             assert all(not g.has_edge(u, v) for u in sa for v in sb)
+
+
+def test_packing_validates_the_host_decomposition_only(monkeypatch):
+    # The transferred decomposition is valid by construction; only the
+    # host's is checked, once.
+    g = cycle_graph(6)
+    td = tin_exact(g)[1]
+    inst = make_instance(g, enumerate_F_subgraphs(g, [complete_graph(2)]).members)
+    checked = []
+
+    def require_valid(graph, td):
+        checked.append(td)
+        decomposition.require_valid(graph, td)
+
+    monkeypatch.setattr("treealpha.packing.require_valid", require_valid)
+    monkeypatch.setattr("treealpha.mwis.require_valid", require_valid)
+    assert solve_packing(inst, td, 2)[0] == 2
+    assert checked == [td]
+
+
+def test_packing_refuses_derived_tables_over_the_cap():
+    # 21 single-vertex members of an edgeless host share one derived bag of
+    # 21 pairwise independent members: 2^21 keys at k = 21.
+    g = build_graph(21, [])
+    inst = make_instance(g, [{v} for v in range(21)])
+    with pytest.raises(CapExceededError, match="over cap=1048576"):
+        solve_packing(inst, trivial_decomposition(g), 21)
 
 
 def test_packing_check_rejects_conflicting_selections(monkeypatch):
