@@ -16,9 +16,9 @@ MAX_WEIGHT_DIGITS; over a cap is a ParseError naming the line.
 `_Reader` is the one grammar: it reads comments, blank lines and any line
 ends, and names the line of every ParseError. Canonical graph and weight
 text (what the writers emit: single spaces, `\n` line ends, no comments,
-`p/q` weights) is first read in bulk, checked by whole-text operations; when
-any of those checks fails, `_Reader` reads the text again, so the result or
-the error is the one it gives.
+ascending edge lines, `p/q` weights) is first read in bulk, checked by
+whole-text operations; when any of those checks fails, `_Reader` reads the
+text again, so the result or the error is the one it gives.
 
 Writers emit canonical form (sorted members, sorted edges), so write-read
 round trips are identity on canonicalized objects.
@@ -38,10 +38,14 @@ from .weights import WeightMap
 MAX_WEIGHT_DIGITS = 1000
 
 # Canonical shapes. Possessive repeats keep no backtracking state per line.
-_GRAPH_SHAPE = re.compile(r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?")
-# Each part is short enough that `p/q` stays within MAX_WEIGHT_DIGITS.
-_PART = f"[0-9]{{1,{(MAX_WEIGHT_DIGITS - 1) // 2}}}+"
-_WEIGHTS_SHAPE = re.compile(rf"(?:[0-9]++ {_PART}/{_PART}(?:\n|\Z))*+")
+# Python 3.10 has none; there the shapes match nothing and `_Reader` reads
+# every text.
+_PART = f"[0-9]{{1,{(MAX_WEIGHT_DIGITS - 1) // 2}}}+"  # p/q within the cap
+try:
+    _GRAPH_SHAPE = re.compile(r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?")
+    _WEIGHTS_SHAPE = re.compile(rf"(?:[0-9]++ {_PART}/{_PART}(?:\n|\Z))*+")
+except re.error:
+    _GRAPH_SHAPE = _WEIGHTS_SHAPE = re.compile("(?!)")
 
 
 class _Reader:
@@ -127,9 +131,9 @@ class _Reader:
 def _bulk_graph(text):
     """The graph of canonical text with at least n ids, or None when a check
     fails. Ids map through a table of the n id strings, so a bad id is a
-    KeyError; isolated vertices keep the shared empty tuple. Lines in
-    ascending order with u < v leave each row sorted and duplicate-free;
-    other orders are sorted and deduplicated per row."""
+    KeyError. Edge lines must ascend with u < v, which leaves each row
+    sorted and duplicate-free; isolated vertices keep the shared empty
+    tuple."""
     head = _GRAPH_SHAPE.fullmatch(text)
     if head is None:
         return None
@@ -145,21 +149,18 @@ def _bulk_graph(text):
         return None
     ids = map({str(v + 1): v for v in range(n)}.__getitem__, tokens)
     rows = [[] for _ in range(n)]
-    ordered, last = True, -1
+    last = -1
     try:
         for u, v in zip(ids, ids):
             key = u * n + v
             if key <= last or u >= v:
-                if u == v:
-                    return None
-                ordered = False
+                return None
             last = key
             rows[u].append(v)
             rows[v].append(u)
     except KeyError:
         return None
-    finish = tuple if ordered else lambda row: tuple(sorted(set(row)))
-    return Graph(n, tuple(map(finish, rows)))
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def parse_graph(text, source="<graph>"):

@@ -15,11 +15,13 @@ X_t (an int bit mask, bit v for vertex v) to c[t, S]:
 - each further child c adds its projection at S & X_c less w(S & X_c).
 
 The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
-C(|X_t - U_t|, s) keys. A bag whose bound exceeds MAX_COUNT is refused
-with CapExceededError before any table is built. The promise is checked
-after every added vertex, so a broken one fails before its bag is
-enumerated, as a ResidualBoundViolation with k+1 independent residual
-vertices as witness.
+C(|X_t - U_t|, s) keys. The promise is checked after every added vertex,
+so a broken one fails before its bag is enumerated, as a
+ResidualBoundViolation with k+1 independent residual vertices as witness.
+Before a vertex is added, the keys it would add are counted wherever the
+table could pass MAX_COUNT keys; over the cap is a CapExceededError. The
+count is of real keys, not of the promise's bound, so a wide bag with few
+independent sets (a clique) still runs.
 Weights are scaled once by the lcm L of their denominators; the pass runs
 on ints and the optimum is value / L. The witness is read top-down and
 re-verified against the rational weights. Answers, witnesses and
@@ -28,7 +30,7 @@ forgets X_c - X_p smallest id first and keeps v only where strictly better.
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .decomposition import require_valid
 from .errors import CapExceededError, GraphError, ResidualBoundViolation
@@ -46,18 +48,9 @@ def _dp(graph, weights, td, k):
     """
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
-    bags, refs, root, parent, kids = rooted_contraction(td)
-    for b, u in zip(bags, refs):
-        if 1 << len(b) > MAX_COUNT:
-            r = len(b) - len(u)
-            keys = 2 ** len(u) * sum(comb(r, s) for s in range(min(k, r) + 1))
-            if keys > MAX_COUNT:
-                raise CapExceededError(
-                    f"mwis refused: a bag of {len(b)} vertices, {len(u)} marked, "
-                    f"allows {keys} table keys at k={k}, over cap={MAX_COUNT}"
-                )
     scale = lcm(*(x.denominator for x in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
+    bags, refs, root, parent, kids = rooted_contraction(td)
     bag = [mask_of(b) for b in bags]
     order, stack, nbrs = [], [root], {}
     while stack:
@@ -72,6 +65,14 @@ def _dp(graph, weights, td, k):
             if v not in nbrs:
                 nbrs[v] = mask_of(graph.adj[v])
             bit, avoid, wv = 1 << v, nbrs[v], w[v]
+            # Counted only where the table could double past the cap.
+            if 2 * len(table) > MAX_COUNT and (
+                len(table) + sum(not s & avoid for s in table) > MAX_COUNT
+            ):
+                raise CapExceededError(
+                    f"mwis refused: the table of a bag of {len(bags[t])} vertices, "
+                    f"{len(refs[t])} marked, would pass cap={MAX_COUNT} keys"
+                )
             grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}
             table.update(grown)
             if i and not bit & residual:

@@ -52,21 +52,6 @@ def _refuse_over_cap(name, graph, cap):
         raise CapExceededError(f"{name} refused for n={graph.n} > cap={cap}")
 
 
-# Byte maps for `translate`: x -> x + 1, and x -> max(x - 1, 0).
-_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
-_MINUS_ONE = bytes(1) + bytes(range(255))
-
-
-def _size_table(n):
-    """|S| - 1 of every nonempty subset S of range(n), indexed by mask, and
-    0 for the empty one. Built by doubling: the masks with bit i set hold
-    one more vertex than the masks below 2^i, one `translate` per vertex."""
-    sizes = bytearray(1)
-    for _ in range(n):
-        sizes += sizes.translate(_PLUS_ONE)
-    return sizes.translate(_MINUS_ONE)
-
-
 def _alpha_table(rows, n):
     """Independence number of every subset of range(n), indexed by mask.
 
@@ -174,7 +159,8 @@ def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     if graph.n == 0:
         return -1
     # Every bag holds its own vertex, so the empty mask's entry is never read.
-    value, _ = _elimination_dp(graph, _size_table(graph.n))
+    sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << graph.n))
+    value, _ = _elimination_dp(graph, sizes)
     return value
 
 

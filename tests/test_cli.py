@@ -195,20 +195,38 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     assert (tmp_path / "d.td").read_text() == want_td
 
 
-def test_mwis_refuses_a_table_over_the_cap_before_building_it(tmp_path, capsys):
-    # An edgeless 40-vertex bag measures k = 40: 2^40 keys, refused at once.
+def test_mwis_refuses_a_table_that_would_pass_the_cap(tmp_path, capsys):
+    # An edgeless 40-vertex bag measures k = 40: its table would reach 2^40
+    # keys, and is refused once it would pass 2^20.
     g = build_graph(40, [])
     write_graph(g, tmp_path / "g.gr")
     write_td(trivial_decomposition(g), tmp_path / "t.td")
     graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
     started = time.perf_counter()
     code, out, err = run(capsys, "mwis", *graph_td)
-    assert time.perf_counter() - started < 1
+    assert time.perf_counter() - started < 5
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "cap=1048576" in err
-    # A promise of k = 2 allows 821 keys; it breaks at the third vertex.
-    code, _, err = run(capsys, "mwis", *graph_td, "-k", "2")
-    assert code == 2 and "witness vertices 1 2 3" in err
+    # Smaller promises break while the table is small: exit 2, with witness.
+    for k in (2, 6):
+        code, _, err = run(capsys, "mwis", *graph_td, "-k", str(k))
+        witness = " ".join(str(v) for v in range(1, k + 2))
+        assert code == 2 and f"witness vertices {witness}" in err
+
+
+def test_wide_bags_with_few_keys_run(tmp_path, capsys):
+    # K_40 and six isolated vertices measure k = 6, for mwis and for pack
+    # (whose k1 members repeat the host). The promise bound of the clique
+    # bag is over 2^20; its 41 keys are not.
+    g = build_graph(46, [(u, v) for u in range(40) for v in range(u + 1, 40)])
+    td = make_decomposition(g, [range(40), range(40, 46)], [(0, 1)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+    code, out, _ = run(capsys, "mwis", *graph_td)
+    assert code == 0 and json.loads(out)["results"]["weight"] == "7/1"
+    code, out, _ = run(capsys, "pack", *graph_td, "--patterns", "k1")
+    assert code == 0 and json.loads(out)["results"]["weight"] == "7/1"
 
 
 def test_pack_custom_pattern_file(tmp_path, capsys):

@@ -157,9 +157,11 @@ def test_header_counts_are_capped(parse, header):
 
 
 def test_header_cap_holds_with_as_many_ids_as_vertices():
-    # Enough ids for the bulk path's table: the header is still refused.
+    # Ascending edges with enough ids for the bulk path's table: the header
+    # is still refused.
     n = MAX_COUNT + 1
-    text = f"p tw {n} {n // 2 + 1}\n" + "1 2\n" * (n // 2 + 1)
+    edges = "".join(f"{v} {v + 1}\n" for v in range(1, n, 2))
+    text = f"p tw {n} {n // 2 + 1}\n{edges}{n - 1} {n}\n"
     with pytest.raises(ParseError, match="outside") as err:
         parse_graph(text)
     assert err.value.line_no == 1
@@ -349,12 +351,18 @@ def _canonical_weights_text(draw, n):
 def test_canonical_text_takes_the_bulk_path():
     for g in (path_graph(5), cycle_graph(4), build_graph(0, [])):
         assert formats._bulk_graph(format_graph(g)) == g
-    # Lines out of order or repeated are sorted and merged per row.
-    assert formats._bulk_graph("p tw 3 3\n2 3\n2 1\n1 2") == path_graph(3)
     weights = WeightMap(3, {0: Fraction(3, 4), 2: 0})
     assert formats._bulk_weights("1 6/8\n3 0/1", 3) == weights
-    # Comments, other line ends and fewer ids than vertices go to the reader.
-    for text in ("c x\np tw 2 1\n1 2\n", "p tw 2 1\r\n1 2\r\n", "p tw 3 1\n1 2\n"):
+    # Comments, other line ends, fewer ids than vertices and edge lines out
+    # of order, repeated or with u > v go to the reader.
+    for text in (
+        "c x\np tw 2 1\n1 2\n",
+        "p tw 2 1\r\n1 2\r\n",
+        "p tw 3 1\n1 2\n",
+        "p tw 3 2\n2 3\n1 2\n",
+        "p tw 3 3\n1 2\n1 2\n2 3\n",
+        "p tw 3 2\n2 1\n2 3\n",
+    ):
         assert formats._bulk_graph(text) is None
         assert parse_graph(text) == formats._read_graph(text, "<graph>")
     # Numbers past the interpreter's int digit limit go to the reader too.

@@ -116,21 +116,14 @@ def test_broken_promise_on_a_wide_bag_fails_fast():
     assert err.value.witness == frozenset({1, 2})
 
 
-def test_tables_over_the_cap_are_refused_before_the_pass():
-    # 2^|U| * sum_{s<=k} C(|X - U|, s) bounds the keys; over 2^20 is refused.
+def test_tables_over_the_cap_are_refused_during_the_pass():
+    # Vertices 0..18 are marked: the table holds 2^20 keys, the cap, after
+    # vertex 19. Vertex 20 would double it, and would also break k = 1; the
+    # cap is counted before a vertex is added, so it is refused first.
     g = build_graph(21, [])
-    with pytest.raises(CapExceededError, match="allows 2097152 table keys at k=21"):
-        solve_mwis(g, WeightMap(21), trivial_decomposition(g), 21)
-    marked = make_decomposition(g, [range(21)], [], [range(21)])
-    with pytest.raises(CapExceededError, match="21 marked"):
-        solve_mwis(g, WeightMap(21), marked, 0)
-    # A bound under the cap lets the pass run into the broken promise.
-    with pytest.raises(ResidualBoundViolation):
-        solve_mwis(g, WeightMap(21), trivial_decomposition(g), 3)
-    # 2^19 * (1 + 2) keys: over the cap although each part is under it.
-    half = make_decomposition(g, [range(21)], [], [range(19)])
-    with pytest.raises(CapExceededError, match="1572864 table keys"):
-        solve_mwis(g, WeightMap(21), half, 1)
+    td = make_decomposition(g, [range(21)], [], [range(19)])
+    with pytest.raises(CapExceededError, match="21 vertices, 19 marked.*cap=1048576"):
+        solve_mwis(g, WeightMap(21), td, 1)
 
 
 def test_enumerate_refined_bag_with_adequate_bound():

@@ -26,12 +26,7 @@ from treealpha import (
     validate,
 )
 from treealpha.graph import members
-from treealpha.oracle import (
-    _alpha_table,
-    _elimination_dp,
-    _size_table,
-    brute_force_mwis,
-)
+from treealpha.oracle import _alpha_table, _elimination_dp, brute_force_mwis
 
 from .conftest import (
     all_labeled_graphs,
@@ -283,25 +278,9 @@ def test_pull_form_dp_matches_push_form_reference():
     for i in range(1200):
         g = _tie_heavy_graph(i, rng)
         n = g.n
-        for cost in (_alpha_table(g.bit_rows(), n), _size_table_by_popcount(n)):
+        sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
+        for cost in (_alpha_table(g.bit_rows(), n), sizes):
             assert _elimination_dp(g, cost) == push_form_elimination_dp(g, cost), g.adj
-
-
-def _size_table_by_popcount(n):
-    return bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
-
-
-def test_size_table_by_doubling_matches_the_popcount_table():
-    for n in range(13):
-        assert _size_table(n) == _size_table_by_popcount(n), n
-
-
-def test_treewidth_is_the_subset_dp_over_the_popcount_table():
-    rng = random.Random(46)
-    for i in range(200):
-        g = _tie_heavy_graph(i, rng)
-        want = push_form_elimination_dp(g, _size_table_by_popcount(g.n))[0]
-        assert treewidth_exact(g) == want, g.adj
 
 
 def test_subset_dp_memory_is_bytes_per_subset():

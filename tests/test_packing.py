@@ -447,10 +447,10 @@ def test_packing_validates_the_host_decomposition_only(monkeypatch):
 
 def test_packing_refuses_derived_tables_over_the_cap():
     # 21 single-vertex members of an edgeless host share one derived bag of
-    # 21 pairwise independent members: 2^21 keys at k = 21.
+    # 21 pairwise independent members: the 21st would double 2^20 keys.
     g = build_graph(21, [])
     inst = make_instance(g, [{v} for v in range(21)])
-    with pytest.raises(CapExceededError, match="over cap=1048576"):
+    with pytest.raises(CapExceededError, match="21 vertices.*cap=1048576"):
         solve_packing(inst, trivial_decomposition(g), 21)
 
 
