@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ResidualBoundViolation,
 )
-from .exact import alpha_exact, alpha_of_subset, omega_exact, ramsey_binding_bound
+from .exact import alpha_exact, alpha_of_subset
 from .generators import (
     complete_bipartite,
     complete_graph,
@@ -36,13 +36,8 @@ from .generators import (
     path_graph,
     sharpness_gadget,
 )
-from .graph import (
-    Graph,
-    build_graph,
-    induced_subgraph,
-    is_independent,
-)
-from .mwis import solve_mwis, solve_mwis_plain
+from .graph import Graph, build_graph, is_independent
+from .mwis import solve_mwis
 from .nice import NiceRefinedTreeDecomposition, make_nice
 from .oracle import brute_force_mwis, tin_exact, treewidth_exact
 from .packing import (
@@ -98,7 +93,6 @@ __all__ = [
     "generate",
     "independence_number",
     "induced_matching",
-    "induced_subgraph",
     "is_chordal",
     "is_independent",
     "k_separator",
@@ -106,14 +100,11 @@ __all__ = [
     "make_family",
     "make_instance",
     "make_nice",
-    "omega_exact",
     "path_graph",
     "pattern_by_name",
-    "ramsey_binding_bound",
     "residual_independence_number",
     "sharpness_gadget",
     "solve_mwis",
-    "solve_mwis_plain",
     "solve_packing",
     "tin_exact",
     "treewidth_exact",

@@ -37,7 +37,7 @@ from .errors import (
     ResidualBoundViolation,
 )
 from .generators import generate
-from .mwis import solve_mwis
+from .mwis import _dp
 from .nice import make_nice
 from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
@@ -133,7 +133,8 @@ def _cmd_mwis(args, inputs):
     if args.weights is not None:
         w = inputs.parse("weights", args.weights, formats.parse_weights, g.n)
     k = args.k if args.k is not None else residual_independence_number(g, td)
-    value, chosen = solve_mwis(g, w, td, k)
+    # `solve_mwis` less its check: the decomposition was validated above.
+    value, chosen, _ = _dp(g, w, td, k)
     results = {"weight": _rational(value), "independent_set": _one_indexed(chosen)}
     return {"k": k}, results, {}
 

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import GraphError, InvalidDecompositionError
-from .exact import DEFAULT_ALPHA_CAP, alpha_of_subset
+from .exact import alpha_of_subset
 from .graph import check_vertex_set
 
 
@@ -202,16 +202,14 @@ def width(td):
     return max(len(b) for b in td.bags) - 1
 
 
-def independence_number(graph, td, cap=DEFAULT_ALPHA_CAP):
+def independence_number(graph, td):
     """alpha(T): max over bags of the induced subgraph's independence number."""
-    return max(alpha_of_subset(graph, b, cap=cap) for b in td.bags)
+    return max(alpha_of_subset(graph, b) for b in td.bags)
 
 
-def residual_independence_number(graph, td, cap=DEFAULT_ALPHA_CAP):
+def residual_independence_number(graph, td):
     """Max over bags of alpha(G[X_t - U_t])."""
-    return max(
-        alpha_of_subset(graph, b - u, cap=cap) for b, u in zip(td.bags, td.refined)
-    )
+    return max(alpha_of_subset(graph, b - u) for b, u in zip(td.bags, td.refined))
 
 
 def _is_clique(graph, vertices):

@@ -8,8 +8,9 @@ class GraphError(ValueError):
 class CapExceededError(RuntimeError):
     """An exact computation was refused because the instance exceeds its size cap.
 
-    Exact solvers never fall back to approximation; callers must raise the cap
-    explicitly if they accept the cost.
+    Exact solvers never fall back to approximation. Only `tin_exact` and
+    `treewidth_exact` take a `cap`, which callers may raise to accept the cost;
+    the other caps are module constants.
     """
 
 

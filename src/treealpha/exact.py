@@ -1,16 +1,14 @@
-"""Exact independence and clique numbers via bit-set branch and bound.
+"""Exact independence numbers via bit-set branch and bound.
 
-Both numbers are computed by one maximum-clique kernel (independent sets are
+A maximum-clique kernel runs on the complement (independent sets are
 cliques of the complement). The kernel is exact by contract; the pruning
 strategy (greedy coloring bound, Tomita-style) is an implementation detail.
 """
 
-from math import comb
-
 from .errors import CapExceededError
 from .graph import check_vertex_set
 
-#: Largest n for which the exact solvers run by default.
+#: Largest vertex set whose independence number is computed exactly.
 DEFAULT_ALPHA_CAP = 64
 
 
@@ -63,42 +61,20 @@ def _complement_rows(rows):
     return [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
 
 
-def alpha_exact(graph, cap=DEFAULT_ALPHA_CAP):
-    """Exact independence number. Refuses graphs above `cap` vertices."""
-    if graph.n > cap:
-        raise CapExceededError(f"alpha_exact refused for n={graph.n} > cap={cap}")
-    return alpha_of_subset(graph, range(graph.n), cap)
+def alpha_exact(graph):
+    """Exact independence number. Refuses graphs above DEFAULT_ALPHA_CAP vertices."""
+    return alpha_of_subset(graph, range(graph.n))
 
 
-def omega_exact(graph, cap=DEFAULT_ALPHA_CAP):
-    """Exact clique number; same kernel as alpha_exact, on the graph itself."""
-    if graph.n > cap:
-        raise CapExceededError(f"omega_exact refused for n={graph.n} > cap={cap}")
-    return _max_clique_size(graph.bit_rows(), (1 << graph.n) - 1)
-
-
-def alpha_of_subset(graph, vertices, cap=DEFAULT_ALPHA_CAP):
+def alpha_of_subset(graph, vertices):
     """Independence number of the subgraph induced by `vertices`.
 
     Avoids building the induced graph; works on bit rows over the set alone,
     so the cost does not grow with the rest of the graph.
     """
     s = check_vertex_set(graph, vertices)
-    if len(s) > cap:
+    if len(s) > DEFAULT_ALPHA_CAP:
         raise CapExceededError(
-            f"alpha_of_subset refused for |S|={len(s)} > cap={cap}"
+            f"alpha_of_subset refused for |S|={len(s)} > cap={DEFAULT_ALPHA_CAP}"
         )
     return _max_clique_size(_complement_rows(graph.bit_rows(s)), (1 << len(s)) - 1)
-
-
-def ramsey_binding_bound(p, k, ell=0):
-    """Binomial upper bound C(p+k, k) + ell - 2 on the treewidth binding function.
-
-    For graphs admitting an ell-refined tree decomposition with residual
-    independence number at most k, treewidth is bounded by a function of the
-    clique number p; this returns the binomial upper bound on that function
-    (an upper bound, not the function itself).
-    """
-    if p < 0 or k < 1 or ell < 0:
-        raise ValueError(f"require p >= 0, k >= 1, ell >= 0; got ({p}, {k}, {ell})")
-    return comb(p + k, k) + ell - 2

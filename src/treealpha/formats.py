@@ -100,16 +100,10 @@ class _Reader:
         return [self.integer(t, what, 1, hi) - 1 for t in tokens]
 
     def pair(self, tok, what, hi):
-        """`ids` of a two-id line, unrolled: edge lines are most of the input."""
+        """`ids` of a two-id line."""
         if len(tok) != 2:
             self.fail(f"line must hold two {what}s")
-        try:
-            a, b = int(tok[0]) - 1, int(tok[1]) - 1
-            if 0 <= a < hi and 0 <= b < hi:
-                return a, b
-        except ValueError:
-            pass
-        return self.ids(tok, what, hi)  # fails, naming the bad id
+        return self.ids(tok, what, hi)
 
     def weight(self, token):
         """Exact nonnegative rational whose length plus exponent is capped."""
@@ -317,11 +311,3 @@ def read_text(path):
 
 def write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
-
-
-def write_graph(graph, path):
-    write_text(path, format_graph(graph))
-
-
-def write_td(td, path):
-    write_text(path, format_td(td))

@@ -50,9 +50,6 @@ class Graph:
         """Number of edges."""
         return sum(len(a) for a in self.adj) // 2
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def has_edge(self, u, v):
         if u == v:
             return False
@@ -136,23 +133,6 @@ def check_vertex_set(graph, vertices):
         if not (0 <= v < graph.n):
             raise GraphError(f"vertex {v} out of range [0, {graph.n})")
     return s
-
-
-def induced_subgraph(graph, vertices):
-    """Subgraph induced by `vertices`, plus the old->new relabeling map.
-
-    Kept vertices are renumbered 0..|S|-1 in ascending order of old id.
-    """
-    s = check_vertex_set(graph, vertices)
-    old = sorted(s)
-    relabel = {v: i for i, v in enumerate(old)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u in old
-        for v in graph.adj[u]
-        if v in s and v > u
-    ]
-    return build_graph(len(old), edges), relabel
 
 
 def is_independent(graph, vertices):

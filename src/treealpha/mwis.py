@@ -42,12 +42,13 @@ def _dp(graph, weights, td, k):
     """Optimum, witness set and the final table of every contracted node.
 
     `td` must be a valid decomposition of `graph`; it is not checked here.
-    `weights` holds one exact nonnegative weight per vertex (Fraction or
-    int). Tables map keys to L * c[t, S], indexed by the node ids of
-    `rooted_contraction(td)`.
+    `weights[v]` is the exact nonnegative weight of vertex v (Fraction or
+    int), read once per vertex. Tables map keys to L * c[t, S], indexed by
+    the node ids of `rooted_contraction(td)`.
     """
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
+    weights = [weights[v] for v in range(graph.n)]
     scale = lcm(*(x.denominator for x in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
     bags, refs, root, parent, kids = rooted_contraction(td)
@@ -140,12 +141,5 @@ def solve_mwis(graph, weights, td, k):
     The witness is re-verified before returning.
     """
     require_valid(graph, td)
-    value, witness, _ = _dp(graph, [weights[v] for v in range(graph.n)], td, k)
+    value, witness, _ = _dp(graph, weights, td, k)
     return value, witness
-
-
-def solve_mwis_plain(graph, weights, td, k):
-    """The unrefined specialization: requires every marked set to be empty."""
-    if any(td.refined):
-        raise GraphError("solve_mwis_plain requires an unrefined decomposition")
-    return solve_mwis(graph, weights, td, k)

@@ -45,20 +45,6 @@ class NiceRefinedTreeDecomposition:
     def node_count(self):
         return self.td.node_count
 
-    def postorder(self):
-        """Node ids, children always before parents."""
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            t, done = stack.pop()
-            if done:
-                out.append(t)
-            else:
-                stack.append((t, True))
-                for c in self.children[t]:
-                    stack.append((c, False))
-        return out
-
 
 def rooted_contraction(td):
     """Contract tree edges whose bags are nested, then root the result.

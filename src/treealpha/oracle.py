@@ -182,15 +182,18 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     return value, witness
 
 
-def brute_force_mwis(graph, weights, cap=DEFAULT_BRUTE_FORCE_CAP):
+def brute_force_mwis(graph, weights):
     """Exhaustive max weight independent set; exact rational optimum.
 
     Branch and bound over include/exclude decisions with a remaining-weight
-    prune; deterministic witness for fixed inputs.
+    prune; deterministic witness for fixed inputs. Refuses graphs above
+    DEFAULT_BRUTE_FORCE_CAP vertices.
     """
     n = graph.n
-    if n > cap:
-        raise CapExceededError(f"brute_force_mwis refused for n={n} > cap={cap}")
+    if n > DEFAULT_BRUTE_FORCE_CAP:
+        raise CapExceededError(
+            f"brute_force_mwis refused for n={n} > cap={DEFAULT_BRUTE_FORCE_CAP}"
+        )
     if n == 0:
         return Fraction(0), frozenset()
     rows = graph.bit_rows()

@@ -199,16 +199,18 @@ def _solve_packing(instance, td, k):
     return value, frozenset(chosen), derived, td2
 
 
-def brute_force_packing(instance, cap=DEFAULT_PACKING_BRUTE_CAP):
+def brute_force_packing(instance):
     """Exhaustive packing optimum; the test oracle for solve_packing.
 
     Independent of the derived-graph pipeline: conflicts are recomputed by
     naive pairwise scans and the search branches directly on member indices.
+    Refuses families above DEFAULT_PACKING_BRUTE_CAP members.
     """
     count = len(instance.family)
-    if count > cap:
+    if count > DEFAULT_PACKING_BRUTE_CAP:
         raise CapExceededError(
-            f"brute_force_packing refused for |J|={count} > cap={cap}"
+            f"brute_force_packing refused for |J|={count} > "
+            f"cap={DEFAULT_PACKING_BRUTE_CAP}"
         )
     graph = instance.family.host
     members = instance.family.members
@@ -295,12 +297,13 @@ def _spans_pattern(graph, members_sorted, pattern):
     return False
 
 
-def enumerate_F_subgraphs(graph, patterns, cap=DEFAULT_PATTERN_CAP):
+def enumerate_F_subgraphs(graph, patterns):
     """Family of all vertex sets spanning a copy of some pattern.
 
     One member per vertex set S with |S| <= r (r = largest pattern order)
     such that a spanning connected subgraph of G[S] is isomorphic to a
-    pattern; duplicates by vertex set are kept once.
+    pattern; duplicates by vertex set are kept once. Patterns are capped at
+    DEFAULT_PATTERN_CAP vertices.
     """
     pats = list(patterns)
     if not pats:
@@ -308,8 +311,8 @@ def enumerate_F_subgraphs(graph, patterns, cap=DEFAULT_PATTERN_CAP):
     for p in pats:
         if p.n == 0:
             raise GraphError("patterns must be nonnull")
-        if p.n > cap:
-            raise CapExceededError(f"pattern order {p.n} above cap {cap}")
+        if p.n > DEFAULT_PATTERN_CAP:
+            raise CapExceededError(f"pattern order {p.n} above cap {DEFAULT_PATTERN_CAP}")
         if not _is_connected_subset(p, frozenset(range(p.n))):
             raise GraphError("patterns must be connected")
     r = max(p.n for p in pats)
@@ -401,11 +404,11 @@ def k_separator(graph, vertex_weights, s, td, k):
     return value, tuple(fam.members[j] for j in sorted(chosen))
 
 
-def blob_family(graph, cap=DEFAULT_BLOB_CAP):
+def blob_family(graph):
     """The family of all connected induced-subgraph vertex sets.
 
-    Exponential in general, hence the host size cap.
+    Exponential in general, hence the host size cap DEFAULT_BLOB_CAP.
     """
-    if graph.n > cap:
-        raise CapExceededError(f"blob_family refused for n={graph.n} > cap={cap}")
+    if graph.n > DEFAULT_BLOB_CAP:
+        raise CapExceededError(f"blob_family refused for n={graph.n} > cap={DEFAULT_BLOB_CAP}")
     return make_family(graph, sorted(_connected_sets(graph, graph.n), key=sorted))

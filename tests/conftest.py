@@ -95,6 +95,31 @@ def random_connected_set(graph, max_size, rng):
     return frozenset(s)
 
 
+def induced_subgraph(graph, vertices):
+    """Subgraph induced by `vertices`, plus the old->new relabeling map.
+
+    Kept vertices are renumbered 0..|S|-1 in ascending order of old id.
+    """
+    s = check_vertex_set(graph, vertices)
+    old = sorted(s)
+    relabel = {v: i for i, v in enumerate(old)}
+    edges = [
+        (relabel[u], relabel[v])
+        for u in old
+        for v in graph.adj[u]
+        if v in s and v > u
+    ]
+    return build_graph(len(old), edges), relabel
+
+
+def complement(graph):
+    """The graph on the same vertices with exactly the missing edges."""
+    return build_graph(
+        graph.n,
+        [e for e in itertools.combinations(range(graph.n), 2) if not graph.has_edge(*e)],
+    )
+
+
 def contract_edge(graph, edge):
     """Contract an edge: the merged vertex gets the union of both neighborhoods.
 
@@ -168,6 +193,21 @@ def nice_violations(graph, nice):
         if nice.parent[t] is None and t != nice.root:
             problems.append(f"node {t} has no parent but is not the root")
     return problems
+
+
+def postorder(nice):
+    """Node ids of a nice decomposition, children always before parents."""
+    out = []
+    stack = [(nice.root, False)]
+    while stack:
+        t, done = stack.pop()
+        if done:
+            out.append(t)
+        else:
+            stack.append((t, True))
+            for c in nice.children[t]:
+                stack.append((c, False))
+    return out
 
 
 def elimination_bag(graph, v, eliminated):
@@ -259,12 +299,12 @@ def _check_residual(table, residual, k):
 def nice_form_tables(graph, weights, nice, k):
     """Reference MWIS tables: the textbook pass over every node of a nice
     decomposition, {node: {key mask: Fraction c[t, S]}}, checking the
-    residual bound at every node in `nice.postorder()`."""
+    residual bound at every node in `postorder(nice)`."""
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
     td = nice.td
     tables = {}
-    for t in nice.postorder():
+    for t in postorder(nice):
         kind = nice.kinds[t]
         kids = nice.children[t]
         if kind == LEAF:

@@ -25,7 +25,6 @@ from treealpha import (
     enumerate_F_subgraphs,
     independence_number,
     induced_matching,
-    induced_subgraph,
     is_chordal,
     k_separator,
     make_decomposition,
@@ -50,6 +49,7 @@ from treealpha.packing import brute_force_packing
 
 from .conftest import (
     all_labeled_graphs,
+    induced_subgraph,
     nice_violations,
     random_connected_set,
     random_graph,

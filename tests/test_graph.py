@@ -11,7 +11,6 @@ from treealpha import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    induced_subgraph,
     is_independent,
     path_graph,
 )
@@ -22,6 +21,7 @@ from .conftest import (
     alpha_by_enumeration,
     contract_edge,
     independent_by_edge_scan,
+    induced_subgraph,
     random_graph,
     shuffled_path,
 )
@@ -29,7 +29,7 @@ from .conftest import (
 
 def test_build_path():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert [len(g.adj[v]) for v in range(3)] == [1, 2, 1]
 
 
 def test_build_collapses_duplicates():
@@ -75,7 +75,7 @@ def test_contract_triangle():
 
 def test_contract_middle_of_path():
     g = contract_edge(path_graph(4), (1, 2))
-    assert sorted(g.degree(v) for v in range(3)) == [1, 1, 2]
+    assert sorted(len(g.adj[v]) for v in range(3)) == [1, 1, 2]
 
 
 def test_contract_requires_edge():

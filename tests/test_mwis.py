@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from treealpha import (
     CapExceededError,
-    GraphError,
     ResidualBoundViolation,
     WeightMap,
     alpha_exact,
@@ -28,7 +27,6 @@ from treealpha import (
     path_graph,
     residual_independence_number,
     solve_mwis,
-    solve_mwis_plain,
     tin_exact,
     trivial_decomposition,
     validate,
@@ -194,13 +192,6 @@ def test_solve_double_join_over_witness():
     assert is_independent(g, chosen)
 
 
-def test_plain_wrapper_requires_unrefined():
-    g = cycle_graph(4)
-    td = make_decomposition(g, [set(range(4))], [], [{0}])
-    with pytest.raises(GraphError):
-        solve_mwis_plain(g, WeightMap(4), td, 2)
-
-
 def test_plain_on_clique_trees_gives_alpha():
     rng = random.Random(19)
     seen = 0
@@ -209,16 +200,16 @@ def test_plain_on_clique_trees_gives_alpha():
         if not is_chordal(g)[0]:
             continue
         seen += 1
-        value, _ = solve_mwis_plain(g, WeightMap(g.n), clique_tree(g), 1)
+        value, _ = solve_mwis(g, WeightMap(g.n), clique_tree(g), 1)
         assert value == alpha_exact(g)
 
 
 def test_plain_examples():
     g = complete_bipartite(3, 3)
-    value, _ = solve_mwis_plain(g, WeightMap(6), trivial_decomposition(g), 3)
+    value, _ = solve_mwis(g, WeightMap(6), trivial_decomposition(g), 3)
     assert value == 3
     e = build_graph(5, [])
-    value, chosen = solve_mwis_plain(e, WeightMap(5), trivial_decomposition(e), 5)
+    value, chosen = solve_mwis(e, WeightMap(5), trivial_decomposition(e), 5)
     assert value == 5 and chosen == frozenset(range(5))
 
 

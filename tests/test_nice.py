@@ -17,7 +17,7 @@ from treealpha import (
 )
 from treealpha.nice import NICE_NODE_FACTOR, rooted_contraction
 
-from .conftest import nice_violations, random_connected_set, random_graph
+from .conftest import nice_violations, postorder, random_connected_set, random_graph
 
 
 def test_path_trivial_expansion():
@@ -140,7 +140,7 @@ def test_postorder_visits_children_first():
     g = random_graph(6, 0.5, random.Random(16))
     nice = make_nice(g, trivial_decomposition(g))
     seen = set()
-    for t in nice.postorder():
+    for t in postorder(nice):
         for c in nice.children[t]:
             assert c in seen
         seen.add(t)

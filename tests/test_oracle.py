@@ -17,7 +17,6 @@ from treealpha import (
     cycle_graph,
     double_join,
     independence_number,
-    induced_subgraph,
     is_chordal,
     path_graph,
     sharpness_gadget,
@@ -30,8 +29,10 @@ from treealpha.oracle import _alpha_table, _elimination_dp, brute_force_mwis
 
 from .conftest import (
     all_labeled_graphs,
+    complement,
     contract_edge,
     elimination_bag,
+    induced_subgraph,
     mwis_by_enumeration,
     push_form_elimination_dp,
     random_graph,
@@ -115,14 +116,13 @@ def test_monotonicity_under_deletion_and_contraction():
 
 
 def test_clique_number_lower_bounds_treewidth():
-    from treealpha import omega_exact
-
+    # The clique number of g is the independence number of its complement.
     rng = random.Random(41)
     for g in all_labeled_graphs(4):
-        assert omega_exact(g) - 1 <= treewidth_exact(g)
+        assert alpha_exact(complement(g)) - 1 <= treewidth_exact(g)
     for _ in range(25):
         g = random_graph(rng.randint(1, 7), 0.5, rng)
-        assert omega_exact(g) - 1 <= treewidth_exact(g)
+        assert alpha_exact(complement(g)) - 1 <= treewidth_exact(g)
 
 
 def test_double_join_identity_small():
