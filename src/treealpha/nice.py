@@ -16,6 +16,8 @@ import heapq
 from dataclasses import dataclass
 
 from .decomposition import make_decomposition, require_valid
+from .errors import CapExceededError
+from .graph import MAX_COUNT
 
 #: Documented constant C in the node-count bound C * (width + 2) * |V(T)|.
 NICE_NODE_FACTOR = 8
@@ -114,6 +116,30 @@ def rooted_contraction(td):
     return bags, refs, root, up, kids
 
 
+def _nice_bag_total(bags, root, kids):
+    """Sum of the bag sizes `make_nice` emits for this contracted tree.
+
+    A step down from bag X to bag Y passes through the sizes |X| - 1 down to
+    |X & Y|, then |X & Y| + 1 up to |Y|; a node with m children adds 2(m - 1)
+    join copies of its bag.
+    """
+
+    def tri(a):
+        return a * (a + 1) // 2
+
+    def step(x, y):
+        i = len(x & y)
+        return tri(len(x) - 1) - tri(i - 1) + tri(len(y)) - tri(i)
+
+    total = step(frozenset(), bags[root])
+    for x, down in enumerate(kids):
+        if not down:
+            total += step(bags[x], frozenset())
+        total += 2 * max(len(down) - 1, 0) * len(bags[x])
+        total += sum(step(bags[x], bags[c]) for c in down)
+    return total
+
+
 def make_nice(graph, td):
     """Rewrite a valid refined tree decomposition into nice form.
 
@@ -127,9 +153,18 @@ def make_nice(graph, td):
     with m >= 2 children becomes m - 1 chained joins, each with two copies
     of its bag and U: the first leads to the next child, the second is the
     next join or leads to the last child.
+
+    A nice form whose bags would hold over MAX_COUNT vertex ids in all is
+    refused with CapExceededError before any node is built.
     """
     require_valid(graph, td)
     bags, refs, root0, _, down_of = rooted_contraction(td)
+    total = _nice_bag_total(bags, root0, down_of)
+    if total > MAX_COUNT:
+        raise CapExceededError(
+            f"make_nice refused: the nice form would hold {total} bag entries"
+            f" > cap={MAX_COUNT}"
+        )
 
     if len(bags) == 1 and not bags[0]:
         # Null graph or an all-empty decomposition: a single empty node is

@@ -10,13 +10,17 @@ fill-in arises from some elimination ordering. Minimizing the worst bag cost
 over all orderings therefore attains the true optimum.
 
 State is the set S of already-eliminated vertices only, since the bag of the
-next vertex depends on nothing else: 2^n states, capped at n = 20. The DP
-pulls each state from the states one vertex smaller, and eliminating v last
-among S leaves the bag {v} + N(C), C the component of G[S] holding v. Each
-state's components are read off two tables filled from smaller states (no
-search runs), and bag costs from one table over all 2^n subsets
-(independence numbers for tin_exact, size - 1 for treewidth_exact). The DP
-keeps 10 bytes per subset for n <= 32, beside the 1-byte cost table.
+next vertex depends on nothing else: 2^n states, capped at n = 20. Bag costs
+come from one table over all 2^n subsets (independence numbers for
+tin_exact, size - 1 for treewidth_exact); both are monotone under inclusion.
+Eliminating v last among S leaves the bag {v} + N(C), C the component of
+G[S] holding v, and each state's components are read off two tables filled
+from smaller states (no search runs). A state whose G[S] is disconnected
+takes the max over its components, since their bags do not depend on each
+other. A connected state pulls from the states one vertex smaller, and its
+scan stops once it reaches cost[N(S)], which no move can beat. The moves are
+rebuilt afterwards on the optimal path alone. The DP keeps 9 bytes per
+subset for n <= 32, beside the 1-byte cost table.
 """
 
 import sys
@@ -32,6 +36,9 @@ DEFAULT_BRUTE_FORCE_CAP = 22
 # The DP holds arrays of 2^n entries of up to 8 bytes; past this n (59 on 64-bit
 # builds) such an array exceeds sys.maxsize bytes, so no `cap` lifts it.
 _SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
+# Byte maps x -> x + 1 and x -> max(x - 1, 0) for `bytearray.translate`.
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_LESS_ONE = b"\0" + bytes(range(255))
 
 
 def _bag_mask(rows, v, emask):
@@ -67,15 +74,34 @@ def _alpha_table(rows, n):
     return alpha
 
 
+def _size_table(n):
+    """max(|S| - 1, 0) of every subset S of range(n), indexed by mask.
+
+    Built by doubling: the masks with vertex v are those without it, one
+    larger. Both steps are `translate` calls, so no Python loop runs per mask.
+    """
+    sizes = bytearray(1)
+    for _ in range(n):
+        sizes += sizes.translate(_PLUS_ONE)
+    return sizes.translate(_LESS_ONE)
+
+
 def _elimination_dp(graph, cost):
     """min over elimination orderings of the max bag cost; returns (value, order).
 
-    `cost[bag]` is the cost of the bag with that mask, a byte. dp[t] is the
-    best worst bag over orderings that eliminate the set t first, pulled from
-    its predecessors: eliminating v last among t costs cost[{v} + N(C)], C
-    the component of G[t] holding v, so every v of one component shares N(C).
-    Of the optimal moves into t the largest v wins, which is the rule "first
-    state in mask order, then lowest vertex" of the forward (push) recurrence.
+    `cost[bag]` is the cost of the bag with that mask, a byte, and must be
+    monotone under inclusion. dp[t] is the best worst bag over orderings that
+    eliminate the set t first. Eliminating v last among t costs
+    cost[{v} + N(C)], C the component of G[t] holding v.
+
+    If G[t] has several components, the bags inside one do not depend on the
+    others, so dp[t] is the max of dp over them: dp[low[t]] and
+    dp[t - low[t]]. If G[t] is connected, every move into t shares the bag
+    part N(t), so no move costs less than cost[N(t)]; the scan over the moves
+    stops once its best reaches that bound. Only the states on the optimal
+    path need a move: walking back from the full set, each takes the largest
+    v among its optimal moves, which is the rule "first state in mask order,
+    then lowest vertex" of the forward (push) recurrence.
 
     The components come from two tables over the states: low[t] is the
     component of G[t] holding t's lowest vertex b, and nb[t] its open
@@ -93,7 +119,6 @@ def _elimination_dp(graph, cost):
     nb = memoryview(bytearray(width * size)).cast(tc)
     # dp[0] stands in for -1: every cost is at least 0, so max(0, c) = c.
     dp = bytearray(size)
-    choice = bytearray(size)
     for t in range(1, size):
         b = t & -t
         rb = rows[b.bit_length() - 1]
@@ -109,34 +134,43 @@ def _elimination_dp(graph, cost):
         nbs &= ~t
         low[t] = comp
         nb[t] = nbs
+        if comp != t:
+            c = dp[comp]
+            d = dp[t ^ comp]
+            dp[t] = c if c > d else d
+            continue
+        floor = cost[nbs]
         best = 255
+        while comp:
+            b = comp & -comp
+            comp ^= b
+            c = dp[t ^ b]
+            if c < best:
+                d = cost[b | nbs]
+                if d > c:
+                    c = d
+                if c < best:
+                    best = c
+                    if c == floor:
+                        break
+        dp[t] = best
+    order = []
+    s = full
+    while s:
+        best = dp[s]
         bb = 0
-        rest = t
-        while True:
+        rest = s
+        while rest:
+            comp = low[rest]
+            nbs = nb[rest]
             rest ^= comp
             while comp:
                 b = comp & -comp
                 comp ^= b
-                c = dp[t ^ b]
-                if c <= best:
-                    d = cost[b | nbs]
-                    if d > c:
-                        c = d
-                    if c <= best and (c < best or b > bb):
-                        best = c
-                        bb = b
-            if not rest:
-                break
-            comp = low[rest]
-            nbs = nb[rest]
-        dp[t] = best
-        choice[t] = bb.bit_length() - 1
-    order = []
-    s = full
-    while s:
-        v = choice[s]
-        order.append(v)
-        s ^= 1 << v
+                if b > bb and dp[s ^ b] <= best and cost[b | nbs] <= best:
+                    bb = b
+        order.append(bb.bit_length() - 1)
+        s ^= bb
     order.reverse()
     return (dp[full] if n else -1), order
 
@@ -159,8 +193,7 @@ def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     if graph.n == 0:
         return -1
     # Every bag holds its own vertex, so the empty mask's entry is never read.
-    sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << graph.n))
-    value, _ = _elimination_dp(graph, sizes)
+    value, _ = _elimination_dp(graph, _size_table(graph.n))
     return value
 
 

@@ -263,6 +263,25 @@ def test_wide_bags_with_few_keys_run(tmp_path, capsys):
     assert code == 0 and json.loads(out)["results"]["weight"] == "7/1"
 
 
+def test_nice_refuses_an_oversized_form_before_building(tmp_path, capsys):
+    # One edgeless bag of 20,000 vertices, all marked: no residual bag needs
+    # an independence number, and the nice form would hold about 4 * 10^8
+    # ids. It is refused from the contracted tree alone.
+    g = build_graph(20_000, [])
+    bag = [range(20_000)]
+    write_graph(g, tmp_path / "g.gr")
+    write_td(make_decomposition(g, bag, [], bag), tmp_path / "t.td")
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "nice", "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"), "-o", str(tmp_path / "nice.td"),
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "cap=1048576" in err
+    assert not (tmp_path / "nice.td").exists()
+
+
 def test_pack_custom_pattern_file(tmp_path, capsys):
     # A custom triangle pattern on C_3: the single member blocks everything.
     g = cycle_graph(3)

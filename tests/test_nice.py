@@ -3,6 +3,7 @@ import random
 import pytest
 
 from treealpha import (
+    CapExceededError,
     InvalidDecompositionError,
     build_graph,
     clique_tree,
@@ -15,7 +16,8 @@ from treealpha import (
     validate,
     width,
 )
-from treealpha.nice import NICE_NODE_FACTOR, rooted_contraction
+from treealpha.graph import MAX_COUNT
+from treealpha.nice import NICE_NODE_FACTOR, _nice_bag_total, rooted_contraction
 
 from .conftest import nice_violations, postorder, random_connected_set, random_graph
 
@@ -134,6 +136,29 @@ def test_contract_on_corpus():
             worst_ratio, nice.node_count / ((width(td) + 2) * td.node_count)
         )
     assert worst_ratio <= NICE_NODE_FACTOR
+
+
+def test_bag_total_is_counted_before_building():
+    rng = random.Random(17)
+    corpus = _decomposition_corpus(rng, 40)
+    corpus.append((build_graph(0, []), trivial_decomposition(build_graph(0, []))))
+    for _ in range(20):
+        g = path_graph(rng.randint(1, 12))
+        corpus.append((g, clique_tree(g)))
+    for g, td in corpus:
+        bags, _, root, _, kids = rooted_contraction(td)
+        emitted = sum(len(b) for b in make_nice(g, td).td.bags)
+        assert _nice_bag_total(bags, root, kids) == emitted
+
+
+def test_oversized_nice_form_is_refused():
+    # One edgeless bag of n vertices: two chains of n bags, n^2 ids in all.
+    g = build_graph(1024, [])
+    assert _nice_bag_total([frozenset(range(1024))], 0, [[]]) == 1024**2
+    assert make_nice(g, trivial_decomposition(g)).td.node_count == 2049
+    g = build_graph(1025, [])
+    with pytest.raises(CapExceededError, match=f"cap={MAX_COUNT}"):
+        make_nice(g, trivial_decomposition(g))
 
 
 def test_postorder_visits_children_first():

@@ -25,7 +25,12 @@ from treealpha import (
     validate,
 )
 from treealpha.graph import members
-from treealpha.oracle import _alpha_table, _elimination_dp, brute_force_mwis
+from treealpha.oracle import (
+    _alpha_table,
+    _elimination_dp,
+    _size_table,
+    brute_force_mwis,
+)
 
 from .conftest import (
     all_labeled_graphs,
@@ -283,6 +288,30 @@ def test_pull_form_dp_matches_push_form_reference():
             assert _elimination_dp(g, cost) == push_form_elimination_dp(g, cost), g.adj
 
 
+def test_disjoint_union_takes_the_max_of_its_parts():
+    # The component rule, checked on the parts alone rather than against
+    # the push-form reference.
+    rng = random.Random(46)
+    for _ in range(100):
+        n = rng.randint(2, 12)
+        a = rng.randint(1, n - 1)
+        g = random_graph(a, rng.random(), rng)
+        h = random_graph(n - a, rng.random(), rng)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        edges = list(g.edges())
+        edges += [(u + a, v + a) for u, v in h.edges()]
+        union = build_graph(n, [(ids[u], ids[v]) for u, v in edges])
+        assert tin_exact(union)[0] == max(tin_exact(g)[0], tin_exact(h)[0])
+        assert treewidth_exact(union) == max(treewidth_exact(g), treewidth_exact(h))
+
+
+def test_size_table_matches_popcounts():
+    for n in range(13):
+        want = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
+        assert _size_table(n) == want
+
+
 def test_subset_dp_memory_is_bytes_per_subset():
     g = random_graph(14, 0.4, random.Random(45))
     alpha = _alpha_table(g.bit_rows(), g.n)
@@ -293,4 +322,5 @@ def test_subset_dp_memory_is_bytes_per_subset():
     finally:
         tracemalloc.stop()
     assert sorted(order) == list(range(14))
-    assert peak < 16 << 14
+    # 9 bytes per subset: low and nb at 4 each, dp at 1; no move table.
+    assert peak < 10 << 14
