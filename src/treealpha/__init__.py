@@ -43,14 +43,10 @@ from .oracle import brute_force_mwis, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
     SubgraphFamily,
-    blob_family,
     brute_force_packing,
     derived_decomposition,
     derived_graph,
-    dissociation_set,
     enumerate_F_subgraphs,
-    induced_matching,
-    k_separator,
     make_family,
     make_instance,
     pattern_by_name,
@@ -76,7 +72,6 @@ __all__ = [
     "WeightMap",
     "alpha_exact",
     "alpha_of_subset",
-    "blob_family",
     "brute_force_mwis",
     "brute_force_packing",
     "build_graph",
@@ -87,15 +82,12 @@ __all__ = [
     "cycle_graph",
     "derived_decomposition",
     "derived_graph",
-    "dissociation_set",
     "double_join",
     "enumerate_F_subgraphs",
     "generate",
     "independence_number",
-    "induced_matching",
     "is_chordal",
     "is_independent",
-    "k_separator",
     "make_decomposition",
     "make_family",
     "make_instance",

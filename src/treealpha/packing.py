@@ -17,8 +17,12 @@ costs follow the size of the output, not |J|^2 or |J| per bag.
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
 set preserves optimal packings whenever weights depend only on the vertex
-set, which holds for every front-end here. Callers needing edge-sensitive
-weights must pre-aggregate to the max weight per vertex set.
+set, which holds for `pack --patterns` (a member weighs the sum of its
+vertex weights). Callers needing edge-sensitive weights must pre-aggregate
+to the max weight per vertex set.
+
+The pattern family and the derived graph are both counted before they are
+built, and each is refused over MAX_COUNT with CapExceededError.
 """
 
 from dataclasses import dataclass
@@ -28,12 +32,11 @@ from itertools import permutations
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
-from .graph import Graph, check_vertex_set, members
+from .graph import MAX_COUNT, Graph, check_vertex_set, members
 from .mwis import _dp
 from .weights import WeightMap
 
 DEFAULT_PATTERN_CAP = 5
-DEFAULT_BLOB_CAP = 12
 DEFAULT_PACKING_BRUTE_CAP = 22
 
 
@@ -68,6 +71,15 @@ class SubgraphFamily:
 
     def __len__(self):
         return len(self.members)
+
+    @classmethod
+    def _from_checked(cls, host, members):
+        """Wrap members the caller has already checked (nonempty connected
+        frozensets of host vertices) without checking them again."""
+        fam = cls.__new__(cls)
+        object.__setattr__(fam, "host", host)
+        object.__setattr__(fam, "members", members)
+        return fam
 
 
 def make_family(host, members):
@@ -112,6 +124,33 @@ def _member_index(graph, family):
     return index
 
 
+def _refuse_oversized_conflicts(adj, family_members, index):
+    """Raise CapExceededError if `derived_graph` would read over MAX_COUNT
+    index terms, sum_j sum_{v in N[H_j]} |index[v]|, before it builds any
+    neighbour set.
+
+    sum_v |index[v]| * sum_{u in N[v]} |index[u]| counts every term at
+    least once and costs O(n + m); only when it passes the cap are the
+    terms counted exactly, member by member, up to the cap.
+    """
+    sizes = [len(held) for held in index]
+    at = sizes.__getitem__
+    bound = sum(c * (c + sum(map(at, adj[v]))) for v, c in enumerate(sizes) if c)
+    if bound <= MAX_COUNT:
+        return
+    terms = 0
+    for s in family_members:
+        reach = set(s)
+        for v in s:
+            reach.update(adj[v])
+        terms += sum(map(at, reach))
+        if terms > MAX_COUNT:
+            raise CapExceededError(
+                f"derived graph refused: its members' closed neighbourhoods "
+                f"hold over cap={MAX_COUNT} member entries"
+            )
+
+
 def derived_graph(graph, family):
     """The conflict graph on member indices.
 
@@ -121,10 +160,12 @@ def derived_graph(graph, family):
     N[H_j] minus j itself, so the cost is O(sum_j sum_{v in N[H_j]}
     |index[v]|) plus sorting each list: every term is a conflict that j
     finds, and no pair of members is compared. `compatible` is the pairwise
-    definition it agrees with.
+    definition it agrees with. That sum is counted first and a graph whose
+    sum passes MAX_COUNT is refused before any neighbour set is built.
     """
     index = _member_index(graph, family)
     adj = graph.adj
+    _refuse_oversized_conflicts(adj, family.members, index)
     nbrs = []
     for j, s in enumerate(family.members):
         reach = set(s)
@@ -247,41 +288,58 @@ def brute_force_packing(instance):
     return best, frozenset(j for j in range(count) if best_pick >> j & 1)
 
 
-def _connected_sets(graph, max_size):
-    """All vertex sets of connected subgraphs with at most max_size vertices.
+def _connected_sets(rows, max_size):
+    """Walk the vertex sets of connected subgraphs with at most max_size
+    vertices, given the host's bit rows.
 
     Standard duplicate-free expansion: each set is grown from its minimum
     vertex using only larger ids, and once a candidate has been branched on
-    it is banned for the remaining branches of that level.
+    it is banned for the remaining branches of that level. Yields
+    (S, leaves) for every single vertex and every set S of fewer than
+    max_size vertices that the walk branches on; `leaves` is the bit set of
+    the vertices u whose S + u reaches max_size (0 unless |S| = max_size - 1).
+    Each connected set of at most max_size vertices is exactly one yielded
+    S or one S + u, so the sets number sum(1 + |leaves|), which a caller can
+    count without building the full-size ones.
     """
-    if max_size < 1 or graph.n == 0:
-        return []
-    rows = graph.bit_rows()
-    out = []
-
-    def grow(smask, size, ext, banned, allowed):
-        out.append(smask)
-        if size == max_size:
-            return
-        b = banned
-        m = ext
-        while m:
-            u = m & -m
-            m ^= u
-            stretched = (ext | (rows[u.bit_length() - 1] & allowed)) & ~(smask | u) & ~b
-            grow(smask | u, size + 1, stretched, b, allowed)
-            b |= u
-
-    for v in range(graph.n):
+    for v, row in enumerate(rows):
         vb = 1 << v
         allowed = ~((vb << 1) - 1)
-        grow(vb, 1, rows[v] & allowed, 0, allowed)
-    return [frozenset(members(s)) for s in out]
+        stack = [(vb, 1, row & allowed, 0)]
+        while stack:
+            smask, size, ext, banned = stack.pop()
+            if size + 1 >= max_size:
+                yield smask, ext if size < max_size else 0
+                continue
+            yield smask, 0
+            b = banned
+            m = ext
+            while m:
+                u = m & -m
+                m ^= u
+                grown = smask | u
+                stretched = (ext | rows[u.bit_length() - 1] & allowed) & ~(grown | b)
+                stack.append((grown, size + 1, stretched, b))
+                b |= u
 
 
-def _spans_pattern(graph, members_sorted, pattern):
+def _spans_pattern(graph, members_sorted, edges, pattern):
     """Does some subgraph of the host with exactly these vertices match the
-    pattern? Exhaustive permutation matching; patterns are tiny by contract."""
+    pattern? `members_sorted` is a connected vertex set of the pattern's
+    order, ascending, and `edges` is the edge count of the subgraph it
+    induces.
+
+    Exact rules decide first: a complete pattern K_r is spanned exactly
+    when all C(r, 2) edges are there. Otherwise the set needs at least the
+    pattern's edge count before the exhaustive permutation search runs;
+    patterns are tiny by contract.
+    """
+    r = pattern.n
+    need = pattern.m
+    if need == r * (r - 1) // 2:
+        return edges == need
+    if edges < need:
+        return False
     mset = set(members_sorted)
     degs = sorted(len(a) for a in pattern.adj)
     host_degs = sorted(
@@ -302,8 +360,16 @@ def enumerate_F_subgraphs(graph, patterns):
 
     One member per vertex set S with |S| <= r (r = largest pattern order)
     such that a spanning connected subgraph of G[S] is isomorphic to a
-    pattern; duplicates by vertex set are kept once. Patterns are capped at
-    DEFAULT_PATTERN_CAP vertices.
+    pattern; duplicates by vertex set are kept once, in lexicographic order
+    of their sorted vertex lists. Patterns are capped at DEFAULT_PATTERN_CAP
+    vertices.
+
+    The connected sets of at most r vertices are counted before any is
+    built, and over MAX_COUNT of them the family is refused with
+    CapExceededError. Every connected set of order at most 3 spans the one
+    tree of its order (K_1, K_2, P_3), so an order with that tree among the
+    patterns takes all its sets untested. Only the members are built as
+    frozensets, and they are not checked again.
     """
     pats = list(patterns)
     if not pats:
@@ -316,18 +382,42 @@ def enumerate_F_subgraphs(graph, patterns):
         if not _is_connected_subset(p, frozenset(range(p.n))):
             raise GraphError("patterns must be connected")
     r = max(p.n for p in pats)
-    by_order = {}
+    rows = graph.bit_rows()
+    count = 0
+    for _, leaves in _connected_sets(rows, r):
+        count += 1 + leaves.bit_count()
+        if count > MAX_COUNT:
+            raise CapExceededError(
+                f"pattern family refused: over cap={MAX_COUNT} connected sets "
+                f"of at most {r} vertices"
+            )
+    # Per order: True takes every connected set, a list is tested against.
+    tests = {}
     for p in pats:
-        by_order.setdefault(p.n, []).append(p)
-    members = []
-    for s in sorted(_connected_sets(graph, r), key=sorted):
-        cands = by_order.get(len(s))
-        if not cands:
-            continue
-        vs = sorted(s)
-        if any(_spans_pattern(graph, vs, p) for p in cands):
-            members.append(s)
-    return make_family(graph, members)
+        if p.n <= 3 and p.m == p.n - 1:
+            tests[p.n] = True
+        elif tests.get(p.n) is not True:
+            tests.setdefault(p.n, []).append(p)
+    found = []
+    for smask, leaves in _connected_sets(rows, r):
+        grown = [smask]
+        while leaves:
+            u = leaves & -leaves
+            leaves ^= u
+            grown.append(smask | u)
+        for mask in grown:
+            test = tests.get(mask.bit_count())
+            if test is None:
+                continue
+            vs = members(mask)
+            if test is True:
+                found.append(vs)
+                continue
+            edges = sum((rows[v] & mask).bit_count() for v in vs) >> 1
+            if any(_spans_pattern(graph, vs, edges, p) for p in test):
+                found.append(vs)
+    found.sort()
+    return SubgraphFamily._from_checked(graph, tuple(map(frozenset, found)))
 
 
 PATTERN_BUILDERS = {
@@ -351,64 +441,3 @@ def pattern_by_name(name):
         return PATTERN_BUILDERS[name.lower()]()
     except KeyError:
         raise GraphError(f"unknown pattern name {name!r}") from None
-
-
-def induced_matching(graph, edge_weights, td, k):
-    """Max weight induced matching: packing with single-edge members.
-
-    `edge_weights` maps edges (u, v) to weights; missing edges weigh 1.
-    Returns the optimal weight and the selected edges.
-    """
-    fam = enumerate_F_subgraphs(graph, [complete_graph(2)])
-    lookup = {}
-    if edge_weights:
-        for (u, v), w in dict(edge_weights).items():
-            lookup[frozenset((u, v))] = Fraction(w)
-    ws = [lookup.get(s, Fraction(1)) for s in fam.members]
-    inst = PackingInstance(fam, tuple(ws))
-    value, chosen = solve_packing(inst, td, k)
-    edges = tuple(tuple(sorted(fam.members[j])) for j in sorted(chosen))
-    return value, edges
-
-
-def dissociation_set(graph, td, k):
-    """Largest vertex set inducing maximum degree <= 1.
-
-    Packing of single vertices and single edges, each weighted by its size;
-    the selected members' union is the dissociation set.
-    """
-    fam = enumerate_F_subgraphs(graph, [complete_graph(1), complete_graph(2)])
-    inst = PackingInstance(fam, tuple(Fraction(len(s)) for s in fam.members))
-    value, chosen = solve_packing(inst, td, k)
-    union = frozenset().union(*(fam.members[j] for j in chosen)) if chosen else frozenset()
-    return value, union
-
-
-def k_separator(graph, vertex_weights, s, td, k):
-    """Max weight of a vertex set whose induced components have at most `s`
-    vertices each; the complement is a minimum-weight separator of order `s`.
-
-    Members are all connected sets of at most s vertices (every such set
-    spans a connected pattern), weighted by their vertex-weight sums. The
-    pattern-order parameter is `s`; `k` stays the independence bound.
-    """
-    if s < 1:
-        raise GraphError("component order s must be positive")
-    if s > DEFAULT_PATTERN_CAP:
-        raise CapExceededError(f"component order {s} above pattern cap")
-    wmap = vertex_weights if vertex_weights is not None else WeightMap(graph.n)
-    members = sorted(_connected_sets(graph, s), key=sorted)
-    fam = make_family(graph, members)
-    inst = PackingInstance(fam, tuple(wmap.total(m) for m in fam.members))
-    value, chosen = solve_packing(inst, td, k)
-    return value, tuple(fam.members[j] for j in sorted(chosen))
-
-
-def blob_family(graph):
-    """The family of all connected induced-subgraph vertex sets.
-
-    Exponential in general, hence the host size cap DEFAULT_BLOB_CAP.
-    """
-    if graph.n > DEFAULT_BLOB_CAP:
-        raise CapExceededError(f"blob_family refused for n={graph.n} > cap={DEFAULT_BLOB_CAP}")
-    return make_family(graph, sorted(_connected_sets(graph, graph.n), key=sorted))

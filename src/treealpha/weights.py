@@ -7,6 +7,9 @@ lattice is ever a float. Missing vertices default to weight 1.
 from fractions import Fraction
 
 _ONE = Fraction(1)
+#: Fraction(i) for the small vertex counts that totals start from: building
+#: a Fraction costs about a microsecond, looking one up almost nothing.
+_COUNTS = tuple(Fraction(i) for i in range(8))
 
 
 class WeightMap:
@@ -40,11 +43,21 @@ class WeightMap:
         return self._w.get(v, _ONE)
 
     def total(self, vertices):
-        """w(S) = sum of the member weights."""
-        t = Fraction(0)
+        """w(S) = sum of the member weights, as a Fraction.
+
+        Vertices without a stored weight are counted as an int, and only
+        the stored weights are added as Fractions."""
+        w = self._w
+        unset = 0
+        stored = []
         for v in vertices:
-            t += self[v]
-        return t
+            x = w.get(v)
+            if x is None:
+                unset += 1
+            else:
+                stored.append(x)
+        start = _COUNTS[unset] if unset < len(_COUNTS) else Fraction(unset)
+        return sum(stored, start)
 
     def items(self):
         for v in range(self.n):

@@ -7,10 +7,24 @@ from fractions import Fraction
 
 import pytest
 
-from treealpha import GraphError, ResidualBoundViolation, build_graph, make_nice, validate
+from treealpha import (
+    CapExceededError,
+    GraphError,
+    PackingInstance,
+    ResidualBoundViolation,
+    WeightMap,
+    build_graph,
+    complete_graph,
+    enumerate_F_subgraphs,
+    make_family,
+    make_nice,
+    solve_packing,
+    validate,
+)
 from treealpha.graph import check_vertex_set, mask_of, members
 from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
 from treealpha.oracle import _bag_mask
+from treealpha.packing import DEFAULT_PATTERN_CAP
 
 
 def random_graph(n, p, rng):
@@ -93,6 +107,117 @@ def random_connected_set(graph, max_size, rng):
             break
         s.add(rng.choice(frontier))
     return frozenset(s)
+
+
+def is_connected_set(graph, vertices):
+    """True iff `vertices` is nonempty and connected in the graph, by search."""
+    s = set(vertices)
+    if not s:
+        return False
+    seen = {min(s)}
+    stack = list(seen)
+    while stack:
+        for u in graph.adj[stack.pop()]:
+            if u in s and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen == s
+
+
+def connected_vertex_sets(graph, max_size):
+    """Every connected vertex set of at most max_size vertices, by testing
+    all subsets, in lexicographic order of their sorted vertex lists."""
+    out = [
+        combo
+        for size in range(1, max_size + 1)
+        for combo in itertools.combinations(range(graph.n), size)
+        if is_connected_set(graph, combo)
+    ]
+    return [frozenset(c) for c in sorted(out)]
+
+
+def spans_by_permutation(graph, members_sorted, pattern):
+    """Does some subgraph of the host with exactly these vertices match the
+    pattern? Plain exhaustive permutation matching, after a sorted degree
+    domination test."""
+    mset = set(members_sorted)
+    degs = sorted(len(a) for a in pattern.adj)
+    host_degs = sorted(
+        sum(1 for u in graph.adj[v] if u in mset) for v in members_sorted
+    )
+    # Sorted degree domination is necessary for a spanning embedding.
+    if any(p > h for p, h in zip(degs, host_degs)):
+        return False
+    pedges = list(pattern.edges())
+    for perm in itertools.permutations(members_sorted):
+        if all(graph.has_edge(perm[a], perm[b]) for a, b in pedges):
+            return True
+    return False
+
+
+def family_by_permutation(graph, patterns):
+    """Reference pattern family: every connected set whose order is some
+    pattern's and that spans one of them by `spans_by_permutation`, in
+    lexicographic order of the sorted vertex lists."""
+    r = max(p.n for p in patterns)
+    return [
+        s
+        for s in connected_vertex_sets(graph, r)
+        if any(
+            p.n == len(s) and spans_by_permutation(graph, sorted(s), p)
+            for p in patterns
+        )
+    ]
+
+
+def blob_family(graph):
+    """The family of all connected vertex sets, for hosts of at most 12
+    vertices."""
+    if graph.n > 12:
+        raise CapExceededError(f"blob_family refused for n={graph.n} > cap=12")
+    return make_family(graph, connected_vertex_sets(graph, graph.n))
+
+
+def induced_matching(graph, edge_weights, td, k):
+    """Max weight induced matching: packing with single-edge members.
+
+    `edge_weights` maps edges (u, v) to weights; missing edges weigh 1.
+    Returns the optimal weight and the selected edges.
+    """
+    fam = enumerate_F_subgraphs(graph, [complete_graph(2)])
+    lookup = {}
+    if edge_weights:
+        for (u, v), w in dict(edge_weights).items():
+            lookup[frozenset((u, v))] = Fraction(w)
+    ws = [lookup.get(s, Fraction(1)) for s in fam.members]
+    value, chosen = solve_packing(PackingInstance(fam, tuple(ws)), td, k)
+    return value, tuple(tuple(sorted(fam.members[j])) for j in sorted(chosen))
+
+
+def dissociation_set(graph, td, k):
+    """Largest vertex set inducing maximum degree <= 1: packing of single
+    vertices and single edges, each weighted by its size; returns the value
+    and the selected members' union."""
+    fam = enumerate_F_subgraphs(graph, [complete_graph(1), complete_graph(2)])
+    inst = PackingInstance(fam, tuple(Fraction(len(s)) for s in fam.members))
+    value, chosen = solve_packing(inst, td, k)
+    return value, frozenset().union(*(fam.members[j] for j in chosen))
+
+
+def k_separator(graph, vertex_weights, s, td, k):
+    """Max weight of a vertex set whose induced components have at most `s`
+    vertices each: packing of all connected sets of at most s vertices,
+    weighted by their vertex-weight sums. Returns the value and the
+    selected members."""
+    if s < 1:
+        raise GraphError("component order s must be positive")
+    if s > DEFAULT_PATTERN_CAP:
+        raise CapExceededError(f"component order {s} above pattern cap")
+    wmap = vertex_weights if vertex_weights is not None else WeightMap(graph.n)
+    fam = make_family(graph, connected_vertex_sets(graph, s))
+    inst = PackingInstance(fam, tuple(wmap.total(m) for m in fam.members))
+    value, chosen = solve_packing(inst, td, k)
+    return value, tuple(fam.members[j] for j in sorted(chosen))
 
 
 def induced_subgraph(graph, vertices):

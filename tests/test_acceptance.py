@@ -20,13 +20,10 @@ from treealpha import (
     compose_clique_cutset,
     derived_decomposition,
     derived_graph,
-    dissociation_set,
     double_join,
     enumerate_F_subgraphs,
     independence_number,
-    induced_matching,
     is_chordal,
-    k_separator,
     make_decomposition,
     make_family,
     make_instance,
@@ -49,7 +46,10 @@ from treealpha.packing import brute_force_packing
 
 from .conftest import (
     all_labeled_graphs,
+    dissociation_set,
+    induced_matching,
     induced_subgraph,
+    k_separator,
     nice_violations,
     random_connected_set,
     random_graph,

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import signal
 import time
 from collections import Counter
 
@@ -280,6 +282,44 @@ def test_nice_refuses_an_oversized_form_before_building(tmp_path, capsys):
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "cap=1048576" in err
     assert not (tmp_path / "nice.td").exists()
+
+
+def oversized_pack(tmp_path, capsys, n, *options):
+    """`pack` on K_n with its one-bag decomposition: exit code, stdout,
+    stderr and seconds taken."""
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "pack", "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"), *options,
+    )
+    return code, out, err, time.perf_counter() - started
+
+
+def test_pack_refuses_an_oversized_family_before_building(tmp_path, capsys):
+    # K_120 holds about 2 * 10^8 connected sets of at most 5 vertices, every
+    # one of order 5 a k5 member. They are counted, not listed, and the
+    # count passes 2^20 long before the walk ends.
+    code, out, err, seconds = oversized_pack(tmp_path, capsys, 120, "--patterns", "k5")
+    assert seconds < 2
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "pattern family refused" in err and "cap=1048576" in err
+
+
+def test_pack_refuses_an_oversized_derived_graph_before_building(tmp_path, capsys):
+    # K_200 has 20,100 k1,k2 members, each conflicting with all others:
+    # about 8 * 10^8 index terms. The count stops at the cap, before any
+    # neighbour set is built.
+    code, out, err, seconds = oversized_pack(
+        tmp_path, capsys, 200, "--patterns", "k1,k2", "-k", "1"
+    )
+    assert seconds < 2
+    assert code == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "derived graph refused" in err and "cap=1048576" in err
 
 
 def test_pack_custom_pattern_file(tmp_path, capsys):
@@ -726,3 +766,95 @@ def test_gen_refuses_graph_for_kinds_that_read_none(tmp_path, capsys):
             assert len(err.strip().splitlines()) == 1
             assert err.startswith("error: gen") and "--graph" in err
     assert not (tmp_path / "s.gr").exists()
+
+
+class _Stalled(BaseException):
+    """Raised by the fuzz test's alarm; no handler in `main` catches it."""
+
+
+def _mutate(text, rng):
+    """One random edit: insert, delete or replace a character, insert an
+    odd token, or drop or repeat a line."""
+    kind = rng.randrange(6)
+    i = rng.randrange(len(text) + 1)
+    if kind == 0:
+        return text[:i] + rng.choice("0123456789 -/.\nepstbrfcx\t") + text[i:]
+    if kind == 1:
+        return text[:i] + text[i + 1:]
+    if kind == 2:
+        return text[:i] + rng.choice("0123456789 -/\n") + text[i + 1:]
+    if kind == 3:
+        token = rng.choice(
+            ("99999999999999999999", "1048577", "0", "-1", "1e999", "1/0", "nan", "c")
+        )
+        return text[:i] + token + text[i:]
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    j = rng.randrange(len(lines))
+    if kind == 4:
+        return "".join(lines[:j] + lines[j + 1:])
+    return "".join(lines[: j + 1] + lines[j:])
+
+
+def test_cli_survives_mutated_inputs(tmp_path, capsys):
+    # A seeded in-process fuzz of `main`: small .gr/.td/.w texts, each case
+    # with one to three edits, through every command that reads them. Each
+    # case must end in a documented exit code (no traceback, no exit 4)
+    # within its time bound; the alarm turns a stall into a failure.
+    rng = random.Random(0xF022)
+    g = build_graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (1, 6)])
+    td = make_decomposition(
+        g, [{0, 1, 4, 6}, {1, 2, 3, 4}, {4, 5, 6}], [(0, 1), (0, 2)], [{6}, set(), set()]
+    )
+    base = {
+        "g.gr": format_graph(g),
+        "t.td": format_td(td),
+        "w.w": "1 3/4\n2 2\n4 0.5\n7 5\n",
+    }
+    paths = {name: str(tmp_path / name) for name in base}
+    graph_td = ("--graph", paths["g.gr"], "--td", paths["t.td"])
+    commands = (
+        ("validate", *graph_td),
+        ("measure", *graph_td),
+        ("nice", *graph_td, "-o", str(tmp_path / "nice.td")),
+        ("mwis", *graph_td, "--weights", paths["w.w"]),
+        ("mwis", *graph_td, "-k", "1"),
+        ("pack", *graph_td, "--patterns", "k1,k2", "--weights", paths["w.w"]),
+        ("pack", *graph_td, "--patterns", "p3,c4,k3"),
+        ("tin", "--graph", paths["g.gr"]),
+        ("tw", "--graph", paths["g.gr"]),
+    )
+
+    def stalled(signum, frame):
+        raise _Stalled
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    codes = Counter()
+    try:
+        for case in range(400):
+            texts = dict(base)
+            for _ in range(rng.randint(1, 3)):
+                name = rng.choice(sorted(texts))
+                texts[name] = _mutate(texts[name], rng)
+            for name, text in texts.items():
+                (tmp_path / name).write_text(text)
+            argv = rng.choice(commands)
+            started = time.perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, 10)
+            try:
+                code = main(list(argv))
+            except _Stalled:
+                raise AssertionError(f"case {case} stalled: {argv} on {texts}") from None
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            seconds = time.perf_counter() - started
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (case, argv, texts, err)
+            assert seconds < 2, (case, argv, texts, seconds)
+            codes[code] += 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    # The edits reach past the parsers: some cases still solve, some fail
+    # validation, some are refused.
+    assert codes[0] and codes[1] and codes[2], codes

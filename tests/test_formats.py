@@ -118,6 +118,28 @@ def test_parsed_weights_match_the_checking_constructor():
         WeightMap(3, {0: Fraction(-1, 2)})
 
 
+def test_weight_totals_are_exact_fraction_sums():
+    # Vertices with no stored weight count 1 each; the stored weights are
+    # added exactly. Every total is a Fraction, whatever the map holds.
+    vertices = [0, 1, 2, 3, 5]
+    for values in (
+        {},
+        {1: Fraction(3, 4), 3: 0, 4: Fraction(9, 2)},
+        {v: Fraction(v + 1, 3) for v in range(6)},
+    ):
+        w = WeightMap(6, values)
+        want = sum((values.get(v, Fraction(1)) for v in vertices), Fraction(0))
+        for given in (vertices, set(vertices), iter(vertices)):
+            got = w.total(given)
+            assert type(got) is Fraction and got == want
+        assert type(w.total(())) is Fraction and w.total(()) == 0
+    many = WeightMap(40, {0: Fraction(1, 3)}).total(range(40))
+    assert type(many) is Fraction and many == 39 + Fraction(1, 3)
+    parsed = parse_weights("2 1/3\n4 0.5\n", 6)
+    assert parsed.total(vertices) == 3 + Fraction(1, 3) + Fraction(1, 2)
+    assert type(parsed.total(vertices)) is Fraction
+
+
 def test_family_round_trip():
     g = path_graph(4)
     inst = PackingInstance(

@@ -9,7 +9,6 @@ from treealpha import (
     GraphError,
     WeightMap,
     alpha_exact,
-    blob_family,
     brute_force_packing,
     build_graph,
     clique_tree,
@@ -17,12 +16,9 @@ from treealpha import (
     cycle_graph,
     derived_decomposition,
     derived_graph,
-    dissociation_set,
     enumerate_F_subgraphs,
     independence_number,
-    induced_matching,
     is_chordal,
-    k_separator,
     make_family,
     make_instance,
     path_graph,
@@ -34,10 +30,19 @@ from treealpha import (
     validate,
 )
 from treealpha import decomposition
-from treealpha.formats import parse_family
-from treealpha.packing import PackingInstance, compatible
+from treealpha.formats import format_graph, parse_family, parse_graph
+from treealpha.packing import PATTERN_BUILDERS, PackingInstance, compatible
 
-from .conftest import random_connected_set, random_graph
+from .conftest import (
+    blob_family,
+    connected_vertex_sets,
+    dissociation_set,
+    family_by_permutation,
+    induced_matching,
+    k_separator,
+    random_connected_set,
+    random_graph,
+)
 
 
 def line_graph(g):
@@ -314,6 +319,79 @@ def test_enumerate_rejects_bad_patterns():
         enumerate_F_subgraphs(path_graph(3), [build_graph(0, [])])
     with pytest.raises(CapExceededError):
         enumerate_F_subgraphs(path_graph(3), [path_graph(6)])
+
+
+def random_pattern_file(rng, order):
+    """A random connected graph of the given order, read back from its .gr
+    text as `--pattern-file` reads it: a random spanning tree plus random
+    chords."""
+    ids = list(range(order))
+    rng.shuffle(ids)
+    edges = {(ids[rng.randrange(i)], ids[i]) for i in range(1, order)}
+    edges |= {e for e in itertools.combinations(range(order), 2) if rng.random() < 0.3}
+    return parse_graph(format_graph(build_graph(order, edges)))
+
+
+def test_family_matches_the_permutation_reference():
+    # The exact rules (orders up to 3, complete patterns, edge counts) and
+    # the counted walk must give the reference family member for member, in
+    # order: every named pattern in turn, with a second named one or a
+    # random connected pattern file of order 4-5 beside it.
+    rng = random.Random(42)
+    names = sorted(PATTERN_BUILDERS)
+    files = 0
+    for trial in range(540):
+        g = random_graph(rng.randint(1, 9), rng.choice((0.3, 0.5, 0.8)), rng)
+        pats = [pattern_by_name(names[trial % len(names)])]
+        if trial % 3 == 1:
+            pats.append(pattern_by_name(rng.choice(names)))
+        elif trial % 3 == 2:
+            pats.append(random_pattern_file(rng, rng.randint(4, 5)))
+            files += 1
+        got = enumerate_F_subgraphs(g, pats)
+        assert list(got.members) == family_by_permutation(g, pats), (g, trial)
+        assert got.host is g
+    assert files == 180
+
+
+def test_family_is_counted_before_it_is_built(monkeypatch):
+    # Every connected set of at most r vertices counts, whether or not it
+    # becomes a member: exactly at the cap the family is built, one set
+    # more is refused before any member is.
+    rng = random.Random(43)
+    for _ in range(40):
+        g = random_graph(rng.randint(1, 9), rng.choice((0.3, 0.6)), rng)
+        pats = [pattern_by_name(rng.choice(("k1", "k3", "p4", "c5")))]
+        count = len(connected_vertex_sets(g, pats[0].n))
+        monkeypatch.setattr("treealpha.packing.MAX_COUNT", count)
+        assert list(enumerate_F_subgraphs(g, pats).members) == family_by_permutation(g, pats)
+        monkeypatch.setattr("treealpha.packing.MAX_COUNT", count - 1)
+        with pytest.raises(CapExceededError, match=f"cap={count - 1} connected sets"):
+            enumerate_F_subgraphs(g, pats)
+
+
+def test_derived_graph_is_counted_before_it_is_built(monkeypatch):
+    # The count is sum_j sum_{v in N[H_j]} |index[v]|, the work of the
+    # build; exactly at the cap the graph is built, one term less is
+    # refused. Both the O(n + m) bound and the exact count decide here.
+    rng = random.Random(44)
+    for _ in range(60):
+        g = random_graph(rng.randint(1, 9), rng.choice((0.2, 0.5)), rng)
+        members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(8)}
+        fam = make_family(g, sorted(members, key=sorted))
+        held = [sum(1 for s in fam.members if v in s) for v in range(g.n)]
+        terms = sum(
+            held[v]
+            for s in fam.members
+            for v in s.union(*(g.adj[u] for u in s))
+        )
+        monkeypatch.setattr("treealpha.packing.MAX_COUNT", terms)
+        want = derived_graph(g, fam)
+        monkeypatch.setattr("treealpha.packing.MAX_COUNT", terms - 1)
+        with pytest.raises(CapExceededError, match="derived graph refused"):
+            derived_graph(g, fam)
+        monkeypatch.undo()
+        assert want == derived_graph(g, fam)
 
 
 def test_spanning_vs_induced_containment():
