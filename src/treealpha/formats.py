@@ -32,7 +32,7 @@ from pathlib import Path
 from .decomposition import _EMPTY, make_decomposition
 from .errors import ParseError
 from .graph import MAX_COUNT, Graph, build_graph
-from .packing import PackingInstance, _is_connected_subset, make_family
+from .packing import PackingInstance, SubgraphFamily, _is_connected_subset
 from .weights import WeightMap
 
 MAX_WEIGHT_DIGITS = 1000
@@ -287,7 +287,7 @@ def parse_family(text, graph, source="<family>"):
     for i, s in enumerate(sets):
         if not s or not _is_connected_subset(graph, s):
             r.fail(f"member {i + 1} is empty or not connected")
-    fam = make_family(graph, sets)
+    fam = SubgraphFamily._from_checked(graph, tuple(sets))
     return PackingInstance(fam, tuple(weights[i] for i in range(count)))
 
 

@@ -27,17 +27,17 @@ built, and each is refused over MAX_COUNT with CapExceededError.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
-from .graph import MAX_COUNT, Graph, check_vertex_set, members
+from .graph import MAX_COUNT, Graph, build_graph, check_vertex_set, members
 from .mwis import _dp
+from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .weights import WeightMap
 
 DEFAULT_PATTERN_CAP = 5
-DEFAULT_PACKING_BRUTE_CAP = 22
 
 
 def _is_connected_subset(graph, members):
@@ -244,48 +244,25 @@ def brute_force_packing(instance):
     """Exhaustive packing optimum; the test oracle for solve_packing.
 
     Independent of the derived-graph pipeline: conflicts are recomputed by
-    naive pairwise scans and the search branches directly on member indices.
-    Refuses families above DEFAULT_PACKING_BRUTE_CAP members.
+    naive pairwise `compatible` scans, and `brute_force_mwis` searches the
+    conflict graph they give. Refuses families above DEFAULT_BRUTE_FORCE_CAP
+    members before any pair is compared.
     """
     count = len(instance.family)
-    if count > DEFAULT_PACKING_BRUTE_CAP:
+    if count > DEFAULT_BRUTE_FORCE_CAP:
         raise CapExceededError(
             f"brute_force_packing refused for |J|={count} > "
-            f"cap={DEFAULT_PACKING_BRUTE_CAP}"
+            f"cap={DEFAULT_BRUTE_FORCE_CAP}"
         )
     graph = instance.family.host
     members = instance.family.members
-    conflict = [0] * count
-    for j in range(count):
-        for i in range(j):
-            if not compatible(graph, members[i], members[j]):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    w = list(instance.member_weights)
-    suffix = [Fraction(0)] * (count + 1)
-    for i in range(count - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + w[i]
-    best = Fraction(-1)
-    best_pick = 0
-
-    def rec(idx, avail, cur, pick):
-        nonlocal best, best_pick
-        while idx < count and not (avail >> idx & 1):
-            idx += 1
-        if idx == count:
-            if cur > best:
-                best = cur
-                best_pick = pick
-            return
-        if cur + suffix[idx] <= best:
-            return
-        rec(idx + 1, avail & ~conflict[idx] & ~(1 << idx), cur + w[idx], pick | (1 << idx))
-        rec(idx + 1, avail & ~(1 << idx), cur, pick)
-
-    rec(0, (1 << count) - 1 if count else 0, Fraction(0), 0)
-    if count == 0:
-        return Fraction(0), frozenset()
-    return best, frozenset(j for j in range(count) if best_pick >> j & 1)
+    conflicts = [
+        (i, j)
+        for j in range(count)
+        for i in range(j)
+        if not compatible(graph, members[i], members[j])
+    ]
+    return brute_force_mwis(build_graph(count, conflicts), instance.member_weights)
 
 
 def _connected_sets(rows, max_size):
@@ -323,36 +300,31 @@ def _connected_sets(rows, max_size):
                 b |= u
 
 
-def _spans_pattern(graph, members_sorted, edges, pattern):
-    """Does some subgraph of the host with exactly these vertices match the
-    pattern? `members_sorted` is a connected vertex set of the pattern's
-    order, ascending, and `edges` is the edge count of the subgraph it
-    induces.
+def _spanned_table(pats):
+    """Entry m is 1 when the graph on range(r) whose edges are the bits of
+    m, one per pair of `combinations(range(r), 2)` in that order, has a
+    spanning copy of one of `pats`, all of order r.
 
-    Exact rules decide first: a complete pattern K_r is spanned exactly
-    when all C(r, 2) edges are there. Otherwise the set needs at least the
-    pattern's edge count before the exhaustive permutation search runs;
-    patterns are tiny by contract.
+    Each permuted copy's edge mask is marked, then each mark passes to the
+    masks one edge larger; masks ascend, so a mark has reached every
+    superset by the time the scan gets there. Patterns are tiny by
+    contract: at order 5 there are 120 permutations and 1,024 entries.
     """
-    r = pattern.n
-    need = pattern.m
-    if need == r * (r - 1) // 2:
-        return edges == need
-    if edges < need:
-        return False
-    mset = set(members_sorted)
-    degs = sorted(len(a) for a in pattern.adj)
-    host_degs = sorted(
-        sum(1 for u in graph.adj[v] if u in mset) for v in members_sorted
-    )
-    # Sorted degree domination is necessary for a spanning embedding.
-    if any(p > h for p, h in zip(degs, host_degs)):
-        return False
-    pedges = list(pattern.edges())
-    for perm in permutations(members_sorted):
-        if all(graph.has_edge(perm[a], perm[b]) for a, b in pedges):
-            return True
-    return False
+    r = pats[0].n
+    pairs = list(combinations(range(r), 2))
+    bit = {}
+    for i, (a, b) in enumerate(pairs):
+        bit[a, b] = bit[b, a] = 1 << i
+    table = bytearray(1 << len(pairs))
+    for p in pats:
+        edges = list(p.edges())
+        for perm in permutations(range(r)):
+            table[sum(bit[perm[a], perm[b]] for a, b in edges)] = 1
+    for m in range(len(table)):
+        if table[m]:
+            for i in range(len(pairs)):
+                table[m | 1 << i] = 1
+    return table
 
 
 def enumerate_F_subgraphs(graph, patterns):
@@ -368,8 +340,11 @@ def enumerate_F_subgraphs(graph, patterns):
     built, and over MAX_COUNT of them the family is refused with
     CapExceededError. Every connected set of order at most 3 spans the one
     tree of its order (K_1, K_2, P_3), so an order with that tree among the
-    patterns takes all its sets untested. Only the members are built as
-    frozensets, and they are not checked again.
+    patterns takes all its sets untested. Any other order that has patterns
+    gets one `_spanned_table`, built once per call: a set of that order is
+    read as the edge mask of its sorted vertices' pairs and decided by one
+    lookup. Only the members are built as frozensets, and they are not
+    checked again.
     """
     pats = list(patterns)
     if not pats:
@@ -391,13 +366,16 @@ def enumerate_F_subgraphs(graph, patterns):
                 f"pattern family refused: over cap={MAX_COUNT} connected sets "
                 f"of at most {r} vertices"
             )
-    # Per order: True takes every connected set, a list is tested against.
+    # Per order: True takes every connected set; otherwise the order's
+    # spanned-mask table and its pairs, last first, so that shifting each
+    # edge in leaves the first pair at bit 0.
     tests = {}
-    for p in pats:
-        if p.n <= 3 and p.m == p.n - 1:
-            tests[p.n] = True
-        elif tests.get(p.n) is not True:
-            tests.setdefault(p.n, []).append(p)
+    for q in {p.n for p in pats}:
+        same = [p for p in pats if p.n == q]
+        if q <= 3 and any(p.m == q - 1 for p in same):
+            tests[q] = True
+        else:
+            tests[q] = _spanned_table(same), list(combinations(range(q), 2))[::-1]
     found = []
     for smask, leaves in _connected_sets(rows, r):
         grown = [smask]
@@ -410,12 +388,14 @@ def enumerate_F_subgraphs(graph, patterns):
             if test is None:
                 continue
             vs = members(mask)
-            if test is True:
-                found.append(vs)
-                continue
-            edges = sum((rows[v] & mask).bit_count() for v in vs) >> 1
-            if any(_spans_pattern(graph, vs, edges, p) for p in test):
-                found.append(vs)
+            if test is not True:
+                table, pairs = test
+                key = 0
+                for a, b in pairs:
+                    key = key << 1 | rows[vs[a]] >> vs[b] & 1
+                if not table[key]:
+                    continue
+            found.append(vs)
     found.sort()
     return SubgraphFamily._from_checked(graph, tuple(map(frozenset, found)))
 

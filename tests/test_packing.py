@@ -34,14 +34,17 @@ from treealpha.formats import format_graph, parse_family, parse_graph
 from treealpha.packing import PATTERN_BUILDERS, PackingInstance, compatible
 
 from .conftest import (
+    all_labeled_graphs,
     blob_family,
     connected_vertex_sets,
     dissociation_set,
     family_by_permutation,
     induced_matching,
+    is_connected_set,
     k_separator,
     random_connected_set,
     random_graph,
+    spans_by_permutation,
 )
 
 
@@ -333,8 +336,8 @@ def random_pattern_file(rng, order):
 
 
 def test_family_matches_the_permutation_reference():
-    # The exact rules (orders up to 3, complete patterns, edge counts) and
-    # the counted walk must give the reference family member for member, in
+    # The take-all rule for trees of order up to 3, the spanned-mask tables
+    # and the counted walk must give the reference family member for member, in
     # order: every named pattern in turn, with a second named one or a
     # random connected pattern file of order 4-5 beside it.
     rng = random.Random(42)
@@ -352,6 +355,36 @@ def test_family_matches_the_permutation_reference():
         assert list(got.members) == family_by_permutation(g, pats), (g, trial)
         assert got.host is g
     assert files == 180
+
+
+# Each pair puts the cycle first: a cycle spans fewer hosts than the path of
+# its order, so a table built from an order's first pattern alone would miss
+# members.
+@pytest.mark.parametrize(
+    "names",
+    [[name] for name in sorted(PATTERN_BUILDERS)] + [["c4", "p4"], ["c5", "p5"]],
+    ids="+".join,
+)
+def test_every_connected_host_of_the_pattern_order_is_decided_exactly(names):
+    # Every connected labelled host on range(r) is one component of a
+    # disjoint union, shifted by a multiple of r so its sorted vertices keep
+    # their ranks. The one call builds each table once and asks it about
+    # every edge mask a connected set of order r can have: a component is a
+    # member exactly when the reference finds a spanning copy in its host.
+    pats = [pattern_by_name(name) for name in names]
+    r = pats[0].n
+    hosts = [h for h in all_labeled_graphs(r) if is_connected_set(h, range(r))]
+    assert len(hosts) == (1, 1, 4, 38, 728)[r - 1]
+    union = build_graph(
+        len(hosts) * r,
+        [(k * r + a, k * r + b) for k, h in enumerate(hosts) for a, b in h.edges()],
+    )
+    want = [
+        frozenset(range(k * r, k * r + r))
+        for k, h in enumerate(hosts)
+        if any(spans_by_permutation(h, list(range(r)), p) for p in pats)
+    ]
+    assert list(enumerate_F_subgraphs(union, pats).members) == want
 
 
 def test_family_is_counted_before_it_is_built(monkeypatch):
