@@ -8,7 +8,8 @@ of the clique tree are exactly the maximal cliques, read off that order
 intersection graph.
 
 Costs: the search keeps a lazy heap, so recognition is O((n + m) log n);
-reading the cliques is O(n + m); Kruskal sorts only the P clique pairs that
+reading the cliques is O(n + m), from the earlier-neighbour lists that the
+recognition check builds; Kruskal sorts only the P clique pairs that
 share a vertex, O(n + m + P log P). P is the sum over vertices of (cliques
 holding it choose 2): linear when each vertex lies in few maximal cliques,
 as in interval graphs of bounded clique number, quadratic for a star.
@@ -26,12 +27,12 @@ from .decomposition import make_decomposition
 from .errors import GraphError
 
 
-def is_chordal(graph):
-    """Return (True, order) for chordal graphs, (False, None) otherwise.
+def _perfect_order(graph):
+    """The search order and each position's earlier neighbours, or None.
 
-    The order is simplicial-last: order[i] is simplicial in the subgraph
-    induced by order[:i+1], so eliminating vertices from the back of the
-    order always removes a simplicial vertex. The null graph is chordal.
+    Returns (order, earlier) when the order is a perfect elimination order
+    read from the back, so the graph is chordal; earlier[i] lists the
+    neighbours of order[i] that come before it, in adjacency order.
     """
     n = graph.n
     adj = graph.adj
@@ -56,12 +57,11 @@ def is_chordal(graph):
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
+    earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
     need = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        earlier = [u for u in adj[v] if pos[u] < i]
-        if len(earlier) > 1:
-            f = max(earlier, key=pos.__getitem__)
-            need[f].append(earlier)
+    for before in earlier:
+        if len(before) > 1:
+            need[max(before, key=pos.__getitem__)].append(before)
     mark = [-1] * n
     for f, lists in enumerate(need):
         if not lists:
@@ -69,10 +69,23 @@ def is_chordal(graph):
         mark[f] = f
         for u in adj[f]:
             mark[u] = f
-        for earlier in lists:
-            if any(mark[u] != f for u in earlier):
-                return False, None
-    return True, tuple(order)
+        for before in lists:
+            if any(mark[u] != f for u in before):
+                return None
+    return order, earlier
+
+
+def is_chordal(graph):
+    """Return (True, order) for chordal graphs, (False, None) otherwise.
+
+    The order is simplicial-last: order[i] is simplicial in the subgraph
+    induced by order[:i+1], so eliminating vertices from the back of the
+    order always removes a simplicial vertex. The null graph is chordal.
+    """
+    found = _perfect_order(graph)
+    if found is None:
+        return False, None
+    return True, tuple(found[0])
 
 
 def clique_tree(graph):
@@ -81,20 +94,16 @@ def clique_tree(graph):
     Bags are the maximal cliques; all marked sets are empty, so the
     decomposition's independence number is 1.
     """
-    ok, order = is_chordal(graph)
-    if not ok:
+    found = _perfect_order(graph)
+    if found is None:
         raise GraphError("clique_tree requires a chordal graph")
     if graph.n == 0:
         raise GraphError("clique_tree requires a nonnull graph")
+    order, earlier = found
     # The candidate at position i, order[i] with its earlier neighbors, is a
     # maximal clique exactly when it is last or the next candidate is no
     # larger (the next vertex's MCS weight is its earlier-neighbor count).
-    pos = [0] * graph.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    candidates = [
-        [v] + [u for u in graph.adj[v] if pos[u] < i] for i, v in enumerate(order)
-    ]
+    candidates = [[v] + before for v, before in zip(order, earlier)]
     maximal = [
         frozenset(c)
         for c, nxt in zip(candidates, candidates[1:] + [()])

@@ -3,6 +3,7 @@ oracles that are independent of the library's own solvers."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from treealpha import (
     solve_packing,
     validate,
 )
+from treealpha.decomposition import ValidationReport, Violation
 from treealpha.graph import check_vertex_set, mask_of, members
 from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
 from treealpha.oracle import _bag_mask
@@ -483,6 +485,101 @@ def nice_form_mwis(graph, weights, td, k):
                 s |= bit
             stack.append((kids[0], s))
     return tables[nice.root][0], frozenset(members(chosen))
+
+
+def reference_validate(graph, td, universe=None):
+    """`decomposition.validate` as it was before its edge clause ran in C:
+    the clause walks `graph.edges()` and tests each edge in Python. The
+    differential tests hold the library's reports, details included, equal
+    to this one's."""
+    violations = []
+    nodes = td.node_count
+    edges = td.tree_edges
+    tree_bad = None
+    if nodes < 1:
+        tree_bad = "decomposition has no nodes"
+    elif len(edges) != nodes - 1:
+        tree_bad = f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+    else:
+        nbrs = [[] for _ in range(nodes)]
+        seen_pairs = set()
+        for a, b in edges:
+            key = (min(a, b), max(a, b))
+            if not (0 <= a < nodes and 0 <= b < nodes):
+                tree_bad = f"edge ({a}, {b}) references a missing node"
+            elif a == b:
+                tree_bad = f"self-loop on node {a}"
+            elif key in seen_pairs:
+                tree_bad = f"duplicate edge {key}"
+            else:
+                seen_pairs.add(key)
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+                continue
+            break
+        if tree_bad is None:
+            # Correct edge count + no duplicates, so connectivity implies acyclicity.
+            stack = [0]
+            reached = {0}
+            while stack:
+                for y in nbrs[stack.pop()]:
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+            if len(reached) != nodes:
+                missing = min(set(range(nodes)) - reached)
+                tree_bad = f"node {missing} is disconnected from node 0"
+    if tree_bad is not None:
+        violations.append(Violation("tree", tree_bad))
+
+    if universe is None:
+        universe = frozenset(range(graph.n))
+    else:
+        universe = check_vertex_set(graph, universe)
+
+    index = {v: set() for v in universe}
+    coverage_bad = None
+    for t in range(nodes):
+        for v in td.bags[t]:
+            if v in index:
+                index[v].add(t)
+            elif coverage_bad is None:
+                coverage_bad = f"bag {t} contains {v}, outside the vertex universe"
+    if coverage_bad is None:
+        missing = next((v for v in sorted(index) if not index[v]), None)
+        if missing is not None:
+            coverage_bad = f"vertex {missing} is in no bag"
+    if coverage_bad is not None:
+        violations.append(Violation("coverage", coverage_bad))
+
+    for u, v in graph.edges():
+        if u in index and v in index and index[u].isdisjoint(index[v]):
+            violations.append(Violation("edges", f"edge ({u}, {v}) is in no bag"))
+            break
+
+    if tree_bad is None:
+        shared = Counter()
+        for a, b in edges:
+            shared.update(td.bags[a] & td.bags[b])
+        for v in sorted(index):
+            if index[v] and len(index[v]) - shared[v] != 1:
+                violations.append(
+                    Violation(
+                        "connectivity",
+                        f"nodes holding vertex {v} do not form a subtree",
+                    )
+                )
+                break
+
+    for t in range(nodes):
+        if not td.refined[t] <= td.bags[t]:
+            extra = min(td.refined[t] - td.bags[t])
+            violations.append(
+                Violation("refined", f"U_{t} contains {extra}, not in bag {t}")
+            )
+            break
+
+    return ValidationReport(not violations, tuple(violations))
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from treealpha import (
     width,
 )
 
-from .conftest import induced_subgraph, random_graph
+from .conftest import induced_subgraph, random_graph, reference_validate
 
 
 def test_trivial_decomposition_examples():
@@ -155,10 +155,10 @@ def _violated_by_definition(nx, graph, td, universe):
     return bad
 
 
-def test_validate_matches_definitions_checked_with_networkx():
-    nx = pytest.importorskip("networkx")
+def _validation_corpus():
+    """3,000 seeded (graph, td, universe, mutated) cases, about 70% mutated
+    and 30% restricted to a random universe."""
     rng = random.Random(29)
-    seen = set()
     for _ in range(3000):
         n, edges, bags, tree, refined = _random_valid_decomposition(rng)
         g = build_graph(n, edges)
@@ -168,16 +168,80 @@ def test_validate_matches_definitions_checked_with_networkx():
         universe = None
         if rng.random() < 0.3:
             universe = {v for v in range(n) if rng.random() < 0.7}
-        td = make_decomposition(g, bags, tree, refined)
+        yield g, make_decomposition(g, bags, tree, refined), universe, mutated
+
+
+def test_validate_matches_definitions_checked_with_networkx():
+    nx = pytest.importorskip("networkx")
+    seen = set()
+    for g, td, universe, mutated in _validation_corpus():
         report = validate(g, td, universe)
         expected = _violated_by_definition(
-            nx, g, td, frozenset(range(n)) if universe is None else universe
+            nx, g, td, frozenset(range(g.n)) if universe is None else universe
         )
         assert {v.clause for v in report.violations} == expected
         assert report.ok == (not expected)
         assert mutated or universe is not None or report.ok
         seen |= expected
     assert seen == {"tree", "coverage", "edges", "connectivity", "refined"}
+
+
+def test_validate_matches_reference_with_and_without_universe():
+    rng = random.Random(31)
+    seen = set()
+    for g, td, universe, _ in _validation_corpus():
+        if universe is None:
+            universe = {v for v in range(g.n) if rng.random() < 0.7}
+        for u in (None, universe):
+            report = validate(g, td, u)
+            assert report == reference_validate(g, td, u)
+            seen |= {v.clause for v in report.violations}
+    assert seen == {"tree", "coverage", "edges", "connectivity", "refined"}
+
+
+@pytest.mark.parametrize(
+    "n, edges, bags, tree, universe, want",
+    [
+        # Vertex 0 has edges but is in no bag: both its edges are uncovered,
+        # and the clause names the first.
+        (
+            3,
+            [(0, 1), (0, 2), (1, 2)],
+            [{1, 2}],
+            [],
+            None,
+            ["[coverage] vertex 0 is in no bag", "[edges] edge (0, 1) is in no bag"],
+        ),
+        # Edge (1, 2) leaves the universe {0, 1}, so nothing needs to cover it.
+        (3, [(0, 1), (1, 2)], [{0, 1}], [], {0, 1}, []),
+        # Edge (0, 1) leaves the universe {1, 2} at its lower end.
+        (3, [(0, 1), (1, 2)], [{1, 2}], [], {1, 2}, []),
+        # Vertex 0's first two edges are covered; its third is the witness.
+        (
+            4,
+            [(0, 1), (0, 2), (0, 3), (1, 3)],
+            [{0, 1}, {0, 2}, {1, 3}],
+            [(0, 1), (0, 2)],
+            None,
+            ["[edges] edge (0, 3) is in no bag"],
+        ),
+        # Every edge of vertex 0 is covered; vertex 1's second later edge is not.
+        (
+            4,
+            [(0, 1), (1, 2), (1, 3), (2, 3)],
+            [{0, 1, 2}, {2, 3}],
+            [(0, 1)],
+            None,
+            ["[edges] edge (1, 3) is in no bag"],
+        ),
+    ],
+)
+def test_validate_edge_clause_hand_cases(n, edges, bags, tree, universe, want):
+    g = build_graph(n, edges)
+    td = make_decomposition(g, bags, tree)
+    report = validate(g, td, universe)
+    assert [str(v) for v in report.violations] == want
+    assert report == reference_validate(g, td, universe)
 
 
 def test_measures():

@@ -101,6 +101,39 @@ def test_is_independent_matches_edge_scan():
         assert is_independent(g, s) == independent_by_edge_scan(g, s)
 
 
+def test_is_independent_matches_pairwise_definition():
+    rng = random.Random(3)
+    for _ in range(200):
+        g = random_graph(rng.randint(0, 12), rng.random(), rng)
+        s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+        pairwise = not any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        assert is_independent(g, s) == pairwise
+
+
+def _rows_by_has_edge(g, vertices):
+    order = sorted(vertices)
+    return [
+        sum(1 << j for j, u in enumerate(order) if g.has_edge(v, u)) for v in order
+    ]
+
+
+def test_bit_rows_match_has_edge_on_random_subsets():
+    rng = random.Random(4)
+    for _ in range(120):
+        # Up to 90 vertices, so rows of the larger sets pass 64 bits.
+        n = rng.randint(0, 90)
+        g = random_graph(n, rng.random(), rng)
+        top = rng.randint(0, n)
+        for s in (
+            set(),
+            range(n),
+            range(n - top, n),
+            set(rng.sample(range(n), rng.randint(0, n))),
+        ):
+            assert g.bit_rows(s) == _rows_by_has_edge(g, s)
+        assert g.bit_rows() == _rows_by_has_edge(g, range(n))
+
+
 def test_contraction_drops_alpha_by_at_most_one():
     rng = random.Random(2)
     for _ in range(40):
