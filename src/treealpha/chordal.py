@@ -7,21 +7,24 @@ of the clique tree are exactly the maximal cliques, read off that order
 1993), and the tree is a maximum-weight spanning tree of the clique
 intersection graph.
 
-Costs: the search keeps a lazy heap, so recognition is O((n + m) log n);
-reading the cliques is O(n + m), from the earlier-neighbour lists that the
-recognition check builds; Kruskal sorts only the P clique pairs that
-share a vertex, O(n + m + P log P). P is the sum over vertices of (cliques
-holding it choose 2): linear when each vertex lies in few maximal cliques,
-as in interval graphs of bounded clique number, quadratic for a star.
+Costs: the search keeps a lazy heap of ints, so recognition is
+O((n + m) log n); the check builds N[f] once for each latest earlier
+neighbour f, O(n + m). The maximal cliques and the distinct minimal
+separators are read in O(n + m) from the earlier-neighbour lists that the
+check builds, and the separators are sorted by size. A separator S finds
+the cliques that hold it on the shortest list of cliques holding one of
+its vertices, at |S| set lookups per clique on that list. No clique pairs
+are listed, so a star takes linear time.
 
 The output is fixed by tie rules: the search takes the largest weight, then
 the smallest id; bags are sorted by their sorted members; the tree is the
 one Kruskal builds over all pairs (i, j) ordered by (-|C_i & C_j|, i, j),
-weight-0 pairs included.
+weight-0 pairs included. Every edge of that tree meets in a minimal
+separator, so `clique_tree` takes the same edges separator by separator,
+largest first (see there).
 """
 
 import heapq
-from collections import Counter
 
 from .decomposition import make_decomposition
 from .errors import GraphError
@@ -38,39 +41,37 @@ def _perfect_order(graph):
     adj = graph.adj
     weight = [0] * n
     visited = [False] * n
-    heap = [(0, v) for v in range(n)]
+    # An entry for y at weight w is the int y - w * n: the smallest is the
+    # largest weight, then the smallest id.
+    heap = list(range(n))
     order = []
     while heap:
-        w, z = heapq.heappop(heap)
-        if visited[z] or -w != weight[z]:
+        key = heapq.heappop(heap)
+        z = key % n
+        if visited[z] or -(key // n) != weight[z]:
             continue  # a stale entry: z was visited or has gained weight
         visited[z] = True
         order.append(z)
         for y in adj[z]:
             if not visited[y]:
                 weight[y] += 1
-                heapq.heappush(heap, (-weight[y], y))
+                heapq.heappush(heap, y - weight[y] * n)
 
-    # Each vertex's earlier neighbors minus the latest of them, f, must all
-    # be adjacent to f. The tests are grouped by f, so each adjacency list
-    # is marked once.
+    # Each vertex's earlier neighbours must all lie in N[f], f the latest of
+    # them. N[f] is built once, on the first list that needs it.
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
-    need = [[] for _ in range(n)]
+    closed = {}
     for before in earlier:
         if len(before) > 1:
-            need[max(before, key=pos.__getitem__)].append(before)
-    mark = [-1] * n
-    for f, lists in enumerate(need):
-        if not lists:
-            continue
-        mark[f] = f
-        for u in adj[f]:
-            mark[u] = f
-        for before in lists:
-            if any(mark[u] != f for u in before):
+            f = max(before, key=pos.__getitem__)
+            nf = closed.get(f)
+            if nf is None:
+                nf = closed[f] = set(adj[f])
+                nf.add(f)
+            if not nf.issuperset(before):
                 return None
     return order, earlier
 
@@ -103,25 +104,22 @@ def clique_tree(graph):
     # The candidate at position i, order[i] with its earlier neighbors, is a
     # maximal clique exactly when it is last or the next candidate is no
     # larger (the next vertex's MCS weight is its earlier-neighbor count).
+    # A vertex whose candidate follows a maximal one starts a new clique, and
+    # its earlier neighbours, when there are any, are a minimal separator.
     candidates = [[v] + before for v, before in zip(order, earlier)]
-    maximal = [
-        frozenset(c)
-        for c, nxt in zip(candidates, candidates[1:] + [()])
-        if len(nxt) <= len(c)
-    ]
+    maximal = []
+    separators = set()
+    for c, nxt in zip(candidates, candidates[1:] + [()]):
+        if len(nxt) <= len(c):
+            maximal.append(frozenset(c))
+            if len(nxt) > 1:
+                separators.add(frozenset(nxt[1:]))
     maximal.sort(key=sorted)
     q = len(maximal)
-
-    # Maximum-weight spanning tree over pairwise intersections (Kruskal).
-    # Only pairs that share a vertex have positive weight.
     holding = [[] for _ in range(graph.n)]
     for i, c in enumerate(maximal):
         for v in c:
             holding[v].append(i)
-    shared = Counter(
-        (i, j) for ids in holding for a, i in enumerate(ids) for j in ids[a + 1 :]
-    )
-    pairs = sorted((-w, i, j) for (i, j), w in shared.items())
     parent = list(range(q))
 
     def find(x):
@@ -130,12 +128,22 @@ def clique_tree(graph):
             x = parent[x]
         return x
 
+    # Kruskal's edges, separator by separator, largest first. Two cliques
+    # that hold S but lie in different components meet in exactly S, and a
+    # forest path between two cliques holding S passes only through cliques
+    # holding S, so separators of one size do not interact. Kruskal's pairs
+    # for S come in (i, j) order, so each component joins the smallest
+    # clique c0 holding S through its own smallest clique holding S.
     edges = []
-    for _, i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
+    for s in sorted(separators, key=len, reverse=True):
+        ids = min((holding[v] for v in s), key=len)
+        c0, *rest = [i for i in ids if s <= maximal[i]]
+        r0 = find(c0)
+        for j in rest:
+            rj = find(j)
+            if rj != r0:
+                parent[rj] = r0
+                edges.append((c0, j))
     # The rest are weight-0 pairs, taken in (i, j) order: each component
     # without clique 0 joins it through its smallest clique id.
     for j in range(1, q):

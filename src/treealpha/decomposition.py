@@ -9,6 +9,7 @@ first-class check and reports violations as data rather than raising.
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import GraphError, InvalidDecompositionError
 from .exact import alpha_of_subset
@@ -174,9 +175,8 @@ def validate(graph, td, universe=None):
             break
 
     if tree_bad is None:
-        shared = Counter()
-        for a, b in edges:
-            shared.update(td.bags[a] & td.bags[b])
+        bags = td.bags
+        shared = Counter(chain.from_iterable(bags[a] & bags[b] for a, b in edges))
         for v in ids:
             if index[v] and len(index[v]) - shared[v] != 1:
                 violations.append(

@@ -1,6 +1,7 @@
 """Shared test helpers: deterministic random instances and tiny brute-force
 oracles that are independent of the library's own solvers."""
 
+import heapq
 import itertools
 import random
 from collections import Counter
@@ -580,6 +581,92 @@ def reference_validate(graph, td, universe=None):
             break
 
     return ValidationReport(not violations, tuple(violations))
+
+
+def reference_clique_tree(graph):
+    """`chordal.is_chordal` and `chordal.clique_tree` as they were before the
+    tree was built from minimal separators: a search heap of (-weight, id)
+    tuples, a mark array per latest earlier neighbour, and Kruskal over all
+    clique pairs, weight-0 pairs included, in (-|C_i & C_j|, i, j) order.
+    Only pairs that share a vertex are listed; the weight-0 pairs come last,
+    and in (i, j) order each component without clique 0 joins it through its
+    smallest clique id.
+
+    Returns (order, bags, tree_edges) with bags as sorted lists, or None when
+    the graph is not chordal."""
+    n = graph.n
+    adj = graph.adj
+    weight = [0] * n
+    visited = [False] * n
+    heap = [(0, v) for v in range(n)]
+    order = []
+    while heap:
+        w, z = heapq.heappop(heap)
+        if visited[z] or -w != weight[z]:
+            continue
+        visited[z] = True
+        order.append(z)
+        for y in adj[z]:
+            if not visited[y]:
+                weight[y] += 1
+                heapq.heappush(heap, (-weight[y], y))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
+    need = [[] for _ in range(n)]
+    for before in earlier:
+        if len(before) > 1:
+            need[max(before, key=pos.__getitem__)].append(before)
+    mark = [-1] * n
+    for f, lists in enumerate(need):
+        if not lists:
+            continue
+        mark[f] = f
+        for u in adj[f]:
+            mark[u] = f
+        for before in lists:
+            if any(mark[u] != f for u in before):
+                return None
+    if n == 0:
+        return (), [], ()
+
+    candidates = [[v] + before for v, before in zip(order, earlier)]
+    maximal = [
+        frozenset(c)
+        for c, nxt in zip(candidates, candidates[1:] + [()])
+        if len(nxt) <= len(c)
+    ]
+    maximal.sort(key=sorted)
+    q = len(maximal)
+    holding = [[] for _ in range(n)]
+    for i, c in enumerate(maximal):
+        for v in c:
+            holding[v].append(i)
+    shared = Counter(
+        (i, j) for ids in holding for a, i in enumerate(ids) for j in ids[a + 1 :]
+    )
+    pairs = sorted((-w, i, j) for (i, j), w in shared.items())
+    parent = list(range(q))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = []
+    for _, i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j))
+    # The weight-0 pairs, in (i, j) order.
+    for j in range(1, q):
+        if find(j) != find(0):
+            parent[find(j)] = find(0)
+            edges.append((0, j))
+    return tuple(order), [sorted(c) for c in maximal], tuple(sorted(edges))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from .conftest import (
     cycle_has_chord,
     induced_subgraph,
     random_graph,
+    reference_clique_tree,
 )
 
 
@@ -204,3 +206,122 @@ def test_recognition_and_bags_match_networkx():
         assert len(bags) == len(set(bags))
         assert set(bags) == set(nx.chordal_graph_cliques(ng))
     assert min(seen.values()) >= 50, seen
+
+
+def test_clique_tree_of_a_large_star_lists_no_clique_pairs():
+    # K_{1,999}: 999 cliques all hold the centre. Listing the pairs that
+    # share a vertex took 82 MiB here; the tree needs well under 1 MiB.
+    g = build_graph(1000, [(0, v) for v in range(1, 1000)])
+    tracemalloc.start()
+    try:
+        ct = clique_tree(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ct.tree_edges == tuple((0, j) for j in range(1, 999))
+    assert peak < 4 * 2**20, peak
+
+
+def shuffled_k_tree(n, k, rng):
+    """A k-tree on n >= k vertices with shuffled ids: a k-clique, then each
+    new vertex joined to a random k-clique already present."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = list(itertools.combinations(ids[:k], 2))
+    cliques = [ids[:k]]
+    for v in ids[k:]:
+        base = rng.choice(cliques)
+        edges += [(u, v) for u in base]
+        cliques += [[u for u in base if u != x] + [v] for x in base]
+    return build_graph(n, edges)
+
+
+def interval_graph(n, rng):
+    """The intersection graph of n random closed integer intervals."""
+    spans = []
+    for _ in range(n):
+        left = rng.randint(0, 3 * n)
+        spans.append((left, left + rng.randint(0, 12)))
+    return build_graph(
+        n,
+        [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+        ],
+    )
+
+
+def star(n, rng):
+    centre = rng.randrange(n)
+    return build_graph(n, [(centre, v) for v in range(n) if v != centre])
+
+
+def disjoint_union(parts, rng):
+    """The parts side by side, their vertex ids shuffled together."""
+    n = sum(g.n for g in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, offset = [], 0
+    for g in parts:
+        edges += [(ids[offset + u], ids[offset + v]) for u, v in g.edges()]
+        offset += g.n
+    return build_graph(n, edges)
+
+
+def differential_corpus(rng):
+    """(kind, graph) pairs with n up to about 250."""
+    def chordal_part():
+        kind = rng.choice(["fill-in", "k-tree", "interval", "star"])
+        n = rng.randint(1, 80)
+        if kind == "fill-in":
+            return chordal_fill_in(random_graph(n, rng.choice([0.5, 1, 2]) / n, rng), rng)
+        if kind == "k-tree":
+            return shuffled_k_tree(n + 4, rng.randint(1, 4), rng)
+        if kind == "interval":
+            return interval_graph(n, rng)
+        return star(n, rng)
+
+    for _ in range(40):
+        n = rng.randint(1, 250)
+        yield "fill-in", chordal_fill_in(random_graph(n, rng.choice([0.5, 1, 2]) / n, rng), rng)
+    for k in range(1, 5):
+        for _ in range(15):
+            yield f"{k}-tree", shuffled_k_tree(rng.randint(k, 250), k, rng)
+    for _ in range(40):
+        yield "interval", interval_graph(rng.randint(1, 250), rng)
+    for _ in range(10):
+        yield "star", star(rng.randint(1, 250), rng)
+    for _ in range(40):
+        yield "union", disjoint_union([chordal_part() for _ in range(rng.randint(2, 4))], rng)
+    for _ in range(40):
+        n = rng.randint(4, 250)
+        yield "random", random_graph(n, rng.choice([1, 2, 4]) / n, rng)
+    for _ in range(40):
+        # A chordal graph plus one random edge, chordal or not.
+        g = chordal_part()
+        if g.n >= 2:
+            u, v = rng.sample(range(g.n), 2)
+            g = build_graph(g.n, list(g.edges()) + [(min(u, v), max(u, v))])
+        yield "chordal plus an edge", g
+
+
+def test_clique_tree_and_order_match_the_all_pairs_reference():
+    rng = random.Random(19)
+    seen = {}
+    for kind, g in differential_corpus(rng):
+        want = reference_clique_tree(g)
+        if want is None:
+            assert is_chordal(g) == (False, None)
+            with pytest.raises(GraphError):
+                clique_tree(g)
+            seen["not chordal"] = seen.get("not chordal", 0) + 1
+            continue
+        order, bags, tree_edges = want
+        assert is_chordal(g) == (True, order)
+        ct = clique_tree(g)
+        assert [sorted(b) for b in ct.bags] == bags
+        assert ct.tree_edges == tree_edges
+        seen[kind] = seen.get(kind, 0) + 1
+    assert seen["not chordal"] >= 40, seen
+    assert all(seen[k] >= 10 for k in ("fill-in", "1-tree", "4-tree", "union", "star")), seen
