@@ -78,12 +78,16 @@ class _Inputs:
         self.seen = {}
 
     def parse(self, name, path, parser, *args):
-        """`parser(text, *args, source=...)` on the file at `path` (`-`: stdin)."""
-        if path == "-":
-            data, shown = sys.stdin.read(), "<stdin>"
-        else:
-            data, shown = formats.read_text(path), str(path)
-        digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        """`parser(text, *args, source=...)` on the file at `path` (`-`: stdin).
+        A byte that is not UTF-8 fails the read, or the hash for a stdin decoded
+        with `surrogateescape`, and is a ParseError on its line."""
+        shown = "<stdin>" if path == "-" else str(path)
+        try:
+            data = sys.stdin.read() if path == "-" else formats.read_text(path)
+            digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        except UnicodeError as e:
+            line = len(e.object[: e.start + 1].splitlines())
+            raise ParseError(shown, line, "not valid UTF-8 text") from None
         self.seen[name] = {"path": shown, "sha256": digest}
         return parser(data, *args, source=shown)
 

@@ -1,8 +1,8 @@
 """Exact independence numbers via bit-set branch and bound.
 
-A maximum-clique kernel runs on the complement (independent sets are
-cliques of the complement). The kernel is exact by contract; the pruning
-strategy (greedy coloring bound, Tomita-style) is an implementation detail.
+One kernel searches the graph's own bit rows, bounded by a greedy clique
+cover. It is exact by contract; the pruning strategy is an implementation
+detail.
 """
 
 from .errors import CapExceededError
@@ -12,13 +12,13 @@ from .graph import check_vertex_set
 DEFAULT_ALPHA_CAP = 64
 
 
-def _max_clique_size(rows, start_mask):
-    """Size of a maximum clique of the graph restricted to `start_mask`.
+def _independence_number(rows, start_mask):
+    """Size of a maximum independent set of the graph restricted to `start_mask`.
 
     `rows` is a sequence of neighbor masks over one universe of bit
     positions; entry v is only read for v in `start_mask`, and only its bits
-    inside `start_mask` matter. Branch and bound with a greedy-coloring upper
-    bound.
+    inside `start_mask` matter. Branch and bound with a greedy clique-cover
+    upper bound (an independent set meets each clique at most once).
     """
     best = 0
 
@@ -28,37 +28,30 @@ def _max_clique_size(rows, start_mask):
             if size > best:
                 best = size
             return
-        # Greedy coloring: vertices listed in nondecreasing color order.
+        # Greedy clique cover: vertices listed in nondecreasing clique order.
         order = []
-        colors = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
+        cliques = []
+        uncovered = cand
+        clique = 0
+        while uncovered:
+            clique += 1
+            avail = uncovered
             while avail:
                 b = avail & -avail
                 v = b.bit_length() - 1
                 order.append(v)
-                colors.append(color)
-                uncolored ^= b
-                avail &= ~rows[v]
-                avail ^= b
+                cliques.append(clique)
+                uncovered ^= b
+                avail &= rows[v]
         for i in range(len(order) - 1, -1, -1):
-            if size + colors[i] <= best:
+            if size + cliques[i] <= best:
                 return
             v = order[i]
-            expand(cand & rows[v], size + 1)
             cand &= ~(1 << v)
+            expand(cand & ~rows[v], size + 1)
 
     expand(start_mask, 0)
     return best
-
-
-def _complement_rows(rows):
-    """Rows of the complement graph over the same bit positions as `rows`."""
-    full = (1 << len(rows)) - 1
-    return [full & ~r & ~(1 << v) for v, r in enumerate(rows)]
 
 
 def alpha_exact(graph):
@@ -77,4 +70,4 @@ def alpha_of_subset(graph, vertices):
         raise CapExceededError(
             f"alpha_of_subset refused for |S|={len(s)} > cap={DEFAULT_ALPHA_CAP}"
         )
-    return _max_clique_size(_complement_rows(graph.bit_rows(s)), (1 << len(s)) - 1)
+    return _independence_number(graph.bit_rows(s), (1 << len(s)) - 1)

@@ -18,9 +18,9 @@ G[S] holding v, and each state's components are read off two tables filled
 from smaller states (no search runs). A state whose G[S] is disconnected
 takes the max over its components, since their bags do not depend on each
 other. A connected state pulls from the states one vertex smaller, and its
-scan stops once it reaches cost[N(S)], which no move can beat. The moves are
-rebuilt afterwards on the optimal path alone. The DP keeps 9 bytes per
-subset for n <= 32, beside the 1-byte cost table.
+scan stops once it reaches cost[N(S)], which no move can beat. The moves and
+their bags are rebuilt afterwards on the optimal path alone. The DP keeps 9
+bytes per subset for n <= 32, beside the 1-byte cost table.
 """
 
 import sys
@@ -39,18 +39,6 @@ _SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
 # Byte maps x -> x + 1 and x -> max(x - 1, 0) for `bytearray.translate`.
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _LESS_ONE = b"\0" + bytes(range(255))
-
-
-def _bag_mask(rows, v, emask):
-    nb = rows[v]
-    seen = 0
-    pend = nb & emask
-    while pend:
-        b = pend & -pend
-        seen |= b
-        nb |= rows[b.bit_length() - 1]
-        pend = nb & emask & ~seen
-    return (nb & ~emask) | (1 << v)
 
 
 def _refuse_over_cap(name, graph, cap):
@@ -87,7 +75,7 @@ def _size_table(n):
 
 
 def _elimination_dp(graph, cost):
-    """min over elimination orderings of the max bag cost; returns (value, order).
+    """min over elimination orderings of the max bag cost; (value, order, bags).
 
     `cost[bag]` is the cost of the bag with that mask, a byte, and must be
     monotone under inclusion. dp[t] is the best worst bag over orderings that
@@ -101,7 +89,8 @@ def _elimination_dp(graph, cost):
     stops once its best reaches that bound. Only the states on the optimal
     path need a move: walking back from the full set, each takes the largest
     v among its optimal moves, which is the rule "first state in mask order,
-    then lowest vertex" of the forward (push) recurrence.
+    then lowest vertex" of the forward (push) recurrence. bags[i], the mask of
+    order[i]'s bag, is the mask whose cost the walk tested for that move.
 
     The components come from two tables over the states: low[t] is the
     component of G[t] holding t's lowest vertex b, and nb[t] its open
@@ -155,10 +144,11 @@ def _elimination_dp(graph, cost):
                         break
         dp[t] = best
     order = []
+    bags = []
     s = full
     while s:
         best = dp[s]
-        bb = 0
+        bb = bag = 0
         rest = s
         while rest:
             comp = low[rest]
@@ -169,21 +159,19 @@ def _elimination_dp(graph, cost):
                 comp ^= b
                 if b > bb and dp[s ^ b] <= best and cost[b | nbs] <= best:
                     bb = b
+                    bag = b | nbs
         order.append(bb.bit_length() - 1)
+        bags.append(bag)
         s ^= bb
-    order.reverse()
-    return (dp[full] if n else -1), order
+    return (dp[full] if n else -1), order[::-1], bags[::-1]
 
 
-def _fill_in(graph, order):
-    """Chordal supergraph from eliminating vertices in the given order."""
+def _fill_in(graph, bags):
+    """Chordal supergraph of an elimination ordering: its bags made cliques."""
     rows = graph.bit_rows()
-    emask = 0
-    for v in order:
-        bag = _bag_mask(rows, v, emask)
+    for bag in bags:
         for a in members(bag):
             rows[a] |= bag ^ (1 << a)
-        emask |= 1 << v
     return Graph(graph.n, tuple(tuple(members(r)) for r in rows))
 
 
@@ -193,7 +181,7 @@ def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     if graph.n == 0:
         return -1
     # Every bag holds its own vertex, so the empty mask's entry is never read.
-    value, _ = _elimination_dp(graph, _size_table(graph.n))
+    value, _, _ = _elimination_dp(graph, _size_table(graph.n))
     return value
 
 
@@ -208,8 +196,8 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
     alpha = _alpha_table(graph.bit_rows(), graph.n)
-    value, order = _elimination_dp(graph, alpha)
-    filled = _fill_in(graph, order)
+    value, _, bags = _elimination_dp(graph, alpha)
+    filled = _fill_in(graph, bags)
     ct = clique_tree(filled)
     witness = make_decomposition(graph, ct.bags, ct.tree_edges)
     return value, witness

@@ -8,11 +8,12 @@ transferred decomposition, whose independence number never exceeds that of
 the original decomposition.
 
 Both transfer steps read one index, host vertex -> ascending ids of the
-members holding it. Member j's derived neighbours are the union of the index
-over its closed neighbourhood N[H_j], in O(sum_j sum_{v in N[H_j]}
-|index[v]|) for the whole graph; bag t of the transferred decomposition is
-the union of the index over X_t, in O(sum_t sum_{v in X_t} |index[v]|). Both
-costs follow the size of the output, not |J|^2 or |J| per bag.
+members holding it. Member j's derived neighbours are the members meeting
+its closed neighbourhood N[H_j], read off one tuple per vertex of H_j, in
+O(sum_j sum_{v in N[H_j]} |index[v]|) for the whole graph; bag t of the
+transferred decomposition is the union of the index over X_t, in
+O(sum_t sum_{v in X_t} |index[v]|). Both costs follow the size of the
+output, not |J|^2 or |J| per bag.
 
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
@@ -21,8 +22,9 @@ set, which holds for `pack --patterns` (a member weighs the sum of its
 vertex weights). Callers needing edge-sensitive weights must pre-aggregate
 to the max weight per vertex set.
 
-The pattern family and the derived graph are both counted before they are
-built, and each is refused over MAX_COUNT with CapExceededError.
+The pattern family is counted before it is built, the derived graph in the
+pass that builds each vertex's member tuple, before any neighbour row; each
+is refused over MAX_COUNT with CapExceededError.
 """
 
 from dataclasses import dataclass
@@ -124,56 +126,35 @@ def _member_index(graph, family):
     return index
 
 
-def _refuse_oversized_conflicts(adj, family_members, index):
-    """Raise CapExceededError if `derived_graph` would read over MAX_COUNT
-    index terms, sum_j sum_{v in N[H_j]} |index[v]|, before it builds any
-    neighbour set.
-
-    sum_v |index[v]| * sum_{u in N[v]} |index[u]| counts every term at
-    least once and costs O(n + m); only when it passes the cap are the
-    terms counted exactly, member by member, up to the cap.
-    """
-    sizes = [len(held) for held in index]
-    at = sizes.__getitem__
-    bound = sum(c * (c + sum(map(at, adj[v]))) for v, c in enumerate(sizes) if c)
-    if bound <= MAX_COUNT:
-        return
-    terms = 0
-    for s in family_members:
-        reach = set(s)
-        for v in s:
-            reach.update(adj[v])
-        terms += sum(map(at, reach))
-        if terms > MAX_COUNT:
-            raise CapExceededError(
-                f"derived graph refused: its members' closed neighbourhoods "
-                f"hold over cap={MAX_COUNT} member entries"
-            )
-
-
 def derived_graph(graph, family):
     """The conflict graph on member indices.
 
     Member j conflicts exactly with the members that meet its closed
-    neighbourhood N[H_j], the reach behind the polynomial bound. With the
-    vertex -> members index, j's neighbours are the union of the index over
-    N[H_j] minus j itself, so the cost is O(sum_j sum_{v in N[H_j]}
-    |index[v]|) plus sorting each list: every term is a conflict that j
-    finds, and no pair of members is compared. `compatible` is the pairwise
-    definition it agrees with. That sum is counted first and a graph whose
-    sum passes MAX_COUNT is refused before any neighbour set is built.
+    neighbourhood N[H_j], the reach behind the polynomial bound. One pass
+    builds near[v], the members meeting N[v], for each vertex v a member
+    holds; u is in N[H_j] exactly when j is in near[u], so j's neighbours
+    are the union of near[v] over H_j, minus j. No pair of members is
+    compared; `compatible` is the pairwise definition it agrees with. The
+    pass counts the work, sum_v |index[v]| * |near[v]| = sum_j sum_{u in
+    N[H_j]} |index[u]|, and refuses over MAX_COUNT before any row is built.
     """
     index = _member_index(graph, family)
     adj = graph.adj
-    _refuse_oversized_conflicts(adj, family.members, index)
+    near = [()] * graph.n
+    terms = 0
+    for v, held in enumerate(index):
+        if held:
+            found = set().union(held, *map(index.__getitem__, adj[v]))
+            terms += len(held) * len(found)
+            if terms > MAX_COUNT:
+                raise CapExceededError(
+                    f"derived graph refused: its members' closed neighbourhoods "
+                    f"hold over cap={MAX_COUNT} member entries"
+                )
+            near[v] = tuple(found)
     nbrs = []
     for j, s in enumerate(family.members):
-        reach = set(s)
-        for v in s:
-            reach.update(adj[v])
-        found = set()
-        for v in reach:
-            found.update(index[v])
+        found = set().union(*map(near.__getitem__, s))
         found.discard(j)
         nbrs.append(tuple(sorted(found)))
     return Graph(len(family.members), tuple(nbrs))
@@ -197,12 +178,7 @@ def derived_decomposition(graph, family, td, derived=None):
     index = _member_index(graph, family)
     if derived is None:
         derived = derived_graph(graph, family)
-    bags = []
-    for bag in td.bags:
-        held = set()
-        for v in bag:
-            held.update(index[v])
-        bags.append(held)
+    bags = [set().union(*map(index.__getitem__, bag)) for bag in td.bags]
     return make_decomposition(derived, bags, td.tree_edges)
 
 

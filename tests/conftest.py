@@ -24,9 +24,8 @@ from treealpha import (
     validate,
 )
 from treealpha.decomposition import ValidationReport, Violation
-from treealpha.graph import check_vertex_set, mask_of, members
+from treealpha.graph import Graph, check_vertex_set, mask_of, members
 from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
-from treealpha.oracle import _bag_mask
 from treealpha.packing import DEFAULT_PATTERN_CAP
 
 
@@ -336,6 +335,33 @@ def postorder(nice):
             for c in nice.children[t]:
                 stack.append((c, False))
     return out
+
+
+def _bag_mask(rows, v, emask):
+    """Mask of v's elimination bag against the eliminated mask `emask`,
+    found by a search from v through the eliminated vertices."""
+    nb = rows[v]
+    seen = 0
+    pend = nb & emask
+    while pend:
+        b = pend & -pend
+        seen |= b
+        nb |= rows[b.bit_length() - 1]
+        pend = nb & emask & ~seen
+    return (nb & ~emask) | (1 << v)
+
+
+def reference_fill_in(graph, order):
+    """Chordal supergraph from eliminating vertices in the given order, each
+    bag found by search and made a clique before the next is searched."""
+    rows = graph.bit_rows()
+    emask = 0
+    for v in order:
+        bag = _bag_mask(rows, v, emask)
+        for a in members(bag):
+            rows[a] |= bag ^ (1 << a)
+        emask |= 1 << v
+    return Graph(graph.n, tuple(tuple(members(r)) for r in rows))
 
 
 def elimination_bag(graph, v, eliminated):

@@ -494,6 +494,27 @@ def test_usage_and_parse_errors(tmp_path, capsys):
     assert code == 0 and "--graph" in out
 
 
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # A 0xff byte on line 2, in a file or on stdin, whether stdin decodes
+    # strictly (the read fails) or with surrogateescape (the digest fails).
+    g = path_graph(3)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    bad = b"p tw 3 2\n1 2\xff\n2 3\n"
+    (tmp_path / "bad").write_bytes(bad)
+    ok_gr, ok_td, bad_path = (str(tmp_path / name) for name in ("g.gr", "t.td", "bad"))
+    for graph, td, shown in ((bad_path, ok_td, bad_path), (ok_gr, bad_path, bad_path)):
+        code, out, err = run(capsys, "validate", "--graph", graph, "--td", td)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {shown}:2: not valid UTF-8 text"]
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(bad), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "validate", "--graph", "-", "--td", ok_td)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: <stdin>:2: not valid UTF-8 text"]
+
+
 def test_reports_are_deterministic_modulo_wall_time(tmp_path, capsys):
     g = cycle_graph(5)
     write_graph(g, tmp_path / "g.gr")

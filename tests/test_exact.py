@@ -17,6 +17,7 @@ from .conftest import (
     alpha_by_enumeration,
     all_labeled_graphs,
     complement,
+    induced_subgraph,
     random_graph,
     shuffled_path,
 )
@@ -80,3 +81,14 @@ def test_alpha_of_subset_cost_follows_the_subset():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_alpha_of_subset_matches_enumeration_in_wide_graphs():
+    # Subsets of graphs with ids past 64; the search runs on the subset's
+    # own rows, held against enumeration of the induced subgraph.
+    rng = random.Random(8)
+    for _ in range(30):
+        g = random_graph(rng.randint(65, 90), rng.choice([0.1, 0.3, 0.5]), rng)
+        s = rng.sample(range(g.n), rng.randint(0, 18))
+        sub, _ = induced_subgraph(g, s)
+        assert alpha_of_subset(g, s) == alpha_by_enumeration(sub)

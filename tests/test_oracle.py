@@ -28,6 +28,7 @@ from treealpha.graph import members
 from treealpha.oracle import (
     _alpha_table,
     _elimination_dp,
+    _fill_in,
     _size_table,
     brute_force_mwis,
 )
@@ -42,6 +43,7 @@ from .conftest import (
     push_form_elimination_dp,
     random_graph,
     random_weights,
+    reference_fill_in,
 )
 
 
@@ -278,14 +280,18 @@ def _tie_heavy_graph(i, rng):
 
 
 def test_pull_form_dp_matches_push_form_reference():
-    # Value and order, hence the tie rule, on both cost tables.
+    # Value and order, hence the tie rule, on both cost tables; and the
+    # fill-in made from the returned bags equals the one that finds each
+    # bag again by search.
     rng = random.Random(44)
     for i in range(1200):
         g = _tie_heavy_graph(i, rng)
         n = g.n
         sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
         for cost in (_alpha_table(g.bit_rows(), n), sizes):
-            assert _elimination_dp(g, cost) == push_form_elimination_dp(g, cost), g.adj
+            value, order, bags = _elimination_dp(g, cost)
+            assert (value, order) == push_form_elimination_dp(g, cost), g.adj
+            assert _fill_in(g, bags) == reference_fill_in(g, order), g.adj
 
 
 def test_disjoint_union_takes_the_max_of_its_parts():
@@ -317,7 +323,7 @@ def test_subset_dp_memory_is_bytes_per_subset():
     alpha = _alpha_table(g.bit_rows(), g.n)
     tracemalloc.start()
     try:
-        value, order = _elimination_dp(g, alpha)
+        value, order, _ = _elimination_dp(g, alpha)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -406,7 +407,7 @@ def test_family_is_counted_before_it_is_built(monkeypatch):
 def test_derived_graph_is_counted_before_it_is_built(monkeypatch):
     # The count is sum_j sum_{v in N[H_j]} |index[v]|, the work of the
     # build; exactly at the cap the graph is built, one term less is
-    # refused. Both the O(n + m) bound and the exact count decide here.
+    # refused.
     rng = random.Random(44)
     for _ in range(60):
         g = random_graph(rng.randint(1, 9), rng.choice((0.2, 0.5)), rng)
@@ -425,6 +426,22 @@ def test_derived_graph_is_counted_before_it_is_built(monkeypatch):
             derived_graph(g, fam)
         monkeypatch.undo()
         assert want == derived_graph(g, fam)
+
+
+def test_derived_graph_refusal_stays_small():
+    # K_200's 20,100 k1,k2 members all meet every closed neighbourhood, so
+    # the first vertex's member tuple already passes the cap: the refusal
+    # holds one near set, and no neighbour row is built.
+    g = complete_graph(200)
+    fam = enumerate_F_subgraphs(g, [pattern_by_name("k1"), pattern_by_name("k2")])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="derived graph refused"):
+            derived_graph(g, fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_spanning_vs_induced_containment():
