@@ -38,22 +38,25 @@ from .graph import MAX_COUNT, is_independent, mask_of, members
 from .nice import rooted_contraction
 
 
-def _dp(graph, weights, td, k):
+def _dp(rows, weights, td, k):
     """Optimum, witness set and the final table of every contracted node.
 
-    `td` must be a valid decomposition of `graph`; it is not checked here.
-    `weights[v]` is the exact nonnegative weight of vertex v (Fraction or
-    int), read once per vertex. Tables map keys to L * c[t, S], indexed by
-    the node ids of `rooted_contraction(td)`.
+    The graph is given by its neighbour rows: `rows[v]` is the bit set of
+    vertex v's neighbours, as `Graph.bit_rows()` builds them. `td` must be a
+    valid decomposition of that graph; it is not checked here, and only its
+    tree, bags and marked sets are read. `weights[v]` is the exact
+    nonnegative weight of vertex v (Fraction or int), read once per vertex.
+    Tables map keys to L * c[t, S], indexed by the node ids of
+    `rooted_contraction(td)`. The witness is re-verified against `rows`.
     """
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
-    weights = [weights[v] for v in range(graph.n)]
+    weights = [weights[v] for v in range(len(rows))]
     scale = lcm(*(x.denominator for x in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
     bags, refs, root, parent, kids = rooted_contraction(td)
     bag = [mask_of(b) for b in bags]
-    order, stack, nbrs = [], [root], {}
+    order, stack = [], [root]
     while stack:
         t = stack.pop()
         order.append(t)
@@ -63,9 +66,7 @@ def _dp(graph, weights, td, k):
         """Grow `table` over X_t - `start`, checking each added vertex."""
         residual = bag[t] & ~mask_of(refs[t])
         for i, v in enumerate(members(bag[t] & ~start)):
-            if v not in nbrs:
-                nbrs[v] = mask_of(graph.adj[v])
-            bit, avoid, wv = 1 << v, nbrs[v], w[v]
+            bit, avoid, wv = 1 << v, rows[v], w[v]
             # Counted only where the table could double past the cap.
             if 2 * len(table) > MAX_COUNT and (
                 len(table) + sum(not s & avoid for s in table) > MAX_COUNT
@@ -125,7 +126,7 @@ def _dp(graph, weights, td, k):
         union |= chosen[t]
     witness = frozenset(members(union))
     value = Fraction(value, scale)
-    if not is_independent(graph, witness):
+    if any(map(union.__and__, map(rows.__getitem__, witness))):
         raise RuntimeError("internal: witness set is not independent")
     if sum(weights[v] for v in witness) != value:
         raise RuntimeError("internal: witness weight does not match optimum")
@@ -138,8 +139,11 @@ def solve_mwis(graph, weights, td, k):
     `k` is the promised residual independence bound of the decomposition; it
     bounds the table sizes, and a decomposition that breaks the promise is
     reported via ResidualBoundViolation rather than silently blowing up.
-    The witness is re-verified before returning.
+    The pass runs on the graph's bit rows; the witness is re-verified
+    against those rows and again against the adjacency lists.
     """
     require_valid(graph, td)
-    value, witness, _ = _dp(graph, weights, td, k)
+    value, witness, _ = _dp(graph.bit_rows(), weights, td, k)
+    if not is_independent(graph, witness):
+        raise RuntimeError("internal: witness set is not independent")
     return value, witness

@@ -7,13 +7,17 @@ independent set of the derived graph, so packing reduces to MWIS over the
 transferred decomposition, whose independence number never exceeds that of
 the original decomposition.
 
-Both transfer steps read one index, host vertex -> ascending ids of the
-members holding it. Member j's derived neighbours are the members meeting
-its closed neighbourhood N[H_j], read off one tuple per vertex of H_j, in
-O(sum_j sum_{v in N[H_j]} |index[v]|) for the whole graph; bag t of the
-transferred decomposition is the union of the index over X_t, in
-O(sum_t sum_{v in X_t} |index[v]|). Both costs follow the size of the
-output, not |J|^2 or |J| per bag.
+`solve_packing` runs the reduction in one pass over the host, built on
+one index, host vertex -> ascending ids of the members holding it. Member
+j's conflicts are the members meeting its closed neighbourhood N[H_j]: the
+pass gives each held vertex v the bit set near[v] of the members meeting
+N[v], and hands the MWIS pass row j, the OR of near[v] over H_j less bit
+j; bag t of the transferred decomposition is the union of the index over
+X_t. The derived graph itself is never built on the way: `derived_graph`
+and `derived_decomposition` build it and its decomposition on their own,
+in O(sum_j sum_{v in N[H_j]} |index[v]|) and O(sum_t sum_{v in X_t}
+|index[v]|), costs that follow the size of the output, not |J|^2 or |J|
+per bag.
 
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
@@ -22,19 +26,21 @@ set, which holds for `pack --patterns` (a member weighs the sum of its
 vertex weights). Callers needing edge-sensitive weights must pre-aggregate
 to the max weight per vertex set.
 
-The pattern family is counted before it is built, the derived graph in the
-pass that builds each vertex's member tuple, before any neighbour row; each
-is refused over MAX_COUNT with CapExceededError.
+The pattern family is counted before it is built, and the derived graph's
+work before any near set, row or neighbour list; each is refused over
+MAX_COUNT with CapExceededError.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
-from .graph import MAX_COUNT, Graph, build_graph, check_vertex_set, members
+from .graph import MAX_COUNT, Graph, build_graph, check_vertex_set, mask_of, members
 from .mwis import _dp
 from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .weights import WeightMap
@@ -126,32 +132,54 @@ def _member_index(graph, family):
     return index
 
 
+def _refuse_dense(index, adj):
+    """Refuse the derived graph over MAX_COUNT units of work.
+
+    The work is sum_v |index[v]| * |near[v]| = sum_j sum_{u in N[H_j]}
+    |index[u]|, near[v] being the members that meet N[v]. Its bound with
+    |near[v]| <= sum_{u in N[v]} |index[u]| is summed from list lengths
+    first; only where the bound passes the cap are the near sets built, one
+    index list at a time, so that a refusal stops inside the union of the
+    vertex that passes the cap.
+    """
+    sizes = list(map(len, index))
+    bound = sum(
+        h * (h + sum(map(sizes.__getitem__, adj[v]))) for v, h in enumerate(sizes) if h
+    )
+    if bound <= MAX_COUNT:
+        return
+    terms = 0
+    for v, held in enumerate(index):
+        if held:
+            found = set()
+            for part in (held, *map(index.__getitem__, adj[v])):
+                found.update(part)
+                if terms + len(held) * len(found) > MAX_COUNT:
+                    raise CapExceededError(
+                        f"derived graph refused: its members' closed neighbourhoods "
+                        f"hold over cap={MAX_COUNT} member entries"
+                    )
+            terms += len(held) * len(found)
+
+
 def derived_graph(graph, family):
     """The conflict graph on member indices.
 
     Member j conflicts exactly with the members that meet its closed
-    neighbourhood N[H_j], the reach behind the polynomial bound. One pass
-    builds near[v], the members meeting N[v], for each vertex v a member
-    holds; u is in N[H_j] exactly when j is in near[u], so j's neighbours
-    are the union of near[v] over H_j, minus j. No pair of members is
-    compared; `compatible` is the pairwise definition it agrees with. The
-    pass counts the work, sum_v |index[v]| * |near[v]| = sum_j sum_{u in
-    N[H_j]} |index[u]|, and refuses over MAX_COUNT before any row is built.
+    neighbourhood N[H_j], the reach behind the polynomial bound. After the
+    count of `_refuse_dense`, one pass builds near[v], the members meeting
+    N[v], for each vertex v a member holds; u is in N[H_j] exactly when j is
+    in near[u], so j's neighbours are the union of near[v] over H_j, minus
+    j. No pair of members is compared; `compatible` is the pairwise
+    definition it agrees with.
     """
     index = _member_index(graph, family)
     adj = graph.adj
-    near = [()] * graph.n
-    terms = 0
-    for v, held in enumerate(index):
-        if held:
-            found = set().union(held, *map(index.__getitem__, adj[v]))
-            terms += len(held) * len(found)
-            if terms > MAX_COUNT:
-                raise CapExceededError(
-                    f"derived graph refused: its members' closed neighbourhoods "
-                    f"hold over cap={MAX_COUNT} member entries"
-                )
-            near[v] = tuple(found)
+    _refuse_dense(index, adj)
+    near = [
+        tuple(set().union(held, *map(index.__getitem__, adj[v]))) if held else ()
+        for v, held in enumerate(index)
+    ]
     nbrs = []
     for j, s in enumerate(family.members):
         found = set().union(*map(near.__getitem__, s))
@@ -182,28 +210,59 @@ def derived_decomposition(graph, family, td, derived=None):
     return make_decomposition(derived, bags, td.tree_edges)
 
 
+def _reduction(family, td):
+    """The reduction of packing to MWIS in one pass over the host: each
+    member's conflict row and the transferred bags.
+
+    Row j is the bit set of the members that conflict with member j, the
+    rows `derived_graph`'s adjacency would give; bag t is the set of
+    members meeting X_t, as in `derived_decomposition`. After the count of
+    `_refuse_dense`, each held vertex v gets held[v], the bit set of the
+    members holding it, and near[v], the OR of held[u] over N[v]; row j is
+    the OR of near[v] over H_j less bit j. These per-vertex masks are local
+    to the pass, so only the rows outlive it. `td` is not checked here.
+    """
+    index = _member_index(family.host, family)
+    adj = family.host.adj
+    _refuse_dense(index, adj)
+    held = list(map(mask_of, index))
+    near = [
+        reduce(or_, map(held.__getitem__, adj[v]), bits) if bits else 0
+        for v, bits in enumerate(held)
+    ]
+    del held
+    # j is in near[v] for every v in H_j, so the XOR clears bit j.
+    rows = [
+        reduce(or_, map(near.__getitem__, s)) ^ (1 << j)
+        for j, s in enumerate(family.members)
+    ]
+    bags = [frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags]
+    return rows, bags
+
+
 def solve_packing(instance, td, k):
     """Max weight independent packing via MWIS on the derived graph.
 
     `td` must be a valid decomposition of the host with independence number
-    at most k. Returns the optimal weight and the selected member indices,
-    re-verified against the host before returning: one pass maps each
-    chosen vertex to its member and fails if a vertex has two owners or a
-    host neighbour has another.
+    at most k; it is checked first. Returns the optimal weight and the
+    selected member indices, re-verified against the host before returning:
+    one pass maps each chosen vertex to its member and fails if a vertex
+    has two owners or a host neighbour has another.
     """
-    value, chosen, _, _ = _solve_packing(instance, td, k)
+    require_valid(instance.family.host, td)
+    value, chosen, _ = _solve_packing(instance, td, k)
     return value, chosen
 
 
 def _solve_packing(instance, td, k):
-    """`solve_packing` plus the derived graph and decomposition it solved
-    over. The host decomposition is checked once, by
-    `derived_decomposition`; the transferred one is valid by construction
-    and goes to the MWIS core unchecked."""
+    """`solve_packing` less its check of `td`, plus the transferred bags it
+    solved over. The MWIS pass runs on the conflict rows of `_reduction`;
+    the derived graph itself is not built."""
     graph = instance.family.host
-    derived = derived_graph(graph, instance.family)
-    td2 = derived_decomposition(graph, instance.family, td, derived=derived)
-    value, chosen, _ = _dp(derived, instance.member_weights, td2, k)
+    rows, bags = _reduction(instance.family, td)
+    # The pass reads only the transferred tree and bags, not their graph.
+    td2 = make_decomposition(None, bags, td.tree_edges)
+    value, chosen, _ = _dp(rows, instance.member_weights, td2, k)
     owner = {}
     for j in chosen:
         for v in instance.family.members[j]:
@@ -213,7 +272,7 @@ def _solve_packing(instance, td, k):
         for u in graph.adj[v]:
             if owner.get(u, j) != j:
                 raise RuntimeError("internal: selected members conflict")
-    return value, frozenset(chosen), derived, td2
+    return value, frozenset(chosen), bags
 
 
 def brute_force_packing(instance):

@@ -14,6 +14,7 @@ from treealpha import (
     trivial_decomposition,
 )
 from treealpha import cli, decomposition, mwis, nice, packing
+from treealpha import graph as graph_module
 from treealpha.cli import main
 from treealpha.formats import format_graph, format_td
 
@@ -163,29 +164,62 @@ def test_pack_patterns_and_artifacts(tmp_path, capsys):
     assert code == 0
 
 
-def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
-    tmp_path, capsys, monkeypatch
-):
-    g = path_graph(5)
-    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
-    write_graph(g, tmp_path / "g.gr")
-    write_td(td, tmp_path / "t.td")
+def _count_derived_builds(monkeypatch, members):
+    """Count the calls that could build the derived graph of a family of
+    `members` members: the packing functions by name, wherever the CLI looks
+    them up, and every `Graph` made with that many vertices."""
     calls = Counter()
 
-    def counted(name):
-        original = getattr(packing, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in ("derived_graph", "derived_decomposition"):
-        wrapper = counted(name)
-        monkeypatch.setattr(packing, name, wrapper)
-        # Calls through a name the CLI imported count too.
-        monkeypatch.setattr(cli, name, wrapper, raising=False)
+    for name in ("_reduction", "derived_graph", "derived_decomposition"):
+        for module in (packing, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    init = graph_module.Graph.__init__
+
+    def counted_init(self, n, adj):
+        if n == members:
+            calls["Graph"] += 1
+        init(self, n, adj)
+
+    monkeypatch.setattr(graph_module.Graph, "__init__", counted_init)
+    return calls
+
+
+def test_plain_pack_builds_no_derived_graph(tmp_path, capsys, monkeypatch):
+    # P_5 has 9 k1,k2 members; the solve runs on their conflict rows.
+    g = path_graph(5)
+    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    calls = _count_derived_builds(monkeypatch, 9)
+    code, out, _ = run(
+        capsys,
+        "pack",
+        "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"),
+        "--patterns", "k1,k2",
+    )
+    assert code == 0 and json.loads(out)["results"]["weight"] == "4/1"
+    assert calls == {"_reduction": 1}
+
+
+def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
+    tmp_path, capsys, monkeypatch
+):
+    # The solve's one pass gives the bags; the derived graph is built once,
+    # to be written. Both equal the public definitions' output.
+    g = path_graph(5)
+    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    calls = _count_derived_builds(monkeypatch, 9)
     code, _, _ = run(
         capsys,
         "pack",
@@ -196,7 +230,7 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
         "--emit-derived-td", str(tmp_path / "d.td"),
     )
     assert code == 0
-    assert calls == {"derived_graph": 1, "derived_decomposition": 1}
+    assert calls == {"_reduction": 1, "derived_graph": 1, "Graph": 1}
     monkeypatch.undo()
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
     derived = packing.derived_graph(g, fam)
@@ -206,7 +240,6 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
 
 
 def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatch):
-    # `pack` checks twice: in the CLI, then in `derived_decomposition`.
     g = path_graph(4)
     td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
     write_graph(g, tmp_path / "g.gr")
@@ -224,7 +257,7 @@ def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatc
         (("mwis", *graph_td), 1),
         (("measure", *graph_td), 1),
         (("nice", *graph_td, "-o", str(tmp_path / "n.td")), 1),
-        (("pack", *graph_td, "--patterns", "k2"), 2),
+        (("pack", *graph_td, "--patterns", "k2"), 1),
     ):
         checked.clear()
         code, _, _ = run(capsys, *argv)
@@ -679,6 +712,19 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "nice", *graph_td, "-o", str(tmp_path / "n.td"))
     assert (code, out, err) == (4, "", "error: internal: x\n")
     assert not (tmp_path / "n.td").exists()
+
+
+def test_mwis_rechecks_its_witness_against_the_graph(tmp_path, capsys, monkeypatch):
+    # Rows that lose every edge make the pass pick both ends of P_2; the
+    # command's check against the adjacency lists is an internal fault.
+    g = path_graph(2)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    monkeypatch.setattr(graph_module.Graph, "bit_rows", lambda self, vertices=None: [0] * self.n)
+    code, out, err = run(
+        capsys, "mwis", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"), "-k", "2"
+    )
+    assert (code, out, err) == (4, "", "error: internal: witness set is not independent\n")
 
 
 def test_failed_commands_write_no_artifacts(tmp_path, capsys):

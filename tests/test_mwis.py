@@ -31,7 +31,7 @@ from treealpha import (
     trivial_decomposition,
     validate,
 )
-from treealpha.graph import mask_of
+from treealpha.graph import Graph, mask_of
 from treealpha.mwis import _dp
 from treealpha.nice import rooted_contraction
 from treealpha.oracle import brute_force_mwis
@@ -62,7 +62,7 @@ def _independent_subsets(g, bag):
 def _tables(g, w, td, k):
     """The solver's final table at every contracted bag, with the rooted
     contracted tree (bags, marked sets, root, parent, children) it indexes."""
-    return rooted_contraction(td), _dp(g, [w[v] for v in range(g.n)], td, k)[2]
+    return rooted_contraction(td), _dp(g.bit_rows(), [w[v] for v in range(g.n)], td, k)[2]
 
 
 def _full_bag_table(g, td, k):
@@ -112,6 +112,19 @@ def test_broken_promise_on_a_wide_bag_fails_fast():
         solve_mwis(g, WeightMap(60), td, 1)
     assert time.perf_counter() - started < 0.5
     assert err.value.witness == frozenset({1, 2})
+
+
+def test_witness_is_rechecked_against_the_rows_and_the_graph(monkeypatch):
+    # Rows that disagree (0 lists 1, 1 does not list 0) let the pass add 1
+    # beside 0; the re-check against the rows it was given catches the pair.
+    g = build_graph(2, [])
+    with pytest.raises(RuntimeError, match="witness set is not independent"):
+        _dp([0b10, 0], [1, 1], trivial_decomposition(g), 2)
+    # Rows that lose an edge agree with themselves; `solve_mwis` checks the
+    # witness against the adjacency lists too.
+    monkeypatch.setattr(Graph, "bit_rows", lambda self, vertices=None: [0] * self.n)
+    with pytest.raises(RuntimeError, match="witness set is not independent"):
+        solve_mwis(path_graph(2), WeightMap(2), trivial_decomposition(path_graph(2)), 2)
 
 
 def test_tables_over_the_cap_are_refused_during_the_pass():

@@ -32,7 +32,8 @@ from treealpha import (
 )
 from treealpha import decomposition
 from treealpha.formats import format_graph, parse_family, parse_graph
-from treealpha.packing import PATTERN_BUILDERS, PackingInstance, compatible
+from treealpha.graph import mask_of
+from treealpha.packing import PATTERN_BUILDERS, PackingInstance, _reduction, compatible
 
 from .conftest import (
     all_labeled_graphs,
@@ -117,7 +118,8 @@ def test_derived_methods_agree():
 
 def assert_transfer_matches_definitions(g, fam, td):
     """Derived edges are the pairwise conflicts, and bag t holds exactly the
-    members meeting X_t, on the same tree with no marked sets."""
+    members meeting X_t, on the same tree with no marked sets. The solve's
+    one pass hands over the same rows and bags."""
     conflicts = {
         (i, j)
         for (i, a), (j, b) in itertools.combinations(enumerate(fam.members), 2)
@@ -133,7 +135,16 @@ def assert_transfer_matches_definitions(g, fam, td):
         frozenset(j for j, s in enumerate(fam.members) if s & bag) for bag in td.bags
     )
     assert not any(td2.refined)
+    assert_reduction_matches(g, fam, td)
     return derived, td2
+
+
+def assert_reduction_matches(g, fam, td):
+    """`_reduction`'s rows are the masks of `derived_graph`'s adjacency and
+    its bags are `derived_decomposition`'s."""
+    rows, bags = _reduction(fam, td)
+    assert rows == [mask_of(a) for a in derived_graph(g, fam).adj]
+    assert tuple(bags) == derived_decomposition(g, fam, td).bags
 
 
 def test_transfer_matches_pairwise_definitions():
@@ -157,6 +168,32 @@ def test_transfer_matches_pairwise_definitions():
         for fam in fams:
             assert_transfer_matches_definitions(g, fam, td)
     assert isolated >= 150
+
+
+def random_fam_family(g, rng):
+    """A family as a .fam file may give it: random connected members of up
+    to four vertices, repeats kept, read back through `parse_family`."""
+    count = rng.randint(0, 10)
+    lines = [f"s fam {count}"]
+    for i in range(count):
+        vs = sorted(random_connected_set(g, rng.randint(1, 4), rng))
+        lines.append(f"f {i + 1} 1 {len(vs)} " + " ".join(str(v + 1) for v in vs))
+    return parse_family("\n".join(lines) + "\n", g).family
+
+
+def test_reduction_matches_the_definitions_on_random_hosts():
+    rng = random.Random(45)
+    pattern_sets = [["k1", "k2"], ["k3"], ["p3"], ["c4"]]
+    for trial in range(60):
+        g = random_graph(rng.randint(1, 11), rng.choice((0.2, 0.4, 0.7)), rng)
+        td = trivial_decomposition(g) if trial % 3 == 0 else tin_exact(g)[1]
+        fams = [
+            enumerate_F_subgraphs(g, [pattern_by_name(p) for p in names])
+            for names in pattern_sets
+        ]
+        fams.append(random_fam_family(g, rng))
+        for fam in fams:
+            assert_reduction_matches(g, fam, td)
 
 
 def test_transfer_of_duplicate_and_empty_families():
@@ -419,29 +456,55 @@ def test_derived_graph_is_counted_before_it_is_built(monkeypatch):
             for s in fam.members
             for v in s.union(*(g.adj[u] for u in s))
         )
+        td = trivial_decomposition(g)
         monkeypatch.setattr("treealpha.packing.MAX_COUNT", terms)
         want = derived_graph(g, fam)
+        rows, _ = _reduction(fam, td)
         monkeypatch.setattr("treealpha.packing.MAX_COUNT", terms - 1)
         with pytest.raises(CapExceededError, match="derived graph refused"):
             derived_graph(g, fam)
+        with pytest.raises(CapExceededError, match="derived graph refused"):
+            _reduction(fam, td)
         monkeypatch.undo()
         assert want == derived_graph(g, fam)
+        assert rows == [mask_of(a) for a in want.adj]
+
+
+def test_k1_k2_packing_runs_on_k37_and_is_refused_on_k38():
+    # Every k1,k2 member of K_n meets every closed neighbourhood: the work
+    # is n * n * (n + n(n-1)/2), 962,407 at n = 37 and 1,070,004 at 38.
+    pats = [pattern_by_name("k1"), pattern_by_name("k2")]
+    for n, runs in ((37, True), (38, False)):
+        g = complete_graph(n)
+        fam = enumerate_F_subgraphs(g, pats)
+        inst = PackingInstance(fam, tuple(Fraction(len(s)) for s in fam.members))
+        if runs:
+            assert solve_packing(inst, trivial_decomposition(g), 1)[0] == 2
+        else:
+            with pytest.raises(CapExceededError, match="derived graph refused"):
+                solve_packing(inst, trivial_decomposition(g), 1)
 
 
 def test_derived_graph_refusal_stays_small():
     # K_200's 20,100 k1,k2 members all meet every closed neighbourhood, so
-    # the first vertex's member tuple already passes the cap: the refusal
-    # holds one near set, and no neighbour row is built.
+    # the count passes the cap inside the first vertex's union, at about
+    # 5,300 of its 20,100 members; no neighbour row or mask is built. Both
+    # refusals peak at 1.47-1.48 MiB, 0.84 of it the vertex -> members
+    # index; the bound is about twice that.
     g = complete_graph(200)
     fam = enumerate_F_subgraphs(g, [pattern_by_name("k1"), pattern_by_name("k2")])
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapExceededError, match="derived graph refused"):
-            derived_graph(g, fam)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 << 20
+    for refuse in (
+        lambda: derived_graph(g, fam),
+        lambda: _reduction(fam, trivial_decomposition(g)),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="derived graph refused"):
+                refuse()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 def test_spanning_vs_induced_containment():
