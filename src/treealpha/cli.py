@@ -23,7 +23,6 @@ from . import formats
 from .decomposition import (
     compose_clique_cutset,
     independence_number,
-    make_decomposition,
     require_valid,
     residual_independence_number,
     trivial_decomposition,
@@ -38,8 +37,7 @@ from .errors import (
     ResidualBoundViolation,
 )
 from .generators import generate
-from .graph import is_independent
-from .mwis import _dp
+from .mwis import _solve_mwis
 from .nice import make_nice
 from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
@@ -140,10 +138,7 @@ def _cmd_mwis(args, inputs):
     if args.weights is not None:
         w = inputs.parse("weights", args.weights, formats.parse_weights, g.n)
     k = args.k if args.k is not None else residual_independence_number(g, td)
-    # `solve_mwis` less its check: the decomposition was validated above.
-    value, chosen, _ = _dp(g.bit_rows(), w, td, k)
-    if not is_independent(g, chosen):
-        raise RuntimeError("internal: witness set is not independent")
+    value, chosen = _solve_mwis(g, w, td, k)
     results = {"weight": _rational(value), "independent_set": _one_indexed(chosen)}
     return {"k": k}, results, {}
 
@@ -173,17 +168,15 @@ def _cmd_pack(args, inputs):
     else:
         raise GraphError("pack needs --family, --patterns, or --pattern-file")
     k = args.k if args.k is not None else independence_number(g, td)
-    value, chosen, bags = _solve_packing(inst, td, k)
+    value, chosen, td2 = _solve_packing(inst, td, k)
     artifacts = {}
     # The solve ran on conflict rows; the derived graph is built only to be
-    # written (its order heads the transferred .td too).
-    if args.emit_derived or args.emit_derived_td:
+    # written. The transferred decomposition is the one the solve ran over.
+    if args.emit_derived:
         derived = derived_graph(g, inst.family)
-        if args.emit_derived:
-            artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
-        if args.emit_derived_td:
-            td2 = make_decomposition(derived, bags, td.tree_edges)
-            artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
+        artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
+    if args.emit_derived_td:
+        artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
     selected = [
         {"index": j + 1, "vertices": _one_indexed(inst.family.members[j])}
         for j in sorted(chosen)

@@ -18,13 +18,14 @@ from .graph import check_vertex_set
 
 @dataclass(frozen=True)
 class RefinedTreeDecomposition:
-    """Tree decomposition of `graph` with bags `bags[t]` and marked sets `refined[t]`.
+    """Tree decomposition of a graph of order `n` with bags `bags[t]` and
+    marked sets `refined[t]`; checks and measures take the graph itself.
 
     `tree_edges` must form a tree on node ids 0..node_count-1 for the
     decomposition to validate; construction itself does not check anything.
     """
 
-    graph: object
+    n: int
     bags: tuple
     tree_edges: tuple
     refined: tuple
@@ -51,7 +52,7 @@ _EMPTY = frozenset()
 
 
 def make_decomposition(graph, bags, tree_edges=(), refined=None):
-    """Normalize raw data into a RefinedTreeDecomposition (still unvalidated)."""
+    """Normalize raw data into an unvalidated RefinedTreeDecomposition of `graph`."""
     bags = tuple(frozenset(b) for b in bags)
     edges = tuple(sorted((min(a, b), max(a, b)) for a, b in tree_edges))
     if refined is None:
@@ -60,7 +61,7 @@ def make_decomposition(graph, bags, tree_edges=(), refined=None):
         refs = tuple(frozenset(u) for u in refined)
         if len(refs) != len(bags):
             raise GraphError("refined sets and bags must have equal length")
-    return RefinedTreeDecomposition(graph, bags, edges, refs)
+    return RefinedTreeDecomposition(graph.n, bags, edges, refs)
 
 
 def trivial_decomposition(graph):

@@ -215,7 +215,7 @@ def parse_td(text, graph, source="<td>"):
 
 def format_td(td):
     maxbag = max((len(b) for b in td.bags), default=0)
-    out = [f"s td {td.node_count} {maxbag} {td.graph.n}"]
+    out = [f"s td {td.node_count} {maxbag} {td.n}"]
     for i, b in enumerate(td.bags):
         out.append("b " + " ".join([str(i + 1)] + [str(v + 1) for v in sorted(b)]))
     for i, u in enumerate(td.refined):

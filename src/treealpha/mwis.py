@@ -143,6 +143,11 @@ def solve_mwis(graph, weights, td, k):
     against those rows and again against the adjacency lists.
     """
     require_valid(graph, td)
+    return _solve_mwis(graph, weights, td, k)
+
+
+def _solve_mwis(graph, weights, td, k):
+    """`solve_mwis` less its check of `td`."""
     value, witness, _ = _dp(graph.bit_rows(), weights, td, k)
     if not is_independent(graph, witness):
         raise RuntimeError("internal: witness set is not independent")

@@ -13,11 +13,11 @@ j's conflicts are the members meeting its closed neighbourhood N[H_j]: the
 pass gives each held vertex v the bit set near[v] of the members meeting
 N[v], and hands the MWIS pass row j, the OR of near[v] over H_j less bit
 j; bag t of the transferred decomposition is the union of the index over
-X_t. The derived graph itself is never built on the way: `derived_graph`
-and `derived_decomposition` build it and its decomposition on their own,
-in O(sum_j sum_{v in N[H_j]} |index[v]|) and O(sum_t sum_{v in X_t}
-|index[v]|), costs that follow the size of the output, not |J|^2 or |J|
-per bag.
+X_t, on the host's tree, over |J| vertices. No derived graph is built on
+the way: `derived_graph` builds it on its own, and `derived_decomposition`
+the transferred decomposition, in O(sum_j sum_{v in N[H_j]} |index[v]|)
+and O(sum_t sum_{v in X_t} |index[v]|), costs that follow the size of the
+output, not |J|^2 or |J| per bag.
 
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
@@ -31,13 +31,13 @@ work before any near set, row or neighbour list; each is refused over
 MAX_COUNT with CapExceededError.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from operator import or_
 
-from .decomposition import make_decomposition, require_valid
+from .decomposition import _EMPTY, require_valid
 from .errors import CapExceededError, GraphError
 from .generators import complete_graph, cycle_graph, path_graph
 from .graph import MAX_COUNT, Graph, build_graph, check_vertex_set, mask_of, members
@@ -193,21 +193,20 @@ def compatible(graph, s1, s2):
     return not (s1 & s2 or any(v in s2 for u in s1 for v in graph.adj[u]))
 
 
-def derived_decomposition(graph, family, td, derived=None):
+def derived_decomposition(graph, family, td):
     """Transfer a decomposition of the host to the derived graph.
 
     Same tree; node t's new bag holds every member index whose vertex set
     meets X_t, the union of the vertex -> members index over X_t, in
-    O(sum_t sum_{v in X_t} |index[v]|). All marked sets are dropped: the
+    O(sum_t sum_{v in X_t} |index[v]|). The result is over |J| vertices;
+    the derived graph is not built. All marked sets are dropped: the
     refinement does not survive the transfer, so the result is plain. Its
     independence number is at most the input's.
     """
     require_valid(graph, td)
     index = _member_index(graph, family)
-    if derived is None:
-        derived = derived_graph(graph, family)
-    bags = [set().union(*map(index.__getitem__, bag)) for bag in td.bags]
-    return make_decomposition(derived, bags, td.tree_edges)
+    bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
+    return replace(td, n=len(family), bags=bags, refined=(_EMPTY,) * len(bags))
 
 
 def _reduction(family, td):
@@ -236,7 +235,7 @@ def _reduction(family, td):
         reduce(or_, map(near.__getitem__, s)) ^ (1 << j)
         for j, s in enumerate(family.members)
     ]
-    bags = [frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags]
+    bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
     return rows, bags
 
 
@@ -255,13 +254,13 @@ def solve_packing(instance, td, k):
 
 
 def _solve_packing(instance, td, k):
-    """`solve_packing` less its check of `td`, plus the transferred bags it
-    solved over. The MWIS pass runs on the conflict rows of `_reduction`;
-    the derived graph itself is not built."""
+    """`solve_packing` less its check of `td`, plus the transferred
+    decomposition it solved over, the one `derived_decomposition` gives.
+    The MWIS pass runs on the conflict rows of `_reduction`; the derived
+    graph itself is not built."""
     graph = instance.family.host
     rows, bags = _reduction(instance.family, td)
-    # The pass reads only the transferred tree and bags, not their graph.
-    td2 = make_decomposition(None, bags, td.tree_edges)
+    td2 = replace(td, n=len(rows), bags=bags, refined=(_EMPTY,) * len(bags))
     value, chosen, _ = _dp(rows, instance.member_weights, td2, k)
     owner = {}
     for j in chosen:
@@ -272,7 +271,7 @@ def _solve_packing(instance, td, k):
         for u in graph.adj[v]:
             if owner.get(u, j) != j:
                 raise RuntimeError("internal: selected members conflict")
-    return value, frozenset(chosen), bags
+    return value, frozenset(chosen), td2
 
 
 def brute_force_packing(instance):

@@ -225,7 +225,7 @@ def test_criterion_07_derived_decomposition_law(verdict):
         fam = make_family(g, members)
         td = trivial_decomposition(g) if i % 2 == 0 else tin_exact(g)[1]
         derived = derived_graph(g, fam)
-        td2 = derived_decomposition(g, fam, td, derived=derived)
+        td2 = derived_decomposition(g, fam, td)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
         if n <= 6:

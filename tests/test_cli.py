@@ -5,6 +5,8 @@ import signal
 import time
 from collections import Counter
 
+import pytest
+
 from treealpha import (
     build_graph,
     cycle_graph,
@@ -239,6 +241,32 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     assert (tmp_path / "d.td").read_text() == want_td
 
 
+def test_pack_emits_the_transferred_bags_without_the_derived_graph(
+    tmp_path, capsys, monkeypatch
+):
+    # The .td names only the derived graph's order, |J|, so writing the
+    # transferred decomposition alone builds no derived graph.
+    g = path_graph(5)
+    td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    calls = _count_derived_builds(monkeypatch, 9)
+    code, _, _ = run(
+        capsys,
+        "pack",
+        "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"),
+        "--patterns", "k1,k2",
+        "--emit-derived-td", str(tmp_path / "d.td"),
+    )
+    assert code == 0
+    assert calls == {"_reduction": 1}
+    monkeypatch.undo()
+    fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
+    want_td = format_td(packing.derived_decomposition(g, fam, td))
+    assert (tmp_path / "d.td").read_text() == want_td
+
+
 def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatch):
     g = path_graph(4)
     td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
@@ -262,6 +290,39 @@ def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatc
         checked.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and len(checked) == checks, argv
+
+
+@pytest.mark.parametrize(
+    "argv, want_code, message",
+    [
+        ("pack --graph G --td T", 1, "pack needs --family, --patterns, or --pattern-file"),
+        ("pack --graph G --td T --patterns foo", 1, "unknown pattern name 'foo'"),
+        ("pack --graph G --td T --patterns ,", 1, "pattern set must be nonempty"),
+        ("mwis --graph G --td T -k -1", 1, "residual bound k must be nonnegative"),
+        ("gen double-join", 1, "gen double-join needs --graph for the base graph"),
+        ("gen double-join --graph NULL", 1, "double_join: base graph must be nonnull"),
+        ("gen path 0", 1, "path: n must be positive"),
+        ("validate --graph G --td EMPTY", 2, "decomposition has no nodes"),
+    ],
+)
+def test_refused_requests_report_one_error(tmp_path, capsys, argv, want_code, message):
+    # Usage errors print one `error:` line; a decomposition with no nodes
+    # is a violation that `validate` reports.
+    files = {"G": "g.gr", "T": "t.td", "NULL": "null.gr", "EMPTY": "empty.td"}
+    write_graph(path_graph(3), tmp_path / "g.gr")
+    write_td(trivial_decomposition(path_graph(3)), tmp_path / "t.td")
+    (tmp_path / "null.gr").write_text("p tw 0 0\n")
+    (tmp_path / "empty.td").write_text("s td 0 0 3\n")
+    code, out, err = run(
+        capsys, *(str(tmp_path / files[a]) if a in files else a for a in argv.split())
+    )
+    assert code == want_code
+    if code == 2:
+        assert err == ""
+        violation = {"clause": "tree", "detail": message}
+        assert report_of(out)["results"]["violations"][0] == violation
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_mwis_refuses_a_table_that_would_pass_the_cap(tmp_path, capsys):
@@ -704,7 +765,7 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
          "error: internal: witness set is not independent"),
         (MemoryError(), "error: MemoryError"),
     ):
-        monkeypatch.setattr("treealpha.cli._dp", fail_with(exc))
+        monkeypatch.setattr("treealpha.mwis._dp", fail_with(exc))
         code, out, err = run(capsys, "mwis", *graph_td)
         assert code == 4 and out == ""
         assert err.strip().splitlines() == [shown]

@@ -158,7 +158,7 @@ def test_enumerate_count_bound():
     rng = random.Random(18)
     for _ in range(40):
         g = random_graph(rng.randint(1, 8), 0.4, rng)
-        td = _perturb(tin_exact(g)[1], rng) if rng.random() < 0.5 else trivial_decomposition(g)
+        td = _perturb(g, tin_exact(g)[1], rng) if rng.random() < 0.5 else trivial_decomposition(g)
         marked = [frozenset(v for v in b if rng.random() < 0.3) for b in td.bags]
         td = make_decomposition(g, td.bags, td.tree_edges, marked)
         k = residual_independence_number(g, td)
@@ -240,7 +240,7 @@ def test_matches_brute_force_on_random_graphs():
         assert w.total(chosen) == value
 
 
-def _perturb(td, rng):
+def _perturb(g, td, rng):
     """Insert a node with the intersection bag on a random tree edge."""
     if not td.tree_edges:
         return td
@@ -251,10 +251,10 @@ def _perturb(td, rng):
     edges = [e for e in td.tree_edges if e != (a, b)]
     m = len(bags) - 1
     edges += [(a, m), (m, b)]
-    return make_decomposition(td.graph, bags, edges, refined)
+    return make_decomposition(g, bags, edges, refined)
 
 
-def _coarsen(td, rng, rounds):
+def _coarsen(g, td, rng, rounds):
     """Grow random bags by random vertices of a neighbouring bag. A vertex of
     X_b added to X_a, with a-b a tree edge, keeps its node set connected, so
     the result stays a valid decomposition; marked sets are kept."""
@@ -262,7 +262,7 @@ def _coarsen(td, rng, rounds):
     for _ in range(rounds if td.tree_edges else 0):
         a, b = rng.sample(rng.choice(td.tree_edges), 2)
         bags[a] |= frozenset(v for v in bags[b] if rng.random() < 0.6)
-    return make_decomposition(td.graph, bags, td.tree_edges, td.refined)
+    return make_decomposition(g, bags, td.tree_edges, td.refined)
 
 
 def test_coarsened_decompositions_match_brute_force():
@@ -272,11 +272,11 @@ def test_coarsened_decompositions_match_brute_force():
         n = rng.randint(1, 11)
         g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng)
         w = WeightMap(n, random_weights(n, rng))
-        base = _perturb(tin_exact(g)[1], rng)
+        base = _perturb(g, tin_exact(g)[1], rng)
         if rng.random() < 0.5:
             marked = [frozenset(v for v in b if rng.random() < 0.3) for b in base.bags]
             base = make_decomposition(g, base.bags, base.tree_edges, marked)
-        td = _coarsen(base, rng, rng.randint(1, 4))
+        td = _coarsen(g, base, rng, rng.randint(1, 4))
         assert validate(g, td).ok
         grown += td.bags != base.bags
         value, chosen = solve_mwis(g, w, td, residual_independence_number(g, td))
@@ -312,7 +312,7 @@ def test_decomposition_independence_of_value():
         tin_val, witness = tin_exact(g)
         v1, _ = solve_mwis(g, w, trivial_decomposition(g), k)
         v2, _ = solve_mwis(g, w, witness, tin_val)
-        v3, _ = solve_mwis(g, w, _perturb(witness, rng), tin_val)
+        v3, _ = solve_mwis(g, w, _perturb(g, witness, rng), tin_val)
         assert v1 == v2 == v3
 
 
@@ -397,7 +397,7 @@ def test_tables_expose_the_recurrences():
     w = WeightMap(5, {0: 2, 1: Fraction(3, 2), 2: 5, 3: Fraction(7, 3), 4: 11})
     scale = 6
     rng = random.Random(24)
-    for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(tin_exact(g)[1], rng)):
+    for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(g, tin_exact(g)[1], rng)):
         (bags, _, root, _, kids), tables = _tables(g, w, td, 2)
         assert set(tables) == set(range(len(bags)))
 
@@ -440,7 +440,7 @@ def _elimination_decomposition(g, rng):
     return make_decomposition(g, bags, edges)
 
 
-def _sprout(td, rng, count):
+def _sprout(g, td, rng, count):
     """Hang `count` new leaves below random nodes, each with a random subset
     of its parent's bag: nested bags and nodes with many children."""
     bags, edges = list(td.bags), list(td.tree_edges)
@@ -448,7 +448,7 @@ def _sprout(td, rng, count):
         a = rng.randrange(len(bags))
         bags.append(frozenset(v for v in bags[a] if rng.random() < 0.6))
         edges.append((a, len(bags) - 1))
-    return make_decomposition(td.graph, bags, edges)
+    return make_decomposition(g, bags, edges)
 
 
 def _tree_first(rng):
@@ -486,10 +486,10 @@ def _differential_corpus(rng, count):
             w = WeightMap(n, random_weights(n, rng))
         else:
             w = WeightMap(n, {v: rng.randint(0, 2) for v in range(n)})
-        td = _sprout(td, rng, rng.randint(0, 4))
-        td = _perturb(td, rng)
+        td = _sprout(g, td, rng, rng.randint(0, 4))
+        td = _perturb(g, td, rng)
         if rng.random() < 0.3:
-            td = _coarsen(td, rng, 2)
+            td = _coarsen(g, td, rng, 2)
         if rng.random() < 0.6:
             marked = [frozenset(v for v in b if rng.random() < 0.35) for b in td.bags]
             td = make_decomposition(g, td.bags, td.tree_edges, marked)

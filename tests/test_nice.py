@@ -82,12 +82,12 @@ def test_rejects_invalid_input():
         make_nice(g, bad)
 
 
-def _refined_variant(td, rng):
+def _refined_variant(g, td, rng):
     refs = []
     for b in td.bags:
         pick = [v for v in sorted(b) if rng.random() < 0.4][:2]
         refs.append(frozenset(pick))
-    return make_decomposition(td.graph, td.bags, td.tree_edges, refs)
+    return make_decomposition(g, td.bags, td.tree_edges, refs)
 
 
 def _decomposition_corpus(rng, count):
@@ -97,7 +97,7 @@ def _decomposition_corpus(rng, count):
         out.append((g, trivial_decomposition(g)))
         value, witness = tin_exact(g)
         out.append((g, witness))
-        out.append((g, _refined_variant(witness, rng)))
+        out.append((g, _refined_variant(g, witness, rng)))
         # A hand-built multi-bag decomposition: cover with closed neighborhoods
         # strung along a path, which always validates.
         bags = [frozenset(g.adj[v]) | {v} for v in range(g.n)]

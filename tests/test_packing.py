@@ -129,7 +129,7 @@ def assert_transfer_matches_definitions(g, fam, td):
     assert derived.n == len(fam)
     assert set(derived.edges()) == conflicts
     td2 = derived_decomposition(g, fam, td)
-    assert td2.graph == derived
+    assert td2.n == len(fam)
     assert td2.tree_edges == td.tree_edges
     assert td2.bags == tuple(
         frozenset(j for j, s in enumerate(fam.members) if s & bag) for bag in td.bags
@@ -230,12 +230,8 @@ def test_derived_rejects_foreign_family():
     fam = make_family(path_graph(3), [{0}])
     with pytest.raises(GraphError, match="host"):
         derived_graph(cycle_graph(4), fam)
-    derived = derived_graph(path_graph(3), fam)
-    for given in (None, derived):
-        with pytest.raises(GraphError, match="host"):
-            derived_decomposition(
-                cycle_graph(4), fam, trivial_decomposition(cycle_graph(4)), derived=given
-            )
+    with pytest.raises(GraphError, match="host"):
+        derived_decomposition(cycle_graph(4), fam, trivial_decomposition(cycle_graph(4)))
 
 
 def test_line_graph_square_identity():
@@ -251,9 +247,26 @@ def test_derived_decomposition_example():
     fam = make_family(g, [{0, 1}, {2}])
     td2 = derived_decomposition(g, fam, trivial_decomposition(g))
     assert td2.bags == (frozenset({0, 1}),)
-    assert validate(td2.graph, td2).ok
-    assert td2.graph == complete_graph(2)
-    assert independence_number(td2.graph, td2) == 1
+    derived = derived_graph(g, fam)
+    assert derived == complete_graph(2)
+    assert validate(derived, td2).ok
+    assert independence_number(derived, td2) == 1
+
+
+def test_derived_decomposition_builds_no_derived_graph(monkeypatch):
+    # The transfer is fixed by the member index and |J| alone.
+    g = cycle_graph(5)
+    fam = make_family(g, [{0, 1}, {2}, {3, 4}])
+    td = tin_exact(g)[1]
+    derived = derived_graph(g, fam)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("derived graph built")
+
+    monkeypatch.setattr("treealpha.packing.derived_graph", refuse)
+    monkeypatch.setattr("treealpha.graph.Graph.__init__", refuse)
+    td2 = derived_decomposition(g, fam, td)
+    assert td2.n == 3 and validate(derived, td2).ok
 
 
 def test_derived_decomposition_identity_family():
@@ -275,9 +288,10 @@ def test_derived_of_chordal_clique_tree_stays_chordal():
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(5)}
         fam = make_family(g, sorted(members, key=sorted))
         td2 = derived_decomposition(g, fam, clique_tree(g))
-        assert validate(td2.graph, td2).ok
-        assert independence_number(td2.graph, td2) <= 1
-        assert is_chordal(td2.graph)[0]
+        derived = derived_graph(g, fam)
+        assert validate(derived, td2).ok
+        assert independence_number(derived, td2) <= 1
+        assert is_chordal(derived)[0]
 
 
 def test_derived_alpha_never_grows():
@@ -288,8 +302,9 @@ def test_derived_alpha_never_grows():
         fam = make_family(g, sorted(members, key=sorted))
         td = trivial_decomposition(g) if rng.random() < 0.5 else tin_exact(g)[1]
         td2 = derived_decomposition(g, fam, td)
-        assert validate(td2.graph, td2).ok
-        assert independence_number(td2.graph, td2) <= independence_number(g, td)
+        derived = derived_graph(g, fam)
+        assert validate(derived, td2).ok
+        assert independence_number(derived, td2) <= independence_number(g, td)
 
 
 def test_tin_of_derived_never_grows_small():
