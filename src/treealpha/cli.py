@@ -312,12 +312,14 @@ def build_parser():
         "pack",
         help="exact max weight independent packing of connected subgraphs",
         description=(
-            "Builds the conflict graph of the family (members adjacent iff "
-            "they share a vertex or an edge joins them), transfers the "
-            "decomposition to it without increasing its independence number, "
-            "and solves MWIS there. Member weights come from the family "
-            "file; with --patterns, each member weighs the sum of its "
-            "vertex weights (default 1 each)."
+            "Solves MWIS on the conflict graph of the family (members "
+            "adjacent iff they share a vertex or an edge joins them), over "
+            "the decomposition transferred to it without increasing its "
+            "independence number. The solve reads each member's conflicts "
+            "as one bit row; the conflict graph itself is built only for "
+            "--emit-derived. Member weights come from the family file; with "
+            "--patterns, each member weighs the sum of its vertex weights "
+            "(default 1 each)."
         ),
     )
     common(p, weights=True)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import GraphError, InvalidDecompositionError
-from .exact import alpha_of_subset
+from .exact import _alphas, _clique_test
 from .graph import check_vertex_set
 
 
@@ -213,21 +213,12 @@ def width(td):
 
 def independence_number(graph, td):
     """alpha(T): max over bags of the induced subgraph's independence number."""
-    return max(alpha_of_subset(graph, b) for b in td.bags)
+    return max(_alphas(graph, td.bags))
 
 
 def residual_independence_number(graph, td):
     """Max over bags of alpha(G[X_t - U_t])."""
-    return max(alpha_of_subset(graph, b - u) for b, u in zip(td.bags, td.refined))
-
-
-def _is_clique(graph, vertices):
-    vs = sorted(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if not graph.has_edge(u, v):
-                return False
-    return True
+    return max(_alphas(graph, (b - u for b, u in zip(td.bags, td.refined))))
 
 
 def compose_clique_cutset(graph, a_side, b_side, cutset, td_a, td_b):
@@ -250,7 +241,7 @@ def compose_clique_cutset(graph, a_side, b_side, cutset, td_a, td_b):
         for v in graph.adj[u]:
             if v in b_side:
                 raise GraphError(f"edge ({u}, {v}) crosses the A-B split")
-    if not _is_clique(graph, cutset):
+    if not _clique_test(graph)(cutset):
         raise GraphError("C is not a clique")
 
     require_valid(graph, td_a, universe=a_side | cutset)

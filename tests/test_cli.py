@@ -746,6 +746,12 @@ def test_invalid_decomposition_wins_over_later_faults(tmp_path, capsys):
         capsys, "measure", "--graph", str(tmp_path / "wide.gr"), "--td", str(tmp_path / "one.td")
     )
     assert code == 3 and "cap" in err
+    # A clique's alpha needs no search, but a 65-vertex one is still refused.
+    kg, kt = str(tmp_path / "k.gr"), str(tmp_path / "k.td")
+    code, _, _ = run(capsys, "gen", "complete", "65", "-o", kg, "--emit-trivial-td", kt)
+    assert code == 0
+    code, out, err = run(capsys, "measure", "--graph", kg, "--td", kt)
+    assert code == 3 and out == "" and "cap" in err
 
 
 def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -259,6 +260,18 @@ def test_measures():
     assert residual_independence_number(c4, td) == 2
     assert independence_number(c4, td) == 2
     assert td.refinement_size == 1
+
+
+def test_clique_bags_of_a_star_are_measured_without_rebuilding_the_hub():
+    # The clique tree of K_{1,20000} has 20,000 bags {centre, leaf}; each
+    # bag is a clique, so its alpha needs no rows over the centre's
+    # 20,000 neighbours.
+    g = complete_bipartite(1, 20000)
+    td = clique_tree(g)
+    start = time.perf_counter()
+    assert residual_independence_number(g, td) == 1
+    assert independence_number(g, td) == 1
+    assert time.perf_counter() - start < 2
 
 
 def test_refinement_size_is_derived():
