@@ -14,13 +14,16 @@ next vertex depends on nothing else: 2^n states, capped at n = 20. Bag costs
 come from one table over all 2^n subsets (independence numbers for
 tin_exact, size - 1 for treewidth_exact); both are monotone under inclusion.
 Eliminating v last among S leaves the bag {v} + N(C), C the component of
-G[S] holding v, and each state's components are read off two tables filled
-from smaller states (no search runs). A state whose G[S] is disconnected
-takes the max over its components, since their bags do not depend on each
-other. A connected state pulls from the states one vertex smaller, and its
-scan stops once it reaches cost[N(S)], which no move can beat. The moves and
-their bags are rebuilt afterwards on the optimal path alone. The DP keeps 9
-bytes per subset for n <= 32, beside the 1-byte cost table.
+G[S] holding v. Each state's components are read off a table filled from
+smaller states, and N(C) = U[C] - C off a union table U[S] of the rows over
+S (no search runs). A state whose G[S] is disconnected takes the max over its
+components, since their bags do not depend on each other. A connected state
+pulls from the states one vertex smaller, and its scan stops once it reaches
+cost[N(S)], which no move can beat. The moves and their bags are rebuilt
+afterwards on the optimal path alone. The cost and union tables are built by
+doubling, the block of masks with top vertex v from the block below it, in
+whole-int operations with no Python loop per subset. The DP keeps 9 bytes per
+subset for n <= 32, beside the 1-byte cost table.
 """
 
 import sys
@@ -39,6 +42,8 @@ _SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
 # Byte maps x -> x + 1 and x -> max(x - 1, 0) for `bytearray.translate`.
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 _LESS_ONE = b"\0" + bytes(range(255))
+# Cells per int OR when the union table is filled.
+_UNION_CHUNK = 1 << 10
 
 
 def _refuse_over_cap(name, graph, cap):
@@ -50,16 +55,56 @@ def _refuse_over_cap(name, graph, cap):
 def _alpha_table(rows, n):
     """Independence number of every subset of range(n), indexed by mask.
 
-    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])) for v the lowest
-    vertex of S; every value is at most n, so one byte per subset holds it.
+    Built by doubling: for S below 2^v, alpha(S + v) = max(alpha(S),
+    1 + alpha(S - N(v))). The table so far is read as one int with a byte
+    lane per subset, so each block is a few whole-int operations, with no
+    Python loop per mask. Every value is at most n <= _SUBSET_DP_LIMIT (59
+    on 64-bit builds), so value + 1 < 128: the lane-wise max, a guard-bit
+    compare, then never borrows from a neighbouring lane.
     """
     alpha = bytearray(1 << n)
-    for s in range(1, 1 << n):
-        b = s & -s
-        a = alpha[s ^ b]
-        c = alpha[s & ~(rows[b.bit_length() - 1] | b)] + 1
-        alpha[s] = a if a > c else c
+    view = memoryview(alpha)
+    for v in range(n):
+        h = 1 << v
+        a = int.from_bytes(view[:h], "little")
+        # Lane S of x becomes alpha(S - N(v)): per neighbour u < v, keep the
+        # lanes with bit u clear and copy them 2^u lanes up.
+        x = a
+        lower = rows[v] & (h - 1)
+        while lower:
+            w = lower & -lower
+            lower ^= w
+            x &= int.from_bytes((b"\xff" * w + bytes(w)) * (h // (2 * w)), "little")
+            x |= x << 8 * w
+        ones = int.from_bytes(b"\x01" * h, "little")
+        x += ones
+        # 0x80 in the lanes where alpha(S) >= x, then 0xff there.
+        ge = ((a | ones << 7) - x) & ones << 7
+        ge = (ge << 1) - (ge >> 7)
+        view[h : 2 * h] = (x ^ ((a ^ x) & ge)).to_bytes(h, "little")
     return alpha
+
+
+def _union_table(rows, n, width):
+    """U[S], the union of the rows over S, of every subset S of range(n).
+
+    Cells of `width` bytes (4 or 8) in a memoryview, indexed by mask. Built
+    by doubling, U[S + v] = U[S] | row(v) for S below 2^v, one int OR per
+    chunk of _UNION_CHUNK cells, so the transient memory is fixed.
+    """
+    view = memoryview(bytearray(width << n))
+    for v in range(n):
+        cells = min(1 << v, _UNION_CHUNK)
+        span = width * cells
+        # The cells are native-order ints; an OR acts byte by byte, so the
+        # ints below may read the bytes in either order.
+        row = rows[v].to_bytes(width, sys.byteorder) * cells
+        row = int.from_bytes(row, "little")
+        top = width << v
+        for lo in range(0, top, span):
+            chunk = int.from_bytes(view[lo : lo + span], "little") | row
+            view[top + lo : top + lo + span] = chunk.to_bytes(span, "little")
+    return view.cast("I" if width == 4 else "Q")
 
 
 def _size_table(n):
@@ -93,41 +138,40 @@ def _elimination_dp(graph, cost):
     order[i]'s bag, is the mask whose cost the walk tested for that move.
 
     The components come from two tables over the states: low[t] is the
-    component of G[t] holding t's lowest vertex b, and nb[t] its open
-    neighbourhood. Those of G[t - b] are the chain low[r], r ^= low[r]; b
-    joins the ones it touches, and the rest stay components of G[t].
+    component of G[t] holding t's lowest vertex b, filled in mask order, and
+    the union table U[t], the union of the rows over t, built by doubling
+    before the pass. Those of G[t - b] are the chain low[r], r ^= low[r]; b
+    joins the ones it touches, and the rest stay components of G[t]. A
+    component C has the open neighbourhood N(C) = U[C] - C.
     """
     n = graph.n
     rows = graph.bit_rows()
     size = 1 << n
     full = size - 1
-    # Zeroed 4- or 8-byte cells over a bytearray; a memoryview cast needs no
-    # extension module loaded, unlike `array`.
-    tc, width = ("I", 4) if n <= 32 else ("Q", 8)
-    low = memoryview(bytearray(width * size)).cast(tc)
-    nb = memoryview(bytearray(width * size)).cast(tc)
+    # 4- or 8-byte cells in memoryview casts, which need no extension module
+    # loaded, unlike `array`. The union table is filled before low and dp
+    # exist, so its transient chunks add nothing to the DP's peak.
+    union = _union_table(rows, n, 4 if n <= 32 else 8)
+    low = memoryview(bytearray(union.nbytes)).cast(union.format)
     # dp[0] stands in for -1: every cost is at least 0, so max(0, c) = c.
     dp = bytearray(size)
     for t in range(1, size):
         b = t & -t
         rb = rows[b.bit_length() - 1]
         comp = b
-        nbs = rb
         rest = t ^ b
         while rest & rb:
             c = low[rest]
             if c & rb:
                 comp |= c
-                nbs |= nb[rest]
             rest ^= c
-        nbs &= ~t
         low[t] = comp
-        nb[t] = nbs
         if comp != t:
             c = dp[comp]
             d = dp[t ^ comp]
             dp[t] = c if c > d else d
             continue
+        nbs = union[t] & ~t
         floor = cost[nbs]
         best = 255
         while comp:
@@ -152,7 +196,7 @@ def _elimination_dp(graph, cost):
         rest = s
         while rest:
             comp = low[rest]
-            nbs = nb[rest]
+            nbs = union[comp] & ~comp
             rest ^= comp
             while comp:
                 b = comp & -comp

@@ -378,6 +378,19 @@ def elimination_bag(graph, v, eliminated):
     return frozenset(members(_bag_mask(graph.bit_rows(), v, mask_of(elim))))
 
 
+def reference_alpha_table(rows, n):
+    """Independence number of every subset of range(n), one mask at a time:
+    alpha(S) = max(alpha(S - v), 1 + alpha(S - N[v])) for v the lowest
+    vertex of S."""
+    alpha = bytearray(1 << n)
+    for s in range(1, 1 << n):
+        b = s & -s
+        a = alpha[s ^ b]
+        c = alpha[s & ~(rows[b.bit_length() - 1] | b)] + 1
+        alpha[s] = a if a > c else c
+    return alpha
+
+
 def push_form_elimination_dp(graph, cost):
     """Reference subset DP in push form: every state s pushes each move
     s -> s + v to the larger state, with the bag of v read off the

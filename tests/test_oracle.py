@@ -26,10 +26,13 @@ from treealpha import (
 )
 from treealpha.graph import members
 from treealpha.oracle import (
+    _SUBSET_DP_LIMIT,
+    _UNION_CHUNK,
     _alpha_table,
     _elimination_dp,
     _fill_in,
     _size_table,
+    _union_table,
     brute_force_mwis,
 )
 
@@ -43,6 +46,7 @@ from .conftest import (
     push_form_elimination_dp,
     random_graph,
     random_weights,
+    reference_alpha_table,
     reference_fill_in,
 )
 
@@ -250,6 +254,59 @@ def test_alpha_table_matches_alpha_of_subset():
             assert table[mask] == alpha_of_subset(g, members(mask))
 
 
+def test_alpha_table_matches_per_mask_reference():
+    rng = random.Random(47)
+    for n in range(15):
+        for p in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            rows = random_graph(n, p, rng).bit_rows()
+            assert _alpha_table(rows, n) == reference_alpha_table(rows, n), (n, p)
+
+
+def test_alpha_table_on_edgeless_and_complete_graphs():
+    for n in range(15):
+        edgeless = _alpha_table(build_graph(n, []).bit_rows(), n)
+        assert edgeless == bytearray(m.bit_count() for m in range(1 << n))
+        assert edgeless[-1] == n
+        complete = _alpha_table(complete_graph(n).bit_rows(), n)
+        assert complete == bytearray([0] + [1] * ((1 << n) - 1))
+
+
+def test_alpha_lanes_leave_room_for_the_guard_bit():
+    # The doubling takes a lane-wise max of alpha and alpha + 1 by a
+    # guard-bit compare on byte lanes, which needs every alpha + 1 < 128.
+    # alpha <= n <= _SUBSET_DP_LIMIT, so raising the limit must fail here.
+    assert _SUBSET_DP_LIMIT + 1 < 128
+
+
+def test_union_table_is_the_union_of_the_rows():
+    # Up to two past the chunk's bit, so that a block spans several chunks;
+    # 8-byte cells also run here, where the DP uses them only above n = 32.
+    rng = random.Random(48)
+    for n in range(_UNION_CHUNK.bit_length() + 2):
+        rows = random_graph(n, rng.random(), rng).bit_rows()
+        want = [0] * (1 << n)
+        for mask in range(1 << n):
+            for v in members(mask):
+                want[mask] |= rows[v]
+        for width in (4, 8):
+            union = _union_table(rows, n, width)
+            assert union.itemsize == width
+            assert union.tolist() == want, (n, width)
+
+
+def test_alpha_table_memory_is_bytes_per_subset():
+    rows = random_graph(14, 0.4, random.Random(45)).bit_rows()
+    tracemalloc.start()
+    try:
+        alpha = _alpha_table(rows, 14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(alpha) == 1 << 14
+    # The table itself and a few int copies of its top half.
+    assert peak < 10 << 14
+
+
 def _tie_heavy_graph(i, rng):
     """Graph number i of the differential corpus: random graphs of every
     density plus the families where many orderings tie (edgeless,
@@ -328,5 +385,6 @@ def test_subset_dp_memory_is_bytes_per_subset():
     finally:
         tracemalloc.stop()
     assert sorted(order) == list(range(14))
-    # 9 bytes per subset: low and nb at 4 each, dp at 1; no move table.
+    # 9 bytes per subset: low and the union table at 4 each, dp at 1; no
+    # move table.
     assert peak < 10 << 14
