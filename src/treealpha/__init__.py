@@ -38,7 +38,7 @@ from .generators import (
 )
 from .graph import Graph, build_graph, is_independent
 from .mwis import solve_mwis
-from .nice import NiceRefinedTreeDecomposition, make_nice
+from .nice import make_nice, node_kinds
 from .oracle import brute_force_mwis, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
@@ -61,7 +61,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "InvalidDecompositionError",
-    "NiceRefinedTreeDecomposition",
     "PackingInstance",
     "ParseError",
     "RefinedTreeDecomposition",
@@ -92,6 +91,7 @@ __all__ = [
     "make_family",
     "make_instance",
     "make_nice",
+    "node_kinds",
     "path_graph",
     "pattern_by_name",
     "residual_independence_number",

@@ -5,7 +5,7 @@ values appear as `p/q` strings, never floats) and is deterministic up to the
 wall_time_s field; `gen` without -o prints the raw graph instead. Exit codes:
 0 success, 1 usage or unreadable input, 2 validation failure or violated
 precondition, 3 size cap exceeded, 4 internal fault (a failed self-check or an
-exhausted memory).
+exhausted memory). Ids in reports and error lines are 1-based, as in files.
 
 Each `_cmd_*` reads its inputs through `_Inputs.parse` and returns the report's
 parameters, results and artifacts (report key -> (path, text)); `validate`
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .generators import generate
 from .mwis import _solve_mwis
-from .nice import make_nice
+from .nice import FORGET, INTRODUCE, JOIN, LEAF, make_nice, node_kinds
 from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
@@ -97,9 +97,9 @@ def _cmd_validate(args, inputs):
     g = inputs.parse("graph", args.graph, formats.parse_graph)
     td = inputs.parse("td", args.td, formats.parse_td, g)
     report = validate(g, td)
-    violations = [{"clause": v.clause, "detail": v.detail} for v in report.violations]
+    shown = [{"clause": v.clause, "detail": v.detail(1)} for v in report.violations]
     code = EXIT_OK if report.ok else EXIT_VIOLATION
-    return {}, {"ok": report.ok, "violations": violations}, {}, code
+    return {}, {"ok": report.ok, "violations": shown}, {}, code
 
 
 def _cmd_measure(args, inputs):
@@ -120,14 +120,14 @@ def _cmd_nice(args, inputs):
     g = inputs.parse("graph", args.graph, formats.parse_graph)
     td = inputs.parse("td", args.td, formats.parse_td, g)
     nice = make_nice(g, td)
-    kinds = {k: nice.kinds.count(k) for k in ("leaf", "introduce", "forget", "join")}
+    kinds = node_kinds(nice)
     results = {
         "nodes": nice.node_count,
-        "kinds": kinds,
-        "width": width(nice.td),
-        "residual_independence_number": residual_independence_number(g, nice.td),
+        "kinds": {k: kinds.count(k) for k in (LEAF, INTRODUCE, FORGET, JOIN)},
+        "width": width(nice),
+        "residual_independence_number": residual_independence_number(g, nice),
     }
-    return {}, results, {"td": (args.output, formats.format_td(nice.td))}
+    return {}, results, {"td": (args.output, formats.format_td(nice))}
 
 
 def _cmd_mwis(args, inputs):
@@ -437,10 +437,11 @@ def main(argv=None):
         print(json.dumps(doc, indent=2))
         return code[0] if code else EXIT_OK
     except (ParseError, GraphError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        shown = e.text(1) if isinstance(e, GraphError) else e
+        print(f"error: {shown}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidDecompositionError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {e.text(1)}", file=sys.stderr)
         return EXIT_VIOLATION
     except ResidualBoundViolation as e:
         shown = " ".join(str(v) for v in _one_indexed(e.witness))

@@ -71,11 +71,18 @@ def trivial_decomposition(graph):
 
 @dataclass(frozen=True)
 class Violation:
+    """A violated clause; `form` has a `{}` for each of `ids`, 0-based."""
+
     clause: str
-    detail: str
+    form: str
+    ids: tuple = ()
+
+    def detail(self, base=0):
+        """The text with each id plus `base`; the CLI shows ids 1-based."""
+        return self.form.format(*(i + base for i in self.ids))
 
     def __str__(self):
-        return f"[{self.clause}] {self.detail}"
+        return f"[{self.clause}] {self.detail()}"
 
 
 @dataclass(frozen=True)
@@ -83,10 +90,12 @@ class ValidationReport:
     ok: bool
     violations: tuple
 
-    def __str__(self):
+    def text(self, base=0):
         if self.ok:
             return "ok"
-        return "; ".join(str(v) for v in self.violations)
+        return "; ".join(f"[{v.clause}] {v.detail(base)}" for v in self.violations)
+
+    __str__ = text
 
 
 def validate(graph, td, universe=None):
@@ -111,20 +120,22 @@ def validate(graph, td, universe=None):
     edges = td.tree_edges
     tree_bad = None
     if nodes < 1:
-        tree_bad = "decomposition has no nodes"
+        tree_bad = Violation("tree", "decomposition has no nodes")
     elif len(edges) != nodes - 1:
-        tree_bad = f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+        form = f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+        tree_bad = Violation("tree", form)
     else:
         nbrs = [[] for _ in range(nodes)]
         seen_pairs = set()
         for a, b in edges:
             key = (min(a, b), max(a, b))
             if not (0 <= a < nodes and 0 <= b < nodes):
-                tree_bad = f"edge ({a}, {b}) references a missing node"
+                form = "edge ({}, {}) references a missing node"
+                tree_bad = Violation("tree", form, (a, b))
             elif a == b:
-                tree_bad = f"self-loop on node {a}"
+                tree_bad = Violation("tree", "self-loop on node {}", (a,))
             elif key in seen_pairs:
-                tree_bad = f"duplicate edge {key}"
+                tree_bad = Violation("tree", "duplicate edge ({}, {})", key)
             else:
                 seen_pairs.add(key)
                 nbrs[a].append(b)
@@ -142,9 +153,10 @@ def validate(graph, td, universe=None):
                         stack.append(y)
             if len(reached) != nodes:
                 missing = min(set(range(nodes)) - reached)
-                tree_bad = f"node {missing} is disconnected from node 0"
+                form = "node {} is disconnected from node {}"
+                tree_bad = Violation("tree", form, (missing, 0))
     if tree_bad is not None:
-        violations.append(Violation("tree", tree_bad))
+        violations.append(tree_bad)
 
     restricted = universe is not None
     ids = sorted(check_vertex_set(graph, universe)) if restricted else range(graph.n)
@@ -155,13 +167,15 @@ def validate(graph, td, universe=None):
             if v in index:
                 index[v].add(t)
             elif coverage_bad is None:
-                coverage_bad = f"bag {t} contains {v}, outside the vertex universe"
+                form = "bag {} contains {}, outside the vertex universe"
+                coverage_bad = Violation("coverage", form, (t, v))
     if coverage_bad is None:
         missing = next((v for v in ids if not index[v]), None)
         if missing is not None:
-            coverage_bad = f"vertex {missing} is in no bag"
+            form = "vertex {} is in no bag"
+            coverage_bad = Violation("coverage", form, (missing,))
     if coverage_bad is not None:
-        violations.append(Violation("coverage", coverage_bad))
+        violations.append(coverage_bad)
 
     adj = graph.adj
     nodes_of = index.__getitem__
@@ -172,7 +186,7 @@ def validate(graph, td, universe=None):
             later = [v for v in later if v in index]
         if any(map(index[u].isdisjoint, map(nodes_of, later))):
             v = next(v for v in later if index[u].isdisjoint(index[v]))
-            violations.append(Violation("edges", f"edge ({u}, {v}) is in no bag"))
+            violations.append(Violation("edges", "edge ({}, {}) is in no bag", (u, v)))
             break
 
     if tree_bad is None:
@@ -180,19 +194,15 @@ def validate(graph, td, universe=None):
         shared = Counter(chain.from_iterable(bags[a] & bags[b] for a, b in edges))
         for v in ids:
             if index[v] and len(index[v]) - shared[v] != 1:
-                violations.append(
-                    Violation(
-                        "connectivity",
-                        f"nodes holding vertex {v} do not form a subtree",
-                    )
-                )
+                form = "nodes holding vertex {} do not form a subtree"
+                violations.append(Violation("connectivity", form, (v,)))
                 break
 
     for t in range(nodes):
         if not td.refined[t] <= td.bags[t]:
             extra = min(td.refined[t] - td.bags[t])
             violations.append(
-                Violation("refined", f"U_{t} contains {extra}, not in bag {t}")
+                Violation("refined", "U_{} contains {}, not in bag {}", (t, extra, t))
             )
             break
 
@@ -207,18 +217,18 @@ def require_valid(graph, td, universe=None):
 
 
 def width(td):
-    """Max bag size minus one; a single empty bag has width -1."""
-    return max(len(b) for b in td.bags) - 1
+    """Max bag size minus one; a single empty bag, or no bag, has width -1."""
+    return max(map(len, td.bags), default=0) - 1
 
 
 def independence_number(graph, td):
-    """alpha(T): max over bags of the induced subgraph's independence number."""
-    return max(_alphas(graph, td.bags))
+    """alpha(T): max over bags X_t of alpha(G[X_t]); 0 with no bag."""
+    return max(_alphas(graph, td.bags), default=0)
 
 
 def residual_independence_number(graph, td):
-    """Max over bags of alpha(G[X_t - U_t])."""
-    return max(_alphas(graph, (b - u for b, u in zip(td.bags, td.refined))))
+    """Max over bags of alpha(G[X_t - U_t]); 0 with no bag."""
+    return max(_alphas(graph, (b - u for b, u in zip(td.bags, td.refined))), default=0)
 
 
 def compose_clique_cutset(graph, a_side, b_side, cutset, td_a, td_b):
@@ -240,7 +250,7 @@ def compose_clique_cutset(graph, a_side, b_side, cutset, td_a, td_b):
     for u in sorted(a_side):
         for v in graph.adj[u]:
             if v in b_side:
-                raise GraphError(f"edge ({u}, {v}) crosses the A-B split")
+                raise GraphError("edge ({}, {}) crosses the A-B split", (u, v))
     if not _clique_test(graph)(cutset):
         raise GraphError("C is not a clique")
 

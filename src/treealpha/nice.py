@@ -5,6 +5,8 @@ other node is an introduce, forget, or join node. The conversion contracts
 tree edges whose bags are nested, then emits the nice nodes in one walk down
 from the root. It keeps, for every output node, some input node t with
 X' <= X_t and U' = U_t & X', so the residual independence number never grows.
+The output is a plain RefinedTreeDecomposition; `node_kinds` reads each
+node's kind off its numbering and bags.
 
 Node count of the output is at most NICE_NODE_FACTOR * (width(T) + 2) *
 |V(T)| on valid inputs; the constant is asserted by the test suite. Only
@@ -13,7 +15,6 @@ the `nice` command converts: the MWIS solver walks the contracted tree of
 """
 
 import heapq
-from dataclasses import dataclass
 
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError
@@ -26,26 +27,6 @@ LEAF = "leaf"
 INTRODUCE = "introduce"
 FORGET = "forget"
 JOIN = "join"
-
-
-@dataclass(frozen=True)
-class NiceRefinedTreeDecomposition:
-    """A refined tree decomposition plus rooted structure and node kinds.
-
-    `vertices[t]` is the vertex introduced or forgotten at node t, None for
-    leaf and join nodes. `children[t]` lists children in deterministic order.
-    """
-
-    td: object
-    root: int
-    parent: tuple
-    kinds: tuple
-    vertices: tuple
-    children: tuple
-
-    @property
-    def node_count(self):
-        return self.td.node_count
 
 
 def rooted_contraction(td):
@@ -152,7 +133,10 @@ def make_nice(graph, td):
     bag carries the lower U restricted to it, any other the upper U. A node
     with m >= 2 children becomes m - 1 chained joins, each with two copies
     of its bag and U: the first leads to the next child, the second is the
-    next join or leads to the last child.
+    next join or leads to the last child. A chain between equal bags is
+    empty, so an all-empty decomposition gives one empty node. Node 0 of
+    the result is the root and nodes are numbered breadth-first, so every
+    tree edge (a, b) runs from the parent a to its child b.
 
     A nice form whose bags would hold over MAX_COUNT vertex ids in all is
     refused with CapExceededError before any node is built.
@@ -166,34 +150,20 @@ def make_nice(graph, td):
             f" > cap={MAX_COUNT}"
         )
 
-    if len(bags) == 1 and not bags[0]:
-        # Null graph or an all-empty decomposition: a single empty node is
-        # already nice (the root is its own leaf).
-        out = make_decomposition(graph, [frozenset()])
-        return NiceRefinedTreeDecomposition(
-            out, 0, (None,), (LEAF,), (None,), ((),)
-        )
-
-    bag, ref, kids, label = [], [], [], []
+    bag, ref, kids = [], [], []
 
     def new(b, u):
         bag.append(b)
         ref.append(u)
         kids.append([])
-        label.append((LEAF, None))
         return len(bag) - 1
 
     def chain(top, target, marked):
         """Step down from node `top` to a new node with bag `target`."""
         cur, u_top = bag[top], ref[top]
-        if cur == target:
-            raise RuntimeError(f"internal: chain between equal bags at node {top}")
-        steps = [(INTRODUCE, v) for v in sorted(cur - target, reverse=True)]
-        steps += [(FORGET, v) for v in sorted(target - cur, reverse=True)]
-        for step, v in steps:
-            cur = cur - {v} if step == INTRODUCE else cur | {v}
+        for v in sorted(cur - target)[::-1] + sorted(target - cur)[::-1]:
+            cur = cur ^ {v}
             below = new(cur, (marked if cur <= target else u_top) & cur)
-            label[top] = (step, v)
             kids[top] = [below]
             top = below
         return top
@@ -209,30 +179,34 @@ def make_nice(graph, td):
             continue
         for c in down[:-1]:
             first, rest = new(bags[x], refs[x]), new(bags[x], refs[x])
-            label[t] = (JOIN, None)
             kids[t] = [first, rest]
             stack.append((c, chain(first, bags[c], refs[c])))
             t = rest
         stack.append((down[-1], chain(t, bags[down[-1]], refs[down[-1]])))
 
-    # Assemble, ordering nodes by BFS from the root for stable ids.
     order = [root]
-    head = 0
-    while head < len(order):
-        order.extend(kids[order[head]])
-        head += 1
+    for t in order:  # breadth-first: the loop reads what it appends
+        order.extend(kids[t])
     new_id = {old: i for i, old in enumerate(order)}
-    bags_out = [bag[t] for t in order]
-    refs_out = [ref[t] for t in order]
-    edges_out = [(new_id[t], new_id[c]) for t in order for c in kids[t]]
-    out = make_decomposition(graph, bags_out, edges_out, refs_out)
-
-    parent = [None] * len(order)
-    children = [tuple(new_id[c] for c in kids[t]) for t in order]
-    for t, cs in enumerate(children):
-        for c in cs:
-            parent[c] = t
-    kinds, verts = zip(*(label[t] for t in order))
-    return NiceRefinedTreeDecomposition(
-        out, 0, tuple(parent), kinds, verts, tuple(children)
+    return make_decomposition(
+        graph,
+        [bag[t] for t in order],
+        [(new_id[t], new_id[c]) for t in order for c in kids[t]],
+        [ref[t] for t in order],
     )
+
+
+def node_kinds(td):
+    """Each node's kind in a nice form numbered as `make_nice` numbers it:
+    a leaf with no child, a join with two, and with one an introduce node
+    when its bag is larger than the child's, a forget node otherwise."""
+    kids = [[] for _ in td.bags]
+    for a, b in td.tree_edges:
+        kids[a].append(b)
+    kinds = []
+    for bag, down in zip(td.bags, kids):
+        if len(down) != 1:
+            kinds.append(JOIN if down else LEAF)
+        else:
+            kinds.append(INTRODUCE if len(bag) > len(td.bags[down[0]]) else FORGET)
+    return tuple(kinds)

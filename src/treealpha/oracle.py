@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 
 from .chordal import clique_tree
-from .decomposition import make_decomposition, trivial_decomposition
+from .decomposition import trivial_decomposition
 from .errors import CapExceededError
 from .graph import Graph, members
 
@@ -241,10 +241,7 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
         return 0, trivial_decomposition(graph)
     alpha = _alpha_table(graph.bit_rows(), graph.n)
     value, _, bags = _elimination_dp(graph, alpha)
-    filled = _fill_in(graph, bags)
-    ct = clique_tree(filled)
-    witness = make_decomposition(graph, ct.bags, ct.tree_edges)
-    return value, witness
+    return value, clique_tree(_fill_in(graph, bags))
 
 
 def brute_force_mwis(graph, weights):

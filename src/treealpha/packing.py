@@ -43,7 +43,6 @@ from .generators import complete_graph, cycle_graph, path_graph
 from .graph import MAX_COUNT, Graph, build_graph, check_vertex_set, mask_of, members
 from .mwis import _dp
 from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
-from .weights import WeightMap
 
 DEFAULT_PATTERN_CAP = 5
 
@@ -120,12 +119,10 @@ def make_instance(host, members, weights=None):
     return PackingInstance(fam, ws)
 
 
-def _member_index(graph, family):
+def _member_index(family):
     """Vertex -> ascending ids of the members holding it, one list per host
     vertex, built in O(n + sum_j |H_j|)."""
-    if family.host != graph:
-        raise GraphError("family references a different host graph")
-    index = [[] for _ in range(graph.n)]
+    index = [[] for _ in range(family.host.n)]
     for j, s in enumerate(family.members):
         for v in s:
             index[v].append(j)
@@ -173,7 +170,9 @@ def derived_graph(graph, family):
     j. No pair of members is compared; `compatible` is the pairwise
     definition it agrees with.
     """
-    index = _member_index(graph, family)
+    if family.host != graph:
+        raise GraphError("family references a different host graph")
+    index = _member_index(family)
     adj = graph.adj
     _refuse_dense(index, adj)
     near = [
@@ -204,24 +203,30 @@ def derived_decomposition(graph, family, td):
     independence number is at most the input's.
     """
     require_valid(graph, td)
-    index = _member_index(graph, family)
+    if family.host != graph:
+        raise GraphError("family references a different host graph")
+    return _transferred(family, _member_index(family), td)
+
+
+def _transferred(family, index, td):
+    """`td` over the members: the same tree, bag t the members meeting X_t."""
     bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
     return replace(td, n=len(family), bags=bags, refined=(_EMPTY,) * len(bags))
 
 
 def _reduction(family, td):
     """The reduction of packing to MWIS in one pass over the host: each
-    member's conflict row and the transferred bags.
+    member's conflict row and the transferred decomposition.
 
     Row j is the bit set of the members that conflict with member j, the
-    rows `derived_graph`'s adjacency would give; bag t is the set of
-    members meeting X_t, as in `derived_decomposition`. After the count of
+    rows `derived_graph`'s adjacency would give; the decomposition is the
+    one `derived_decomposition` gives. After the count of
     `_refuse_dense`, each held vertex v gets held[v], the bit set of the
     members holding it, and near[v], the OR of held[u] over N[v]; row j is
     the OR of near[v] over H_j less bit j. These per-vertex masks are local
     to the pass, so only the rows outlive it. `td` is not checked here.
     """
-    index = _member_index(family.host, family)
+    index = _member_index(family)
     adj = family.host.adj
     _refuse_dense(index, adj)
     held = list(map(mask_of, index))
@@ -235,8 +240,7 @@ def _reduction(family, td):
         reduce(or_, map(near.__getitem__, s)) ^ (1 << j)
         for j, s in enumerate(family.members)
     ]
-    bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
-    return rows, bags
+    return rows, _transferred(family, index, td)
 
 
 def solve_packing(instance, td, k):
@@ -259,8 +263,7 @@ def _solve_packing(instance, td, k):
     The MWIS pass runs on the conflict rows of `_reduction`; the derived
     graph itself is not built."""
     graph = instance.family.host
-    rows, bags = _reduction(instance.family, td)
-    td2 = replace(td, n=len(rows), bags=bags, refined=(_EMPTY,) * len(bags))
+    rows, td2 = _reduction(instance.family, td)
     value, chosen, _ = _dp(rows, instance.member_weights, td2, k)
     owner = {}
     for j in chosen:

@@ -25,7 +25,7 @@ from treealpha import (
 )
 from treealpha.decomposition import ValidationReport, Violation
 from treealpha.graph import Graph, check_vertex_set, mask_of, members
-from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF
+from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF, node_kinds
 from treealpha.packing import DEFAULT_PATTERN_CAP
 
 
@@ -282,57 +282,73 @@ def cycle_has_chord(graph, cycle):
     return False
 
 
-def nice_violations(graph, nice):
-    """List the nice-form invariants the given decomposition breaks."""
+def nice_children(td):
+    """Children of each node of a `make_nice` decomposition, ascending: each
+    tree edge (a, b) runs from parent a to child b."""
+    kids = [[] for _ in td.bags]
+    for a, b in td.tree_edges:
+        kids[a].append(b)
+    return kids
+
+
+def nice_vertex(td, t, kids):
+    """The vertex that node t, with one child, introduces or forgets."""
+    (v,) = td.bags[t] ^ td.bags[kids[t][0]]
+    return v
+
+
+def nice_violations(graph, td):
+    """List the nice-form invariants the given decomposition breaks, read
+    straight from its bags and tree edges, and check `node_kinds` against
+    the kinds they give."""
     problems = []
-    td = nice.td
     report = validate(graph, td)
     if not report.ok:
-        problems.append(f"underlying decomposition invalid: {report}")
-    if td.bags[nice.root]:
+        return [f"underlying decomposition invalid: {report}"]
+    if td.bags[0]:
         problems.append("root bag is nonempty")
-    for t in range(td.node_count):
-        kids = nice.children[t]
-        kind = nice.kinds[t]
-        if not kids:
-            if kind != LEAF:
-                problems.append(f"childless node {t} is labeled {kind}")
-            if td.bags[t]:
+    parents = Counter(b for _, b in td.tree_edges)
+    for a, b in td.tree_edges:
+        if not a < b:
+            problems.append(f"edge ({a}, {b}) does not run down from the parent")
+    for t in range(1, td.node_count):
+        if parents[t] != 1:
+            problems.append(f"node {t} has {parents[t]} parents")
+    kids = nice_children(td)
+    kinds = []
+    for t, bag in enumerate(td.bags):
+        down = [td.bags[c] for c in kids[t]]
+        if not down:
+            kinds.append(LEAF)
+            if bag:
                 problems.append(f"leaf {t} has a nonempty bag")
-        elif len(kids) == 1:
-            c = kids[0]
-            v = nice.vertices[t]
-            if kind == INTRODUCE:
-                if v is None or v in td.bags[c] or td.bags[t] != td.bags[c] | {v}:
-                    problems.append(f"introduce node {t} malformed")
-            elif kind == FORGET:
-                if v is None or v not in td.bags[c] or td.bags[t] != td.bags[c] - {v}:
-                    problems.append(f"forget node {t} malformed")
-            else:
-                problems.append(f"single-child node {t} labeled {kind}")
-        elif len(kids) == 2:
-            if kind != JOIN:
-                problems.append(f"two-child node {t} labeled {kind}")
-            if any(td.bags[c] != td.bags[t] for c in kids):
+        elif len(down) == 1:
+            kinds.append(INTRODUCE if bag > down[0] else FORGET)
+            if len(bag ^ down[0]) != 1:
+                problems.append(f"node {t} differs from its child by {bag ^ down[0]}")
+        elif len(down) == 2:
+            kinds.append(JOIN)
+            if any(c != bag for c in down):
                 problems.append(f"join node {t} has a child with a different bag")
         else:
-            problems.append(f"node {t} has {len(kids)} children")
-        if nice.parent[t] is None and t != nice.root:
-            problems.append(f"node {t} has no parent but is not the root")
+            problems.append(f"node {t} has {len(down)} children")
+    if not problems and node_kinds(td) != tuple(kinds):
+        problems.append(f"node_kinds gives {node_kinds(td)}, the bags {kinds}")
     return problems
 
 
-def postorder(nice):
+def postorder(td):
     """Node ids of a nice decomposition, children always before parents."""
+    kids = nice_children(td)
     out = []
-    stack = [(nice.root, False)]
+    stack = [(0, False)]
     while stack:
         t, done = stack.pop()
         if done:
             out.append(t)
         else:
             stack.append((t, True))
-            for c in nice.children[t]:
+            for c in kids[t]:
                 stack.append((c, False))
     return out
 
@@ -463,28 +479,29 @@ def _check_residual(table, residual, k):
         )
 
 
-def nice_form_tables(graph, weights, nice, k):
+def nice_form_tables(graph, weights, td, k):
     """Reference MWIS tables: the textbook pass over every node of a nice
     decomposition, {node: {key mask: Fraction c[t, S]}}, checking the
-    residual bound at every node in `postorder(nice)`."""
+    residual bound at every node in `postorder(td)`. Kinds come from
+    `node_kinds`, and a node's vertex from its bag and its child's."""
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
-    td = nice.td
+    kinds = node_kinds(td)
+    kids = nice_children(td)
     tables = {}
-    for t in postorder(nice):
-        kind = nice.kinds[t]
-        kids = nice.children[t]
+    for t in postorder(td):
+        kind = kinds[t]
         if kind == LEAF:
             table = {0: Fraction(0)}
         elif kind == JOIN:
-            other = tables[kids[1]]
+            other = tables[kids[t][1]]
             table = {
                 s: x + other[s] - weights.total(members(s))
-                for s, x in tables[kids[0]].items()
+                for s, x in tables[kids[t][0]].items()
             }
         else:
-            child = tables[kids[0]]
-            v = nice.vertices[t]
+            child = tables[kids[t][0]]
+            v = nice_vertex(td, t, kids)
             bit = 1 << v
             if kind == INTRODUCE:
                 nbrs = mask_of(graph.adj[v])
@@ -507,24 +524,25 @@ def nice_form_mwis(graph, weights, td, k):
     takes a forgotten vertex only where that is strictly better."""
     nice = make_nice(graph, td)
     tables = nice_form_tables(graph, weights, nice, k)
+    kinds = node_kinds(nice)
+    kids = nice_children(nice)
     chosen = 0
-    stack = [(nice.root, 0)]
+    stack = [(0, 0)]
     while stack:
         t, s = stack.pop()
         chosen |= s
-        kind = nice.kinds[t]
-        kids = nice.children[t]
+        kind = kinds[t]
         if kind == JOIN:
-            stack.extend((c, s) for c in kids)
+            stack.extend((c, s) for c in kids[t])
         elif kind != LEAF:
-            bit = 1 << nice.vertices[t]
-            child = tables[kids[0]]
+            bit = 1 << nice_vertex(nice, t, kids)
+            child = tables[kids[t][0]]
             if kind == INTRODUCE:
                 s &= ~bit
             elif child.get(s | bit, -1) > child[s]:
                 s |= bit
-            stack.append((kids[0], s))
-    return tables[nice.root][0], frozenset(members(chosen))
+            stack.append((kids[t][0], s))
+    return tables[0][0], frozenset(members(chosen))
 
 
 def reference_validate(graph, td, universe=None):
@@ -537,20 +555,24 @@ def reference_validate(graph, td, universe=None):
     edges = td.tree_edges
     tree_bad = None
     if nodes < 1:
-        tree_bad = "decomposition has no nodes"
+        tree_bad = Violation("tree", "decomposition has no nodes")
     elif len(edges) != nodes - 1:
-        tree_bad = f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+        tree_bad = Violation(
+            "tree", f"{len(edges)} edges on {nodes} nodes (need {nodes - 1})"
+        )
     else:
         nbrs = [[] for _ in range(nodes)]
         seen_pairs = set()
         for a, b in edges:
             key = (min(a, b), max(a, b))
             if not (0 <= a < nodes and 0 <= b < nodes):
-                tree_bad = f"edge ({a}, {b}) references a missing node"
+                tree_bad = Violation(
+                    "tree", "edge ({}, {}) references a missing node", (a, b)
+                )
             elif a == b:
-                tree_bad = f"self-loop on node {a}"
+                tree_bad = Violation("tree", "self-loop on node {}", (a,))
             elif key in seen_pairs:
-                tree_bad = f"duplicate edge {key}"
+                tree_bad = Violation("tree", "duplicate edge ({}, {})", key)
             else:
                 seen_pairs.add(key)
                 nbrs[a].append(b)
@@ -568,9 +590,11 @@ def reference_validate(graph, td, universe=None):
                         stack.append(y)
             if len(reached) != nodes:
                 missing = min(set(range(nodes)) - reached)
-                tree_bad = f"node {missing} is disconnected from node 0"
+                tree_bad = Violation(
+                    "tree", "node {} is disconnected from node {}", (missing, 0)
+                )
     if tree_bad is not None:
-        violations.append(Violation("tree", tree_bad))
+        violations.append(tree_bad)
 
     if universe is None:
         universe = frozenset(range(graph.n))
@@ -584,17 +608,21 @@ def reference_validate(graph, td, universe=None):
             if v in index:
                 index[v].add(t)
             elif coverage_bad is None:
-                coverage_bad = f"bag {t} contains {v}, outside the vertex universe"
+                coverage_bad = Violation(
+                    "coverage", "bag {} contains {}, outside the vertex universe", (t, v)
+                )
     if coverage_bad is None:
         missing = next((v for v in sorted(index) if not index[v]), None)
         if missing is not None:
-            coverage_bad = f"vertex {missing} is in no bag"
+            coverage_bad = Violation(
+                "coverage", "vertex {} is in no bag", (missing,)
+            )
     if coverage_bad is not None:
-        violations.append(Violation("coverage", coverage_bad))
+        violations.append(coverage_bad)
 
     for u, v in graph.edges():
         if u in index and v in index and index[u].isdisjoint(index[v]):
-            violations.append(Violation("edges", f"edge ({u}, {v}) is in no bag"))
+            violations.append(Violation("edges", "edge ({}, {}) is in no bag", (u, v)))
             break
 
     if tree_bad is None:
@@ -606,7 +634,8 @@ def reference_validate(graph, td, universe=None):
                 violations.append(
                     Violation(
                         "connectivity",
-                        f"nodes holding vertex {v} do not form a subtree",
+                        "nodes holding vertex {} do not form a subtree",
+                        (v,),
                     )
                 )
                 break
@@ -615,7 +644,7 @@ def reference_validate(graph, td, universe=None):
         if not td.refined[t] <= td.bags[t]:
             extra = min(td.refined[t] - td.bags[t])
             violations.append(
-                Violation("refined", f"U_{t} contains {extra}, not in bag {t}")
+                Violation("refined", "U_{} contains {}, not in bag {}", (t, extra, t))
             )
             break
 

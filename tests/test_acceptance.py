@@ -345,7 +345,7 @@ def test_criterion_09_nice_conversion_contract(verdict):
         nice = make_nice(g, td)
         assert not nice_violations(g, nice)
         assert residual_independence_number(
-            g, nice.td
+            g, nice
         ) <= residual_independence_number(g, td)
         bound = NICE_NODE_FACTOR * (width(td) + 2) * td.node_count
         assert nice.node_count <= bound

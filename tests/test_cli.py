@@ -302,6 +302,12 @@ def test_each_request_checks_its_decomposition_once(tmp_path, capsys, monkeypatc
         ("gen double-join", 1, "gen double-join needs --graph for the base graph"),
         ("gen double-join --graph NULL", 1, "double_join: base graph must be nonnull"),
         ("gen path 0", 1, "path: n must be positive"),
+        # The path's edge 2-3 joins A = {1, 2} to B = {3}, named as in the files.
+        (
+            "compose --graph G --cut A B C --td-a T --td-b T -o OUT",
+            1,
+            "edge (2, 3) crosses the A-B split",
+        ),
         ("validate --graph G --td EMPTY", 2, "decomposition has no nodes"),
     ],
 )
@@ -309,10 +315,13 @@ def test_refused_requests_report_one_error(tmp_path, capsys, argv, want_code, me
     # Usage errors print one `error:` line; a decomposition with no nodes
     # is a violation that `validate` reports.
     files = {"G": "g.gr", "T": "t.td", "NULL": "null.gr", "EMPTY": "empty.td"}
+    files.update({"A": "a.set", "B": "b.set", "C": "c.set", "OUT": "out.td"})
     write_graph(path_graph(3), tmp_path / "g.gr")
     write_td(trivial_decomposition(path_graph(3)), tmp_path / "t.td")
     (tmp_path / "null.gr").write_text("p tw 0 0\n")
     (tmp_path / "empty.td").write_text("s td 0 0 3\n")
+    for name, ids in (("a.set", "1 2\n"), ("b.set", "3\n"), ("c.set", "")):
+        (tmp_path / name).write_text(ids)
     code, out, err = run(
         capsys, *(str(tmp_path / files[a]) if a in files else a for a in argv.split())
     )
@@ -473,6 +482,35 @@ def test_compose(tmp_path, capsys):
         capsys, "validate", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "out.td")
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "td_text, violations",
+    [
+        # Bags {1, 3} and {2, 3} miss the path's edge 1-2.
+        ("s td 2 2 3\nb 1 1 3\nb 2 2 3\n1 2\n", [("edges", "edge (1, 2) is in no bag")]),
+        # Vertex 2 is in no bag, so neither of its edges is covered.
+        (
+            "s td 2 1 3\nb 1 1\nb 2 3\n1 2\n",
+            [("coverage", "vertex 2 is in no bag"), ("edges", "edge (1, 2) is in no bag")],
+        ),
+        # The one tree edge joins bag 1 to itself.
+        ("s td 2 3 3\nb 1 1 2 3\nb 2\n1 1\n", [("tree", "self-loop on node 1")]),
+    ],
+)
+def test_violations_name_ids_as_the_files_do(tmp_path, capsys, td_text, violations):
+    # Vertex and bag ids in the output are 1-based, like the ids in the files.
+    (tmp_path / "g.gr").write_text("p tw 3 2\n1 2\n2 3\n")
+    (tmp_path / "t.td").write_text(td_text)
+    graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+    code, out, err = run(capsys, "validate", *graph_td)
+    assert (code, err) == (2, "")
+    shown = [(v["clause"], v["detail"]) for v in report_of(out)["results"]["violations"]]
+    assert shown == violations
+    code, out, err = run(capsys, "mwis", *graph_td)
+    detail = "; ".join(f"[{clause}] {text}" for clause, text in violations)
+    assert (code, out) == (2, "")
+    assert err == f"error: decomposition failed validation: {detail}\n"
 
 
 def parse_graph_fixture(tmp_path):

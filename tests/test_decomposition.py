@@ -24,6 +24,7 @@ from treealpha import (
     validate,
     width,
 )
+from treealpha.formats import parse_td
 
 from .conftest import induced_subgraph, random_graph, reference_validate
 
@@ -44,7 +45,8 @@ def test_validate_ok_on_trivial():
     rng = random.Random(9)
     for _ in range(20):
         g = random_graph(rng.randint(0, 7), 0.5, rng)
-        assert validate(g, trivial_decomposition(g)).ok
+        report = validate(g, trivial_decomposition(g))
+        assert report.ok and str(report) == "ok"
 
 
 def test_validate_reports_uncovered_edge():
@@ -235,6 +237,15 @@ def test_validate_matches_reference_with_and_without_universe():
             None,
             ["[edges] edge (1, 3) is in no bag"],
         ),
+        # A tree edge names node 5 of two.
+        (
+            3,
+            [(0, 1), (1, 2)],
+            [{0, 1}, {1, 2}],
+            [(0, 5)],
+            None,
+            ["[tree] edge (0, 5) references a missing node"],
+        ),
     ],
 )
 def test_validate_edge_clause_hand_cases(n, edges, bags, tree, universe, want):
@@ -272,6 +283,31 @@ def test_clique_bags_of_a_star_are_measured_without_rebuilding_the_hub():
     assert residual_independence_number(g, td) == 1
     assert independence_number(g, td) == 1
     assert time.perf_counter() - start < 2
+
+
+def test_refined_sets_must_match_the_bags():
+    g = path_graph(2)
+    with pytest.raises(GraphError, match="equal length"):
+        make_decomposition(g, [{0, 1}], [], [set(), set()])
+
+
+@pytest.mark.parametrize(
+    "measure, want",
+    [
+        (lambda g, td: width(td), -1),
+        (independence_number, 0),
+        (residual_independence_number, 0),
+        (lambda g, td: repr(td), "RefinedTreeDecomposition(nodes=0, width=-1, ell=0)"),
+    ],
+    ids=["width", "independence", "residual", "repr"],
+)
+def test_measures_of_a_decomposition_with_no_nodes(measure, want):
+    # `s td 0 0 3` parses to a decomposition with no nodes. It fails
+    # validation, but measures it as they measure the null graph.
+    g = path_graph(3)
+    td = parse_td("s td 0 0 3\n", g)
+    assert td == make_decomposition(g, [])
+    assert measure(g, td) == want
 
 
 def test_refinement_size_is_derived():
@@ -330,6 +366,10 @@ def test_compose_rejects_bad_partitions():
     g2 = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError, match="nonempty"):
         compose_clique_cutset(g2, set(), {0, 1, 2}, set(), td, td)
+    with pytest.raises(GraphError, match="pairwise disjoint"):
+        compose_clique_cutset(g2, {0, 1}, {2}, {1}, td, td)
+    with pytest.raises(GraphError, match="partition"):
+        compose_clique_cutset(g2, {0}, {2}, set(), td, td)
     c4 = cycle_graph(4)
     ta = make_decomposition(c4, [{0, 1, 2}])
     tb = make_decomposition(c4, [{0, 2, 3}])

@@ -85,6 +85,8 @@ def test_td_parse_errors():
         parse_td("s td 1 2 3\nb 1 1\n", g)
     with pytest.raises(ParseError, match="duplicate bag"):
         parse_td("s td 2 1 2\nb 1 1\nb 1 2\n", g)
+    with pytest.raises(ParseError, match="missing bag id"):
+        parse_td("s td 1 1 2\nb\n", g)
 
 
 def test_weights_parsing():

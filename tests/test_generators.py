@@ -64,6 +64,8 @@ def test_parameter_validation():
         generate("path", ())
     with pytest.raises(GraphError, match="parameter"):
         generate("complete-bipartite", (3,))
+    with pytest.raises(GraphError, match="needs a base graph"):
+        generate("double-join", ())
 
 
 def test_generate_dispatch():

@@ -45,6 +45,8 @@ def test_build_rejects_self_loop():
 def test_build_rejects_out_of_range():
     with pytest.raises(GraphError):
         build_graph(3, [(0, 3)])
+    with pytest.raises(GraphError, match="nonnegative"):
+        build_graph(-1, [])
 
 
 def test_induced_cycle_minus_vertex_is_path():

@@ -573,7 +573,7 @@ def refined_instances(draw):
 def test_hypothesis_solver_matches_brute_force_and_reports_broken_promises(inst):
     g, w, td, k = inst
     nice = make_nice(g, td)
-    residuals = [b - u for b, u in zip(nice.td.bags, nice.td.refined)]
+    residuals = [b - u for b, u in zip(nice.bags, nice.refined)]
     over = [r for r in residuals if alpha_of_subset(g, r) > k]
     try:
         value, chosen = solve_mwis(g, w, td, k)

@@ -9,6 +9,7 @@ from treealpha import (
     clique_tree,
     make_decomposition,
     make_nice,
+    node_kinds,
     path_graph,
     residual_independence_number,
     tin_exact,
@@ -19,14 +20,21 @@ from treealpha import (
 from treealpha.graph import MAX_COUNT
 from treealpha.nice import NICE_NODE_FACTOR, _nice_bag_total, rooted_contraction
 
-from .conftest import nice_violations, postorder, random_connected_set, random_graph
+from .conftest import (
+    nice_children,
+    nice_vertex,
+    nice_violations,
+    postorder,
+    random_connected_set,
+    random_graph,
+)
 
 
 def test_path_trivial_expansion():
     g = path_graph(3)
     nice = make_nice(g, trivial_decomposition(g))
     assert not nice_violations(g, nice)
-    kinds = list(nice.kinds)
+    kinds = node_kinds(nice)
     assert kinds.count("introduce") == 3
     assert kinds.count("forget") == 3
     assert kinds.count("join") == 0
@@ -39,7 +47,7 @@ def test_star_clique_tree_produces_a_join():
     star = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     nice = make_nice(star, clique_tree(star))
     assert not nice_violations(star, nice)
-    assert nice.kinds.count("join") >= 1
+    assert node_kinds(nice).count("join") >= 1
 
 
 def test_high_degree_node_is_binarized():
@@ -49,8 +57,8 @@ def test_high_degree_node_is_binarized():
     star = build_graph(7, [(0, v) for v in range(1, 7)])
     nice = make_nice(star, clique_tree(star))
     assert not nice_violations(star, nice)
-    assert nice.kinds.count("join") >= 3
-    assert all(len(nice.children[t]) <= 2 for t in range(nice.node_count))
+    assert node_kinds(nice).count("join") >= 3
+    assert all(len(kids) <= 2 for kids in nice_children(nice))
 
 
 def test_idempotent_class():
@@ -58,11 +66,11 @@ def test_idempotent_class():
     for _ in range(15):
         g = random_graph(rng.randint(1, 7), 0.4, rng)
         first = make_nice(g, trivial_decomposition(g))
-        again = make_nice(g, first.td)
+        again = make_nice(g, first)
         assert not nice_violations(g, again)
         assert residual_independence_number(
-            g, again.td
-        ) == residual_independence_number(g, first.td)
+            g, again
+        ) == residual_independence_number(g, first)
 
 
 def test_single_vertex_and_null_graph():
@@ -72,7 +80,7 @@ def test_single_vertex_and_null_graph():
     null = build_graph(0, [])
     nice0 = make_nice(null, trivial_decomposition(null))
     assert nice0.node_count == 1
-    assert nice0.kinds == ("leaf",)
+    assert node_kinds(nice0) == ("leaf",)
 
 
 def test_rejects_invalid_input():
@@ -121,11 +129,11 @@ def test_contract_on_corpus():
         nice = make_nice(g, td)
         assert not nice_violations(g, nice)
         assert residual_independence_number(
-            g, nice.td
+            g, nice
         ) <= residual_independence_number(g, td)
         # Every output bag must trace to an input bag with the marked set
         # restricted accordingly.
-        for bag, ref in zip(nice.td.bags, nice.td.refined):
+        for bag, ref in zip(nice.bags, nice.refined):
             assert any(
                 bag <= b and ref == u & bag
                 for b, u in zip(td.bags, td.refined)
@@ -147,7 +155,7 @@ def test_bag_total_is_counted_before_building():
         corpus.append((g, clique_tree(g)))
     for g, td in corpus:
         bags, _, root, _, kids = rooted_contraction(td)
-        emitted = sum(len(b) for b in make_nice(g, td).td.bags)
+        emitted = sum(len(b) for b in make_nice(g, td).bags)
         assert _nice_bag_total(bags, root, kids) == emitted
 
 
@@ -155,7 +163,7 @@ def test_oversized_nice_form_is_refused():
     # One edgeless bag of n vertices: two chains of n bags, n^2 ids in all.
     g = build_graph(1024, [])
     assert _nice_bag_total([frozenset(range(1024))], 0, [[]]) == 1024**2
-    assert make_nice(g, trivial_decomposition(g)).td.node_count == 2049
+    assert make_nice(g, trivial_decomposition(g)).node_count == 2049
     g = build_graph(1025, [])
     with pytest.raises(CapExceededError, match=f"cap={MAX_COUNT}"):
         make_nice(g, trivial_decomposition(g))
@@ -164,9 +172,10 @@ def test_oversized_nice_form_is_refused():
 def test_postorder_visits_children_first():
     g = random_graph(6, 0.5, random.Random(16))
     nice = make_nice(g, trivial_decomposition(g))
+    kids = nice_children(nice)
     seen = set()
     for t in postorder(nice):
-        for c in nice.children[t]:
+        for c in kids[t]:
             assert c in seen
         seen.add(t)
     assert seen == set(range(nice.node_count))
@@ -181,17 +190,24 @@ def test_nice_with_connected_set_refinements():
         refined = make_decomposition(g, td.bags, td.tree_edges, [u])
         nice = make_nice(g, refined)
         assert not nice_violations(g, nice)
-        for bag, ref in zip(nice.td.bags, nice.td.refined):
+        for bag, ref in zip(nice.bags, nice.refined):
             assert ref == u & bag
 
 
 def _rows(nice):
-    """One (bag, U, kind, vertex, children) row per nice node, sorted tuples."""
+    """One (bag, U, kind, vertex, children) row per nice node, sorted tuples;
+    the kind is `node_kinds`', the vertex the one a node's bag and its only
+    child's differ by."""
+    kids = nice_children(nice)
     return [
-        (tuple(sorted(b)), tuple(sorted(u)), kind, v, kids)
-        for b, u, kind, v, kids in zip(
-            nice.td.bags, nice.td.refined, nice.kinds, nice.vertices, nice.children
+        (
+            tuple(sorted(b)),
+            tuple(sorted(u)),
+            kind,
+            nice_vertex(nice, t, kids) if len(kids[t]) == 1 else None,
+            tuple(kids[t]),
         )
+        for t, (b, u, kind) in enumerate(zip(nice.bags, nice.refined, node_kinds(nice)))
     ]
 
 
@@ -204,7 +220,7 @@ def test_exact_output_star_with_a_join_chain():
     # {0,1} keeps four children, so three join nodes are chained.
     star = build_graph(7, [(0, v) for v in range(1, 7)])
     nice = make_nice(star, clique_tree(star))
-    assert nice.root == 0
+    assert not nice_violations(star, nice)
     assert _rows(nice) == [
         ((), (), "forget", 2, (1,)),
         ((2,), (), "forget", 0, (2,)),
@@ -234,7 +250,7 @@ def test_exact_output_star_with_a_join_chain():
         ((), (), "leaf", None, ()),
         ((), (), "leaf", None, ()),
     ]
-    assert nice.td.tree_edges == (
+    assert nice.tree_edges == (
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (5, 7), (6, 8), (6, 9),
         (7, 10), (8, 11), (9, 12), (9, 13), (10, 14), (11, 15), (12, 16),
         (13, 17), (14, 18), (15, 19), (16, 20), (17, 21), (19, 22), (20, 23),
@@ -253,7 +269,7 @@ def test_exact_output_equal_bags_with_different_marked_sets():
         [{0}, {1}, {2}, {3}],
     )
     nice = make_nice(g, td)
-    assert nice.root == 0
+    assert not nice_violations(g, nice)
     assert _rows(nice) == [
         ((), (), "forget", 1, (1,)),
         ((1,), (), "forget", 0, (2,)),
@@ -265,13 +281,13 @@ def test_exact_output_equal_bags_with_different_marked_sets():
         ((2,), (), "introduce", 2, (8,)),
         ((), (), "leaf", None, ()),
     ]
-    assert nice.td.tree_edges == _path_edges(9)
+    assert nice.tree_edges == _path_edges(9)
 
 
 def test_exact_output_trivial_path():
     g = path_graph(3)
     nice = make_nice(g, trivial_decomposition(g))
-    assert nice.root == 0
+    assert not nice_violations(g, nice)
     assert _rows(nice) == [
         ((), (), "forget", 2, (1,)),
         ((2,), (), "forget", 1, (2,)),
@@ -281,7 +297,7 @@ def test_exact_output_trivial_path():
         ((0,), (), "introduce", 0, (6,)),
         ((), (), "leaf", None, ()),
     ]
-    assert nice.td.tree_edges == _path_edges(7)
+    assert nice.tree_edges == _path_edges(7)
 
 
 def test_chains_forget_then_introduce_smallest_id_first():
@@ -297,13 +313,15 @@ def test_chains_forget_then_introduce_smallest_id_first():
         if bags == [frozenset()]:
             continue
         nice = make_nice(g, td)
+        kinds, down = node_kinds(nice), nice_children(nice)
+        up = {b: a for a, b in nice.tree_edges}
         start_of = set()
-        for leaf in (t for t in range(nice.node_count) if nice.kinds[t] == "leaf"):
-            steps, t = [], nice.parent[leaf]
+        for leaf in (t for t in range(nice.node_count) if kinds[t] == "leaf"):
+            steps, t = [], up[leaf]
             while t is not None:
-                if nice.kinds[t] != "join":
-                    steps.append((nice.kinds[t], nice.vertices[t]))
-                t = nice.parent[t]
+                if kinds[t] != "join":
+                    steps.append((kinds[t], nice_vertex(nice, t, down)))
+                t = up.get(t)
             first = next(i for i, (kind, _) in enumerate(steps) if kind != "introduce")
             x = bags.index(frozenset(v for _, v in steps[:first]))
             start_of.add(x)

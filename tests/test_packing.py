@@ -141,10 +141,10 @@ def assert_transfer_matches_definitions(g, fam, td):
 
 def assert_reduction_matches(g, fam, td):
     """`_reduction`'s rows are the masks of `derived_graph`'s adjacency and
-    its bags are `derived_decomposition`'s."""
-    rows, bags = _reduction(fam, td)
+    its decomposition is `derived_decomposition`'s."""
+    rows, td2 = _reduction(fam, td)
     assert rows == [mask_of(a) for a in derived_graph(g, fam).adj]
-    assert tuple(bags) == derived_decomposition(g, fam, td).bags
+    assert td2 == derived_decomposition(g, fam, td)
 
 
 def test_transfer_matches_pairwise_definitions():
@@ -222,6 +222,8 @@ def test_instance_weights_are_exact_and_nonnegative():
         PackingInstance(fam, (Fraction(1), 0.5))
     with pytest.raises(GraphError, match="negative"):
         PackingInstance(fam, (Fraction(1), -1))
+    with pytest.raises(GraphError, match="one weight per family member"):
+        PackingInstance(fam, (Fraction(1),))
     inst = PackingInstance(fam, (1, Fraction(1, 2)))
     assert solve_packing(inst, trivial_decomposition(g), 2) == (Fraction(3, 2), frozenset({0, 1}))
 
