@@ -7,21 +7,26 @@ of the clique tree are exactly the maximal cliques, read off that order
 1993), and the tree is a maximum-weight spanning tree of the clique
 intersection graph.
 
-Costs: the search keeps a lazy heap of ints, so recognition is
-O((n + m) log n); the check builds N[f] once for each latest earlier
-neighbour f, O(n + m). The maximal cliques and the distinct minimal
-separators are read in O(n + m) from the earlier-neighbour lists that the
-check builds, and the separators are sorted by size. A separator S finds
-the cliques that hold it on the shortest list of cliques holding one of
-its vertices, at |S| set lookups per clique on that list. No clique pairs
-are listed, so a star takes linear time.
+Costs: the search keeps one bucket of vertices per weight and builds each
+vertex's list of earlier neighbours as it visits, so it runs in O(n + m);
+the check builds N[f] once for each latest earlier neighbour f, also
+O(n + m). `clique_tree` pops its buckets last in, first out, and reads the
+maximal cliques and the distinct minimal separators in O(n + m) from the
+earlier-neighbour lists; it then sorts the cliques, as lists of ids, and
+the separators by size. A separator S finds the cliques that hold it on
+the shortest list of cliques holding one of its vertices, at |S| set
+lookups per clique on that list. No clique pairs are listed, so a star
+takes linear time. `is_chordal` keeps each bucket as a heap of ids for its
+tie rule, at O(log n) per push and pop.
 
-The output is fixed by tie rules: the search takes the largest weight, then
-the smallest id; bags are sorted by their sorted members; the tree is the
-one Kruskal builds over all pairs (i, j) ordered by (-|C_i & C_j|, i, j),
-weight-0 pairs included. Every edge of that tree meets in a minimal
-separator, so `clique_tree` takes the same edges separator by separator,
-largest first (see there).
+The output is fixed by tie rules: `is_chordal`'s search takes the largest
+weight, then the smallest id. Every maximum cardinality search gives the
+same maximal cliques and minimal separators, so `clique_tree` does not
+depend on the search's ties: bags are sorted by their sorted members; the
+tree is the one Kruskal builds over all pairs (i, j) ordered by
+(-|C_i & C_j|, i, j), weight-0 pairs included. Every edge of that tree
+meets in a minimal separator, so `clique_tree` takes the same edges
+separator by separator, largest first (see there).
 """
 
 import heapq
@@ -30,49 +35,63 @@ from .decomposition import make_decomposition
 from .errors import GraphError
 
 
-def _perfect_order(graph):
-    """The search order and each position's earlier neighbours, or None.
+def _perfect_order(graph, pop=list.pop, push=list.append):
+    """The search order and each vertex's earlier neighbours, or None.
 
     Returns (order, earlier) when the order is a perfect elimination order
-    read from the back, so the graph is chordal; earlier[i] lists the
-    neighbours of order[i] that come before it, in adjacency order.
+    read from the back, so the graph is chordal; earlier[v] lists the
+    neighbours of v that come before it, in visit order, so its length is
+    v's weight when v was visited and its last entry is the latest.
+
+    Bucket w holds the unvisited vertices of weight w, each entered once
+    per weight it reaches; an entry whose vertex has since gained weight is
+    skipped when popped. A visited vertex's leftover entries all lie below
+    its own weight, so they are skipped too. `pop` and `push` decide which
+    vertex of the top bucket comes next: the default is last in, first out,
+    and `heapq.heappop` with `heapq.heappush` gives the smallest id.
     """
     n = graph.n
     adj = graph.adj
-    weight = [0] * n
-    visited = [False] * n
-    # An entry for y at weight w is the int y - w * n: the smallest is the
-    # largest weight, then the smallest id.
-    heap = list(range(n))
+    earlier = [[] for _ in range(n)]
+    # live[y] is earlier[y] while y is unvisited, and None once it is.
+    live = earlier[:]
+    buckets = [list(range(n))]
+    # Each visit raises the top weight by at most one, so the top pointer
+    # moves O(n) times in all, and each entry is pushed and popped once. A
+    # bucket is added when the top first reaches it.
+    top = 0
     order = []
-    while heap:
-        key = heapq.heappop(heap)
-        z = key % n
-        if visited[z] or -(key // n) != weight[z]:
-            continue  # a stale entry: z was visited or has gained weight
-        visited[z] = True
-        order.append(z)
-        for y in adj[z]:
-            if not visited[y]:
-                weight[y] += 1
-                heapq.heappush(heap, y - weight[y] * n)
-
     # Each vertex's earlier neighbours must all lie in N[f], f the latest of
-    # them. N[f] is built once, on the first list that needs it.
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    earlier = [[u for u in adj[v] if pos[u] < i] for i, v in enumerate(order)]
+    # them. N[f] is built once, on the first list that needs it, from f's
+    # own earlier neighbours: those are all of N(f) that precede f.
     closed = {}
-    for before in earlier:
-        if len(before) > 1:
-            f = max(before, key=pos.__getitem__)
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        z = pop(bucket)
+        before = earlier[z]
+        if len(before) != top:
+            continue  # a stale entry: z has since gained weight
+        if top > 1:
+            f = before[-1]
             nf = closed.get(f)
             if nf is None:
-                nf = closed[f] = set(adj[f])
+                nf = closed[f] = set(earlier[f])
                 nf.add(f)
             if not nf.issuperset(before):
                 return None
+        live[z] = None
+        order.append(z)
+        top += 1
+        if top == len(buckets):
+            buckets.append([])
+        for y in adj[z]:
+            later = live[y]
+            if later is not None:
+                later.append(z)
+                push(buckets[len(later)], y)
     return order, earlier
 
 
@@ -82,8 +101,10 @@ def is_chordal(graph):
     The order is simplicial-last: order[i] is simplicial in the subgraph
     induced by order[:i+1], so eliminating vertices from the back of the
     order always removes a simplicial vertex. The null graph is chordal.
+    The search takes the largest weight, then the smallest id: its buckets
+    are heaps of ids, so it runs in O((n + m) log n).
     """
-    found = _perfect_order(graph)
+    found = _perfect_order(graph, heapq.heappop, heapq.heappush)
     if found is None:
         return False, None
     return True, tuple(found[0])
@@ -101,20 +122,20 @@ def clique_tree(graph):
     if graph.n == 0:
         raise GraphError("clique_tree requires a nonnull graph")
     order, earlier = found
-    # The candidate at position i, order[i] with its earlier neighbors, is a
-    # maximal clique exactly when it is last or the next candidate is no
-    # larger (the next vertex's MCS weight is its earlier-neighbor count).
-    # A vertex whose candidate follows a maximal one starts a new clique, and
-    # its earlier neighbours, when there are any, are a minimal separator.
-    candidates = [[v] + before for v, before in zip(order, earlier)]
+    # The candidate of order[i], the vertex with its earlier neighbours, is a
+    # maximal clique exactly when it is last or the next vertex's weight is
+    # no larger. A vertex whose candidate follows a maximal one starts a new
+    # clique, and its earlier neighbours, when there are any, are a minimal
+    # separator.
     maximal = []
     separators = set()
-    for c, nxt in zip(candidates, candidates[1:] + [()]):
-        if len(nxt) <= len(c):
-            maximal.append(frozenset(c))
-            if len(nxt) > 1:
-                separators.add(frozenset(nxt[1:]))
-    maximal.sort(key=sorted)
+    for v, nxt in zip(order, order[1:] + [None]):
+        if nxt is None or len(earlier[nxt]) <= len(earlier[v]):
+            maximal.append(sorted(earlier[v] + [v]))
+            if nxt is not None and earlier[nxt]:
+                separators.add(frozenset(earlier[nxt]))
+    maximal.sort()
+    maximal = [frozenset(c) for c in maximal]
     q = len(maximal)
     holding = [[] for _ in range(graph.n)]
     for i, c in enumerate(maximal):

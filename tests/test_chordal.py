@@ -15,6 +15,7 @@ from treealpha import (
     path_graph,
     validate,
 )
+from treealpha.chordal import _perfect_order
 from .conftest import (
     all_labeled_graphs,
     chordal_fill_in,
@@ -325,3 +326,93 @@ def test_clique_tree_and_order_match_the_all_pairs_reference():
         seen[kind] = seen.get(kind, 0) + 1
     assert seen["not chordal"] >= 40, seen
     assert all(seen[k] >= 10 for k in ("fill-in", "1-tree", "4-tree", "union", "star")), seen
+
+
+def test_bucket_search_is_a_maximum_cardinality_search():
+    # The search behind clique_tree pops its buckets last in, first out, so
+    # its order is not the pinned one. A plain replay checks that each
+    # vertex, when visited, has the most visited neighbours among the
+    # unvisited vertices, and that earlier[v] lists v's neighbours visited
+    # before it, in visit order.
+    rng = random.Random(19)
+    seen = {"chordal": 0, "not chordal": 0}
+    for _, g in differential_corpus(rng):
+        found = _perfect_order(g)
+        if reference_clique_tree(g) is None:
+            assert found is None
+            seen["not chordal"] += 1
+            continue
+        seen["chordal"] += 1
+        order, earlier = found
+        assert sorted(order) == list(range(g.n))
+        weight = [0] * g.n
+        unvisited = set(range(g.n))
+        for v in order:
+            assert weight[v] == max(weight[u] for u in unvisited)
+            unvisited.remove(v)
+            for u in g.adj[v]:
+                weight[u] += 1
+        pos = {v: i for i, v in enumerate(order)}
+        for v in range(g.n):
+            want = sorted((u for u in g.adj[v] if pos[u] < pos[v]), key=pos.__getitem__)
+            assert earlier[v] == want
+    assert min(seen.values()) >= 40, seen
+
+
+def bench_interval_graph(n, rng):
+    """Intervals of length 8-12 whose left ends advance by 1.5 on average,
+    with shuffled ids: about 7 cover a point, and the clique number is near
+    10, as on the benchmark's interval graphs."""
+    spans = []
+    for i in range(n):
+        left = 3 * i // 2 + rng.randrange(2)
+        spans.append((left, left + rng.randint(8, 12)))
+    rng.shuffle(spans)
+    by_left = sorted(range(n), key=lambda v: spans[v])
+    edges = []
+    for a, u in enumerate(by_left):
+        for v in by_left[a + 1 :]:
+            if spans[v][0] > spans[u][1]:
+                break
+            edges.append((min(u, v), max(u, v)))
+    return build_graph(n, edges)
+
+
+def test_clique_tree_matches_the_reference_at_bench_scale():
+    rng = random.Random(29)
+    for _ in range(3):
+        g = bench_interval_graph(900, rng)
+        order, bags, tree_edges = reference_clique_tree(g)
+        assert 7 <= max(map(len, bags)) <= 12
+        assert is_chordal(g) == (True, order)
+        ct = clique_tree(g)
+        assert [sorted(b) for b in ct.bags] == bags
+        assert ct.tree_edges == tree_edges
+    # K_{1,2000}: the reference lists two million clique pairs here, so
+    # compare with what it gives, every pair meeting in the centre alone.
+    g = star(2001, rng)
+    centre = next(v for v in range(g.n) if len(g.adj[v]) == 2000)
+    ct = clique_tree(g)
+    assert [sorted(b) for b in ct.bags] == [
+        sorted((centre, v)) for v in range(g.n) if v != centre
+    ]
+    assert ct.tree_edges == tuple((0, j) for j in range(1, 2000))
+
+
+def test_clique_tree_memory_is_linear_on_a_path():
+    # tracemalloc peaks are the same on every run of a fixed Python, so the
+    # ratio does not depend on timing; a linear cost gives about 4.
+    rng = random.Random(31)
+    peaks = []
+    for n in (5000, 20000):
+        ids = list(range(n))
+        rng.shuffle(ids)
+        g = build_graph(n, [(ids[i], ids[i + 1]) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            ct = clique_tree(g)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(ct.bags) == n - 1
+    assert peaks[1] <= 6 * peaks[0], peaks
