@@ -11,7 +11,12 @@ X_t (an int bit mask, bit v for vertex v) to c[t, S]:
   witness the numerically smallest such S attaining it;
 - t starts from its largest-id child's projection (a leaf from {0: 0}) and
   extends it over the rest of X_t one vertex v at a time, smallest id
-  first: S | v gets c[t, S] + w(v) for each key S with no neighbour of v;
+  first: S | v gets c[t, S] + w(v) for each key S with no neighbour of v.
+  Every key lies in D, the part of X_t the table already spans, so those
+  keys are the table's subsets of D - N(v). Where WALK * 2^|D - N(v)| is
+  below the table's size they are found by walking those subsets and
+  looking each up, otherwise by one scan of the table; so adding v costs
+  the smaller of the table's size and 2^|D - N(v)|, times a constant;
 - each further child c adds its projection at S & X_c less w(S & X_c).
 
 The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
@@ -36,6 +41,11 @@ from .decomposition import require_valid
 from .errors import CapExceededError, GraphError, ResidualBoundViolation
 from .graph import MAX_COUNT, is_independent, mask_of, members
 from .nice import rooted_contraction
+
+#: Walking one subset of `free` costs about as much as testing 2-3 keys
+#: in a scan, so the walk runs only where WALK * 2^|free| is below the
+#: table's size, where it never costs more than the scan.
+WALK = 4
 
 
 def _dp(rows, weights, td, k):
@@ -65,17 +75,34 @@ def _dp(rows, weights, td, k):
     def extend(table, t, start):
         """Grow `table` over X_t - `start`, checking each added vertex."""
         residual = bag[t] & ~mask_of(refs[t])
+        done = start
         for i, v in enumerate(members(bag[t] & ~start)):
             bit, avoid, wv = 1 << v, rows[v], w[v]
+            # Every key lies in `done`, so the keys that can take v are the
+            # subsets of `free` in the table: where those subsets are few,
+            # walk them and look each up instead of scanning the table.
+            free = done & ~avoid
+            done |= bit
+            walk = WALK << free.bit_count() < len(table)
+            if walk:
+                grown, sub = {}, free
+                while True:
+                    x = table.get(sub)
+                    if x is not None:
+                        grown[sub | bit] = x + wv
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
             # Counted only where the table could double past the cap.
-            if 2 * len(table) > MAX_COUNT and (
-                len(table) + sum(not s & avoid for s in table) > MAX_COUNT
-            ):
+            if 2 * len(table) > MAX_COUNT and len(table) + (
+                len(grown) if walk else sum(not s & avoid for s in table)
+            ) > MAX_COUNT:
                 raise CapExceededError(
                     f"mwis refused: the table of a bag of {len(bags[t])} vertices, "
                     f"{len(refs[t])} marked, would pass cap={MAX_COUNT} keys"
                 )
-            grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}
+            if not walk:
+                grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}
             table.update(grown)
             if i and not bit & residual:
                 continue

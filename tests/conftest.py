@@ -34,6 +34,22 @@ def random_graph(n, p, rng):
     return build_graph(n, edges)
 
 
+def interval_graph(n, rng):
+    """The intersection graph of n random closed integer intervals."""
+    spans = []
+    for _ in range(n):
+        left = rng.randint(0, 3 * n)
+        spans.append((left, left + rng.randint(0, 12)))
+    return build_graph(
+        n,
+        [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
+        ],
+    )
+
+
 def shuffled_path(n, rng):
     """A path on n vertices with shuffled ids; returns the graph and the ids
     in path order."""

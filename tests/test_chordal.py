@@ -21,6 +21,7 @@ from .conftest import (
     chordal_fill_in,
     cycle_has_chord,
     induced_subgraph,
+    interval_graph,
     random_graph,
     reference_clique_tree,
 )
@@ -235,22 +236,6 @@ def shuffled_k_tree(n, k, rng):
         edges += [(u, v) for u in base]
         cliques += [[u for u in base if u != x] + [v] for x in base]
     return build_graph(n, edges)
-
-
-def interval_graph(n, rng):
-    """The intersection graph of n random closed integer intervals."""
-    spans = []
-    for _ in range(n):
-        left = rng.randint(0, 3 * n)
-        spans.append((left, left + rng.randint(0, 12)))
-    return build_graph(
-        n,
-        [
-            (u, v)
-            for u, v in itertools.combinations(range(n), 2)
-            if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]
-        ],
-    )
 
 
 def star(n, rng):

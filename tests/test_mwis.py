@@ -10,34 +10,45 @@ from hypothesis import strategies as st
 
 from treealpha import (
     CapExceededError,
+    PackingInstance,
     ResidualBoundViolation,
     WeightMap,
     alpha_exact,
     alpha_of_subset,
+    brute_force_packing,
     build_graph,
     clique_tree,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    derived_decomposition,
+    derived_graph,
     double_join,
+    enumerate_F_subgraphs,
+    independence_number,
     is_chordal,
     is_independent,
     make_decomposition,
     make_nice,
     path_graph,
+    pattern_by_name,
     residual_independence_number,
     solve_mwis,
     tin_exact,
     trivial_decomposition,
     validate,
 )
-from treealpha.graph import Graph, mask_of
+from treealpha import cli, mwis, packing
+from treealpha.formats import format_graph, format_td
+from treealpha.graph import MAX_COUNT, Graph, mask_of, members
 from treealpha.mwis import _dp
 from treealpha.nice import rooted_contraction
 from treealpha.oracle import brute_force_mwis
 
 from .conftest import (
     chordal_fill_in,
+    complement,
+    interval_graph,
     mwis_by_enumeration,
     nice_form_mwis,
     random_graph,
@@ -389,30 +400,200 @@ def test_solver_is_deterministic():
     assert solve_mwis(g, w, td, k) == solve_mwis(g, w, td, k)
 
 
+def _assert_recurrences(weights, td, tables):
+    """Every key of every table `_dp` returned for `td` obeys
+    c[t, S] = w(S) + sum over children c of (P_c[S & X_c] - w(S & X_c)),
+    P_c[S'] = max of c[c, s] over the keys s with s & X_t = S', all scaled
+    by the lcm L of the weight denominators."""
+    bags, _, _, _, kids = rooted_contraction(td)
+    bag = [mask_of(b) for b in bags]
+    scale = math.lcm(*(Fraction(x).denominator for x in weights))
+
+    def scaled(s):
+        return scale * sum(weights[v] for v in members(s))
+
+    for t, table in tables.items():
+        for key, value in table.items():
+            expect = scaled(key)
+            for c in kids[t]:
+                common = key & bag[c]
+                top = max(x for s, x in tables[c].items() if s & bag[t] == common)
+                expect += top - scaled(common)
+            assert value == expect
+
+
 def test_tables_expose_the_recurrences():
-    # c[t, S] = w(S) + sum over children c of (P_c[S & X_c] - w(S & X_c)),
-    # P_c[S'] = max of c[c, s] over the keys s with s & X_t = S', all scaled
-    # by the lcm L of the weight denominators; the optimum is max c[root, S].
+    # The optimum is max c[root, S], scaled by L.
     g = cycle_graph(5)
     w = WeightMap(5, {0: 2, 1: Fraction(3, 2), 2: 5, 3: Fraction(7, 3), 4: 11})
     scale = 6
     rng = random.Random(24)
     for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(g, tin_exact(g)[1], rng)):
-        (bags, _, root, _, kids), tables = _tables(g, w, td, 2)
+        (bags, _, root, *_), tables = _tables(g, w, td, 2)
         assert set(tables) == set(range(len(bags)))
-
-        def scaled(s):
-            return scale * w.total(_key_sets([s]).pop())
-
-        for t, table in tables.items():
-            for key, value in table.items():
-                expect = scaled(key)
-                for c in kids[t]:
-                    common = key & mask_of(bags[c])
-                    top = max(x for s, x in tables[c].items() if s & mask_of(bags[t]) == common)
-                    expect += top - scaled(common)
-                assert value == expect
+        _assert_recurrences([w[v] for v in range(g.n)], td, tables)
         assert Fraction(max(tables[root].values()), scale) == brute_force_mwis(g, w)[0]
+
+
+class _Choices(int):
+    """Stands in for `mwis.WALK`, and appends to `seen` the choice `extend`
+    makes at each added vertex: True where it walks the subsets of `free`,
+    False where it scans the table."""
+
+    def __new__(cls, value, seen):
+        out = super().__new__(cls, value)
+        out.seen = seen
+        return out
+
+    def __lshift__(self, bits):
+        return _Choices(int(self) << bits, self.seen)
+
+    def __lt__(self, size):
+        self.seen.append(int(self) < size)
+        return self.seen[-1]
+
+
+def _independent_masks(rows, mask):
+    """Every independent subset of `mask` under `rows`, by branching on its
+    lowest vertex."""
+    if not mask:
+        return {0}
+    low = mask & -mask
+    rest = mask ^ low
+    return _independent_masks(rows, rest) | {
+        s | low for s in _independent_masks(rows, rest & ~rows[low.bit_length() - 1])
+    }
+
+
+def _on_every_path(monkeypatch, solve, g, w, td, k):
+    """`solve(g, w, td, k)` under the walk-or-scan rule, with every added
+    vertex walked (WALK = 0) and with every one scanned (WALK = MAX_COUNT).
+    All three must give the same answer, or the same violation, and the
+    same tables at every `_dp` call; those tables must hold exactly the
+    independent subsets of their bags and obey the recurrences. Returns the
+    answer and the rule's choices. Undoes every patch of `monkeypatch`."""
+    runs, seen = [], []
+    for walk in (_Choices(mwis.WALK, seen), 0, MAX_COUNT):
+        calls = []
+
+        def recording(rows, weights, td, k, dp=mwis._dp, calls=calls):
+            out = dp(rows, weights, td, k)
+            calls.append((rows, [weights[v] for v in range(len(rows))], td, out[2]))
+            return out
+
+        monkeypatch.setattr(mwis, "WALK", walk)
+        monkeypatch.setattr(mwis, "_dp", recording)
+        monkeypatch.setattr(packing, "_dp", recording)
+        runs.append((_answer(solve, g, w, td, k), calls))
+        monkeypatch.undo()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    for rows, weights, td, tables in runs[0][1]:
+        bags = rooted_contraction(td)[0]
+        for t, table in tables.items():
+            assert set(table) == _independent_masks(rows, mask_of(bags[t]))
+        _assert_recurrences(weights, td, tables)
+    return runs[0][0], seen
+
+
+def _cocycle(cycle):
+    """The complement of the cycle through `cycle`'s vertices in that order."""
+    return complement(build_graph(len(cycle), list(zip(cycle, cycle[1:] + cycle[:1]))))
+
+
+def _pack(g, job, td, k):
+    return packing._solve_packing(job, td, k)[:2]
+
+
+def test_walked_and_scanned_extensions_match_the_references(monkeypatch):
+    rng = random.Random(27)
+
+    def check_mwis(g, td):
+        w = WeightMap(g.n, random_weights(g.n, rng))
+        k = residual_independence_number(g, td)
+        answer, seen = _on_every_path(monkeypatch, solve_mwis, g, w, td, k)
+        assert answer == _answer(nice_form_mwis, g, w, td, k)
+        if g.n <= 22:
+            assert answer[0] == brute_force_mwis(g, w)[0]
+        return seen
+
+    # One-bag cliques: from the fifth vertex on, the table has over WALK
+    # keys, and the one key that can take v is found by a single lookup.
+    for n in range(2, 41):
+        g = complete_graph(n)
+        seen = check_mwis(g, trivial_decomposition(g))
+        assert seen == [False] * min(n, mwis.WALK) + [True] * max(n - mwis.WALK, 0)
+    # Edgeless bags: every key can take every vertex, so the table is scanned.
+    for n in range(1, 13):
+        g = build_graph(n, [])
+        assert not any(check_mwis(g, trivial_decomposition(g)))
+    # Complements of cycles in one bag, as on cocycle-mwis, alone and with a
+    # marked window of consecutive cycle vertices: both paths run.
+    for n in range(8, 21):
+        cycle = list(range(n))
+        rng.shuffle(cycle)
+        g = _cocycle(cycle)
+        for window in (0, rng.randint(2, n // 2)):
+            td = make_decomposition(g, [range(n)], [], [cycle[:window]])
+            seen = check_mwis(g, td)
+            assert True in seen and False in seen
+    # k1,k2 packings on interval hosts: each derived bag is a clique.
+    pats = [pattern_by_name("k1"), pattern_by_name("k2")]
+    walked = 0
+    for n in (5, 6, 7, 12, 20, 30, 40):
+        g = interval_graph(n, rng)
+        td = clique_tree(g)
+        fam = enumerate_F_subgraphs(g, pats)
+        ws = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in fam.members)
+        job = PackingInstance(fam, ws)
+        k = independence_number(g, td)
+        answer, seen = _on_every_path(monkeypatch, _pack, g, job, td, k)
+        derived = (derived_graph(g, fam), WeightMap(len(fam), dict(enumerate(ws))))
+        expect = nice_form_mwis(*derived, derived_decomposition(g, fam, td), k)
+        assert answer == expect
+        if len(fam) <= 22:
+            assert answer[0] == brute_force_packing(job)[0]
+        walked += sum(seen)
+    assert walked > 100
+
+
+def test_broken_promise_found_by_a_walk(monkeypatch, tmp_path, capsys):
+    # In id order, 0..7 are pairwise apart on the cycle and 8 follows 7: the
+    # table holds 9 keys when 8 is added, one of which can take it, so 8 is
+    # walked and {7, 8} breaks k = 1. The error and witness are the textbook
+    # pass's, and `mwis` prints them with 1-based ids and exits 2.
+    g = _cocycle([0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5, 15, 6, 16, 7, 8, 17, 9, 18, 19])
+    td = trivial_decomposition(g)
+    seen = []
+    monkeypatch.setattr(mwis, "WALK", _Choices(mwis.WALK, seen))
+    with pytest.raises(ResidualBoundViolation) as err:
+        solve_mwis(g, WeightMap(20), td, 1)
+    assert str(err.value) == "residual bound violated: independent set of size 2 in bag residual"
+    assert err.value.witness == frozenset({7, 8})
+    assert seen == [False] * 4 + [True] * 5
+    assert _answer(nice_form_mwis, g, WeightMap(20), td, 1) == _answer(
+        solve_mwis, g, WeightMap(20), td, 1
+    )
+    (tmp_path / "g.gr").write_text(format_graph(g))
+    (tmp_path / "t.td").write_text(format_td(td))
+    argv = ["mwis", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"), "-k", "1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: residual bound violated: independent set of size 2 in bag residual;"
+        " witness vertices 8 9\n"
+    )
+
+
+def test_cap_is_counted_before_a_walk_breaks_the_promise(monkeypatch):
+    # 0..19 are marked and apart: 2^20 keys, the cap. Vertex 20 sees 0..3,
+    # so 2^16 keys can take it, found by walking the subsets of 4..19; it
+    # would pass the cap and break k = 0, and is refused for the cap.
+    g = build_graph(21, [(u, 20) for u in range(4)])
+    td = make_decomposition(g, [range(21)], [], [range(20)])
+    seen = []
+    monkeypatch.setattr(mwis, "WALK", _Choices(mwis.WALK, seen))
+    with pytest.raises(CapExceededError, match="21 vertices, 20 marked.*cap=1048576"):
+        solve_mwis(g, WeightMap(21), td, 0)
+    assert seen[-1] and not any(seen[:-1])
 
 
 def _elimination_decomposition(g, rng):
