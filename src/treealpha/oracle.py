@@ -22,8 +22,12 @@ pulls from the states one vertex smaller, and its scan stops once it reaches
 cost[N(S)], which no move can beat. The moves and their bags are rebuilt
 afterwards on the optimal path alone. The cost and union tables are built by
 doubling, the block of masks with top vertex v from the block below it, in
-whole-int operations with no Python loop per subset. The DP keeps 9 bytes per
-subset for n <= 32, beside the 1-byte cost table.
+whole-int operations with no Python loop per subset. The pass splits each
+mask into a low part of ceil(n/2) bits and a high part, and reads a state's
+lowest vertex and its vertex bits off a table over the low values, so no
+state peels its bits one at a time. The DP keeps 9 bytes per subset for
+n <= 32, beside the 1-byte cost table; the low-part table adds under 100
+bytes per low value, 2^ceil(n/2) of them (0.1 MB at n = 20).
 """
 
 import sys
@@ -143,6 +147,17 @@ def _elimination_dp(graph, cost):
     before the pass. Those of G[t - b] are the chain low[r], r ^= low[r]; b
     joins the ones it touches, and the rest stay components of G[t]. A
     component C has the open neighbourhood N(C) = U[C] - C.
+
+    The pass runs over split masks t = th | tl, tl the low h = ceil(n/2)
+    bits: the high part in the outer loop, the low part in the inner one,
+    which is still ascending mask order. A table over the 2^h low values
+    holds each tl's vertex bits, ascending; its entry 0 is set to the high
+    part's bits once per outer step. So a state's lowest vertex b is the
+    first of its tabled bits and b's row is U[b], with no bit peeled per
+    state, and a connected state scans its moves over the low part's bits,
+    then the high part's. The table holds 2^h tuples, under 100 bytes each.
+    The scan builds no tuple per state: CPython keeps freed tuples in free
+    lists, which tracemalloc still counts.
     """
     n = graph.n
     rows = graph.bit_rows()
@@ -153,40 +168,62 @@ def _elimination_dp(graph, cost):
     # exist, so its transient chunks add nothing to the DP's peak.
     union = _union_table(rows, n, 4 if n <= 32 else 8)
     low = memoryview(bytearray(union.nbytes)).cast(union.format)
+    # Split masks t = th | tl, tl the low `half` bits: lo_bits[tl] holds
+    # tl's vertex bits, ascending. Entry 0 holds the high part's, so that
+    # bits[0] is every state's lowest vertex; a state with tl = 0 scans
+    # those moves twice, which leaves its best as it is.
+    half = (n + 1) // 2
+    lo_bits = [()]
+    for v in range(half):
+        b = 1 << v
+        lo_bits += [x + (b,) for x in lo_bits]
     # dp[0] stands in for -1: every cost is at least 0, so max(0, c) = c.
     dp = bytearray(size)
-    for t in range(1, size):
-        b = t & -t
-        rb = rows[b.bit_length() - 1]
-        comp = b
-        rest = t ^ b
-        while rest & rb:
-            c = low[rest]
-            if c & rb:
-                comp |= c
-            rest ^= c
-        low[t] = comp
-        if comp != t:
-            c = dp[comp]
-            d = dp[t ^ comp]
-            dp[t] = c if c > d else d
-            continue
-        nbs = union[t] & ~t
-        floor = cost[nbs]
-        best = 255
-        while comp:
-            b = comp & -comp
-            comp ^= b
-            c = dp[t ^ b]
-            if c < best:
-                d = cost[b | nbs]
-                if d > c:
-                    c = d
+    for th in range(0, size, 1 << half):
+        hi_bits = lo_bits[0] = [1 << v for v in members(th)]
+        for tl in range(0 if th else 1, 1 << half):
+            t = th | tl
+            bits = lo_bits[tl]
+            comp = bits[0]
+            # The row of a vertex is the union over its one-bit set.
+            rb = union[comp]
+            rest = t ^ comp
+            while rest & rb:
+                c = low[rest]
+                if c & rb:
+                    comp |= c
+                rest ^= c
+            low[t] = comp
+            if comp != t:
+                c = dp[comp]
+                d = dp[t ^ comp]
+                dp[t] = c if c > d else d
+                continue
+            nbs = union[t] & ~t
+            floor = cost[nbs]
+            best = 255
+            for b in bits:
+                c = dp[t ^ b]
                 if c < best:
-                    best = c
-                    if c == floor:
-                        break
-        dp[t] = best
+                    d = cost[b | nbs]
+                    if d > c:
+                        c = d
+                    if c < best:
+                        best = c
+                        if c == floor:
+                            break
+            else:
+                for b in hi_bits:
+                    c = dp[t ^ b]
+                    if c < best:
+                        d = cost[b | nbs]
+                        if d > c:
+                            c = d
+                        if c < best:
+                            best = c
+                            if c == floor:
+                                break
+            dp[t] = best
     order = []
     bags = []
     s = full

@@ -13,7 +13,12 @@ _COUNTS = tuple(Fraction(i) for i in range(8))
 
 
 class WeightMap:
-    """Per-vertex nonnegative rational weights over a graph of `n` vertices."""
+    """Per-vertex nonnegative rational weights over a graph of `n` vertices.
+
+    `wm[v]` and `total` accept only ids in range(n) and raise IndexError for
+    any other. A WeightMap is not iterable: `iter(wm)`, `for x in wm` and
+    `v in wm` raise TypeError; `items()` yields the (vertex, weight) pairs.
+    """
 
     __slots__ = ("n", "_w")
 
@@ -40,7 +45,17 @@ class WeightMap:
         return wm
 
     def __getitem__(self, v):
-        return self._w.get(v, _ONE)
+        x = self._w.get(v)
+        if x is not None:
+            return x
+        if 0 <= v < self.n:
+            return _ONE
+        raise IndexError(f"vertex {v} out of range [0, {self.n})")
+
+    def __iter__(self):
+        # Without this, `for` and `in` would index 0, 1, 2, ... until an
+        # IndexError, reading weights where a caller may expect vertices.
+        raise TypeError("WeightMap is not iterable; use items()")
 
     def total(self, vertices):
         """w(S) = sum of the member weights, as a Fraction.
@@ -48,14 +63,17 @@ class WeightMap:
         Vertices without a stored weight are counted as an int, and only
         the stored weights are added as Fractions."""
         w = self._w
+        n = self.n
         unset = 0
         stored = []
         for v in vertices:
             x = w.get(v)
-            if x is None:
+            if x is not None:
+                stored.append(x)
+            elif 0 <= v < n:
                 unset += 1
             else:
-                stored.append(x)
+                raise IndexError(f"vertex {v} out of range [0, {n})")
         start = _COUNTS[unset] if unset < len(_COUNTS) else Fraction(unset)
         return sum(stored, start)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -118,6 +119,26 @@ def test_parsed_weights_match_the_checking_constructor():
         WeightMap(3, {3: 1})
     with pytest.raises(ValueError, match="negative"):
         WeightMap(3, {0: Fraction(-1, 2)})
+
+
+def test_weight_map_refuses_outside_ids_and_iteration():
+    # An id outside range(n) raises instead of reading weight 1, and the map
+    # is not iterable. islice bounds the loop, and `in` runs only after it,
+    # so a regression fails here instead of indexing 0, 1, 2, ... forever.
+    w = WeightMap(2, {1: Fraction(1, 2)})
+    assert (w[0], w[1]) == (1, Fraction(1, 2))
+    for v in (-1, 2, 99):
+        with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+            w[v]
+        with pytest.raises(IndexError, match=f"vertex {v} out of range"):
+            w.total([0, 1, v])
+    with pytest.raises(TypeError, match="not iterable"):
+        list(itertools.islice(w, 5))
+    with pytest.raises(TypeError, match="not iterable"):
+        3 in w
+    with pytest.raises(TypeError, match="not iterable"):
+        0 in WeightMap(2)
+    assert list(w.items()) == [(0, 1), (1, Fraction(1, 2))]
 
 
 def test_weight_totals_are_exact_fraction_sums():

@@ -351,6 +351,51 @@ def test_pull_form_dp_matches_push_form_reference():
             assert _fill_in(g, bags) == reference_fill_in(g, order), g.adj
 
 
+def _relabeled(g, ids):
+    return build_graph(g.n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+def _split_mask_corpus(rng):
+    """Graphs past the tie-heavy corpus, so that the low and high parts of
+    the split masks both grow past 5 bits, at odd and even n; and n <= 3,
+    where the high part is empty or one bit."""
+    graphs = [build_graph(1, []), build_graph(2, []), path_graph(2), build_graph(3, [])]
+    graphs += [build_graph(3, [(0, 2)]), path_graph(3), complete_graph(3)]
+    for n in range(11, 16):
+        half = (n + 1) // 2
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        # Isolated vertices (row 0) at the lowest id, the highest id and the
+        # high part's lowest id, each tried as a state's lowest vertex.
+        for isolated in ((0, n - 1), (half,)):
+            rest = [v for v in range(n) if v not in isolated]
+            core = random_graph(len(rest), rng.uniform(0.3, 0.8), rng)
+            core = build_graph(n, core.edges())
+            graphs.append(_relabeled(core, rest + list(isolated)))
+        a = rng.randint(1, n - 1)
+        left = random_graph(a, rng.random(), rng)
+        right = random_graph(n - a, rng.random(), rng)
+        edges = list(left.edges()) + [(u + a, v + a) for u, v in right.edges()]
+        graphs.append(_relabeled(build_graph(n, edges), shuffled))
+        graphs.append(_relabeled(complete_bipartite(a, n - a), shuffled))
+        graphs.append(_relabeled(cycle_graph(n), shuffled))
+    for m in (6, 7):
+        base = random_graph(m, rng.uniform(0.2, 0.8), rng)
+        ids = list(range(2 * m))
+        rng.shuffle(ids)
+        graphs.append(_relabeled(double_join(base), ids))
+    return graphs
+
+
+def test_split_mask_dp_matches_push_form_reference_past_ten_vertices():
+    for g in _split_mask_corpus(random.Random(47)):
+        n = g.n
+        for cost in (_alpha_table(g.bit_rows(), n), _size_table(n)):
+            value, order, bags = _elimination_dp(g, cost)
+            assert (value, order) == push_form_elimination_dp(g, cost), g.adj
+            assert _fill_in(g, bags) == reference_fill_in(g, order), g.adj
+
+
 def test_disjoint_union_takes_the_max_of_its_parts():
     # The component rule, checked on the parts alone rather than against
     # the push-form reference.
