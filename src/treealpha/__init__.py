@@ -6,7 +6,7 @@ independence number, and Max Weight Independent Packing of connected
 subgraphs via the derived conflict graph.
 """
 
-from .chordal import clique_tree, is_chordal
+from .chordal import clique_tree
 from .decomposition import (
     RefinedTreeDecomposition,
     ValidationReport,
@@ -39,12 +39,10 @@ from .generators import (
 from .graph import Graph, build_graph, is_independent
 from .mwis import solve_mwis
 from .nice import make_nice, node_kinds
-from .oracle import brute_force_mwis, tin_exact, treewidth_exact
+from .oracle import tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
     SubgraphFamily,
-    brute_force_packing,
-    derived_decomposition,
     derived_graph,
     enumerate_F_subgraphs,
     make_family,
@@ -71,21 +69,17 @@ __all__ = [
     "WeightMap",
     "alpha_exact",
     "alpha_of_subset",
-    "brute_force_mwis",
-    "brute_force_packing",
     "build_graph",
     "clique_tree",
     "complete_bipartite",
     "complete_graph",
     "compose_clique_cutset",
     "cycle_graph",
-    "derived_decomposition",
     "derived_graph",
     "double_join",
     "enumerate_F_subgraphs",
     "generate",
     "independence_number",
-    "is_chordal",
     "is_independent",
     "make_decomposition",
     "make_family",

@@ -1,27 +1,25 @@
-"""Chordality testing and clique trees.
+"""Clique trees of chordal graphs.
 
-Recognition runs maximum cardinality search (Tarjan & Yannakakis, SIAM J.
-Comput. 1984) and verifies the resulting order; for a chordal graph the bags
-of the clique tree are exactly the maximal cliques, read off that order
-(Blair & Peyton, "An introduction to chordal graphs and clique trees",
-1993), and the tree is a maximum-weight spanning tree of the clique
+Maximum cardinality search (Tarjan & Yannakakis, SIAM J. Comput. 1984)
+both recognises a chordal graph and orders it: `clique_tree` verifies the
+order and raises GraphError when the graph is not chordal. For a chordal
+graph the bags of the clique tree are exactly the maximal cliques, read off
+that order (Blair & Peyton, "An introduction to chordal graphs and clique
+trees", 1993), and the tree is a maximum-weight spanning tree of the clique
 intersection graph.
 
-Costs: the search keeps one bucket of vertices per weight and builds each
-vertex's list of earlier neighbours as it visits, so it runs in O(n + m);
-the check builds N[f] once for each latest earlier neighbour f, also
-O(n + m). `clique_tree` pops its buckets last in, first out, and reads the
-maximal cliques and the distinct minimal separators in O(n + m) from the
-earlier-neighbour lists; it then sorts the cliques, as lists of ids, and
-the separators by size. A separator S finds the cliques that hold it on
-the shortest list of cliques holding one of its vertices, at |S| set
-lookups per clique on that list. No clique pairs are listed, so a star
-takes linear time. `is_chordal` keeps each bucket as a heap of ids for its
-tie rule, at O(log n) per push and pop.
+Costs: the search keeps one bucket of vertices per weight, pops each last
+in, first out, and builds each vertex's list of earlier neighbours as it
+visits, so it runs in O(n + m); the check builds N[f] once for each latest
+earlier neighbour f, also O(n + m). `clique_tree` reads the maximal cliques
+and the distinct minimal separators in O(n + m) from the earlier-neighbour
+lists; it then sorts the cliques, as lists of ids, and the separators by
+size. A separator S finds the cliques that hold it on the shortest list of
+cliques holding one of its vertices, at |S| set lookups per clique on that
+list. No clique pairs are listed, so a star takes linear time.
 
-The output is fixed by tie rules: `is_chordal`'s search takes the largest
-weight, then the smallest id. Every maximum cardinality search gives the
-same maximal cliques and minimal separators, so `clique_tree` does not
+The output is fixed by tie rules. Every maximum cardinality search gives
+the same maximal cliques and minimal separators, so `clique_tree` does not
 depend on the search's ties: bags are sorted by their sorted members; the
 tree is the one Kruskal builds over all pairs (i, j) ordered by
 (-|C_i & C_j|, i, j), weight-0 pairs included. Every edge of that tree
@@ -29,13 +27,11 @@ meets in a minimal separator, so `clique_tree` takes the same edges
 separator by separator, largest first (see there).
 """
 
-import heapq
-
 from .decomposition import make_decomposition
 from .errors import GraphError
 
 
-def _perfect_order(graph, pop=list.pop, push=list.append):
+def _perfect_order(graph):
     """The search order and each vertex's earlier neighbours, or None.
 
     Returns (order, earlier) when the order is a perfect elimination order
@@ -46,9 +42,8 @@ def _perfect_order(graph, pop=list.pop, push=list.append):
     Bucket w holds the unvisited vertices of weight w, each entered once
     per weight it reaches; an entry whose vertex has since gained weight is
     skipped when popped. A visited vertex's leftover entries all lie below
-    its own weight, so they are skipped too. `pop` and `push` decide which
-    vertex of the top bucket comes next: the default is last in, first out,
-    and `heapq.heappop` with `heapq.heappush` gives the smallest id.
+    its own weight, so they are skipped too. Each bucket is popped last in,
+    first out.
     """
     n = graph.n
     adj = graph.adj
@@ -70,7 +65,7 @@ def _perfect_order(graph, pop=list.pop, push=list.append):
         if not bucket:
             top -= 1
             continue
-        z = pop(bucket)
+        z = bucket.pop()
         before = earlier[z]
         if len(before) != top:
             continue  # a stale entry: z has since gained weight
@@ -91,30 +86,16 @@ def _perfect_order(graph, pop=list.pop, push=list.append):
             later = live[y]
             if later is not None:
                 later.append(z)
-                push(buckets[len(later)], y)
+                buckets[len(later)].append(y)
     return order, earlier
-
-
-def is_chordal(graph):
-    """Return (True, order) for chordal graphs, (False, None) otherwise.
-
-    The order is simplicial-last: order[i] is simplicial in the subgraph
-    induced by order[:i+1], so eliminating vertices from the back of the
-    order always removes a simplicial vertex. The null graph is chordal.
-    The search takes the largest weight, then the smallest id: its buckets
-    are heaps of ids, so it runs in O((n + m) log n).
-    """
-    found = _perfect_order(graph, heapq.heappop, heapq.heappush)
-    if found is None:
-        return False, None
-    return True, tuple(found[0])
 
 
 def clique_tree(graph):
     """Clique tree of a nonnull chordal graph, as a refined decomposition.
 
     Bags are the maximal cliques; all marked sets are empty, so the
-    decomposition's independence number is 1.
+    decomposition's independence number is 1. Raises GraphError on a graph
+    that is not chordal, found by the search's check, or null.
     """
     found = _perfect_order(graph)
     if found is None:

@@ -77,11 +77,19 @@ class _Inputs:
 
     def __init__(self):
         self.seen = {}
+        self.stdin = None  # the name of the input read from stdin
 
     def parse(self, name, path, parser, *args):
         """`parser(text, *args, source=...)` on the file at `path` (`-`: stdin).
         A byte that is not UTF-8 fails the read, or the hash for a stdin decoded
-        with `surrogateescape`, and is a ParseError on its line."""
+        with `surrogateescape`, and is a ParseError on its line. Stdin holds
+        one input, so a second `-` is refused before it is read."""
+        if path == "-":
+            if self.stdin is not None:
+                raise GraphError(
+                    f"{self.stdin} and {name} both read stdin; give `-` to one input"
+                )
+            self.stdin = name
         shown = "<stdin>" if path == "-" else str(path)
         try:
             data = sys.stdin.read() if path == "-" else formats.read_text(path)

@@ -3,11 +3,16 @@
 Vertices are labeled 0..n-1. Adjacency is stored as sorted tuples. This
 module is the one place that turns vertex sets into bit sets: `mask_of` and
 `members` encode and decode them (bit v stands for vertex v), and
-`Graph.bit_rows` builds, on each call, one int row per vertex of just the
-set a kernel works on; each row is one `sum(map(...))` over an adjacency
-list, so its inner loop runs in C, as does `is_independent`'s one
-`isdisjoint` per vertex. All operations are pure, so shared graphs are safe
-to use concurrently.
+`Graph.bit_rows` builds int rows afresh on each call, in one of two ways.
+`bit_rows(vertices)` gives one row per vertex of just the set a kernel
+works on, over ranks within the set; each row is one `sum(map(...))` over
+an adjacency list, so its inner loop runs in C, as does `is_independent`'s
+one `isdisjoint` per vertex. `bit_rows()` gives one row per vertex of the
+graph over global ids, `mask_of` of its adjacency list, so each row is as
+wide as its largest neighbour id; the MWIS pass, `enumerate_F_subgraphs`
+and the oracles (the subset DP, at most 59 vertices, and brute-force MWIS)
+read those. All operations are pure, so shared graphs are safe to use
+concurrently.
 """
 
 from bisect import bisect_left

@@ -14,10 +14,12 @@ pass gives each held vertex v the bit set near[v] of the members meeting
 N[v], and hands the MWIS pass row j, the OR of near[v] over H_j less bit
 j; bag t of the transferred decomposition is the union of the index over
 X_t, on the host's tree, over |J| vertices. No derived graph is built on
-the way: `derived_graph` builds it on its own, and `derived_decomposition`
-the transferred decomposition, in O(sum_j sum_{v in N[H_j]} |index[v]|)
-and O(sum_t sum_{v in X_t} |index[v]|), costs that follow the size of the
-output, not |J|^2 or |J| per bag.
+the way: `derived_graph` builds it on its own, for `pack --emit-derived`.
+The rows cost O(sum_j sum_{v in N[H_j]} |index[v]|) and the transferred
+bags O(sum_t sum_{v in X_t} |index[v]|), costs that follow the size of the
+output, not |J|^2 or |J| per bag. The transferred decomposition is
+reachable only through a solve: `_solve_packing` returns it, and
+`pack --emit-derived-td` writes it.
 
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
@@ -192,22 +194,6 @@ def compatible(graph, s1, s2):
     return not (s1 & s2 or any(v in s2 for u in s1 for v in graph.adj[u]))
 
 
-def derived_decomposition(graph, family, td):
-    """Transfer a decomposition of the host to the derived graph.
-
-    Same tree; node t's new bag holds every member index whose vertex set
-    meets X_t, the union of the vertex -> members index over X_t, in
-    O(sum_t sum_{v in X_t} |index[v]|). The result is over |J| vertices;
-    the derived graph is not built. All marked sets are dropped: the
-    refinement does not survive the transfer, so the result is plain. Its
-    independence number is at most the input's.
-    """
-    require_valid(graph, td)
-    if family.host != graph:
-        raise GraphError("family references a different host graph")
-    return _transferred(family, _member_index(family), td)
-
-
 def _transferred(family, index, td):
     """`td` over the members: the same tree, bag t the members meeting X_t."""
     bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
@@ -219,8 +205,10 @@ def _reduction(family, td):
     member's conflict row and the transferred decomposition.
 
     Row j is the bit set of the members that conflict with member j, the
-    rows `derived_graph`'s adjacency would give; the decomposition is the
-    one `derived_decomposition` gives. After the count of
+    rows `derived_graph`'s adjacency would give. The decomposition has
+    `td`'s tree over |J| vertices, bag t the members meeting X_t, and no
+    marked sets: the refinement does not survive the transfer. Its
+    independence number is at most `td`'s. After the count of
     `_refuse_dense`, each held vertex v gets held[v], the bit set of the
     members holding it, and near[v], the OR of held[u] over N[v]; row j is
     the OR of near[v] over H_j less bit j. These per-vertex masks are local
@@ -259,9 +247,9 @@ def solve_packing(instance, td, k):
 
 def _solve_packing(instance, td, k):
     """`solve_packing` less its check of `td`, plus the transferred
-    decomposition it solved over, the one `derived_decomposition` gives.
-    The MWIS pass runs on the conflict rows of `_reduction`; the derived
-    graph itself is not built."""
+    decomposition it solved over, `_reduction`'s, which `pack
+    --emit-derived-td` writes. The MWIS pass runs on the conflict rows of
+    `_reduction`; the derived graph itself is not built."""
     graph = instance.family.host
     rows, td2 = _reduction(instance.family, td)
     value, chosen, _ = _dp(rows, instance.member_weights, td2, k)

@@ -667,17 +667,14 @@ def reference_validate(graph, td, universe=None):
     return ValidationReport(not violations, tuple(violations))
 
 
-def reference_clique_tree(graph):
-    """`chordal.is_chordal` and `chordal.clique_tree` as they were before the
-    tree was built from minimal separators: a search heap of (-weight, id)
-    tuples, a mark array per latest earlier neighbour, and Kruskal over all
-    clique pairs, weight-0 pairs included, in (-|C_i & C_j|, i, j) order.
-    Only pairs that share a vertex are listed; the weight-0 pairs come last,
-    and in (i, j) order each component without clique 0 joins it through its
-    smallest clique id.
+def reference_order(graph):
+    """An independent maximum cardinality search and its check, for
+    `chordal._perfect_order`: a search heap of (-weight, id) tuples, so the
+    largest weight and then the smallest id comes next, and a mark array per
+    latest earlier neighbour.
 
-    Returns (order, bags, tree_edges) with bags as sorted lists, or None when
-    the graph is not chordal."""
+    Returns (order, earlier), earlier[i] listing the neighbours of order[i]
+    that come before it, or None when the graph is not chordal."""
     n = graph.n
     adj = graph.adj
     weight = [0] * n
@@ -712,6 +709,30 @@ def reference_clique_tree(graph):
         for before in lists:
             if any(mark[u] != f for u in before):
                 return None
+    return order, earlier
+
+
+def is_chordal(graph):
+    """Whether `graph` is chordal, by `reference_order`; the null graph is."""
+    return reference_order(graph) is not None
+
+
+def reference_clique_tree(graph):
+    """`chordal.clique_tree` as it was before the tree was built from minimal
+    separators, with the order of `reference_order`: the largest weight,
+    then the smallest id, comes next. Kruskal runs over all clique pairs,
+    weight-0 pairs included, in (-|C_i & C_j|, i, j) order. Only pairs that
+    share a vertex are listed; the weight-0 pairs come last, and in (i, j)
+    order each component without clique 0 joins it through its smallest
+    clique id.
+
+    Returns (order, bags, tree_edges) with bags as sorted lists, or None when
+    the graph is not chordal."""
+    found = reference_order(graph)
+    if found is None:
+        return None
+    order, earlier = found
+    n = graph.n
     if n == 0:
         return (), [], ()
 

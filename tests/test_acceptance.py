@@ -18,12 +18,10 @@ from treealpha import (
     clique_tree,
     complete_bipartite,
     compose_clique_cutset,
-    derived_decomposition,
     derived_graph,
     double_join,
     enumerate_F_subgraphs,
     independence_number,
-    is_chordal,
     make_decomposition,
     make_family,
     make_instance,
@@ -42,13 +40,14 @@ from treealpha import (
 )
 from treealpha.nice import NICE_NODE_FACTOR
 from treealpha.oracle import brute_force_mwis
-from treealpha.packing import brute_force_packing
+from treealpha.packing import _reduction, brute_force_packing
 
 from .conftest import (
     all_labeled_graphs,
     dissociation_set,
     induced_matching,
     induced_subgraph,
+    is_chordal,
     k_separator,
     nice_violations,
     random_connected_set,
@@ -124,7 +123,7 @@ def test_criterion_02_exhaustive_six_vertex_laws(verdict):
             t = tin_exact(g)[0]
             tw = treewidth_exact(g)
             a = alpha_exact(g)
-            chordal = is_chordal(g)[0]
+            chordal = is_chordal(g)
             if n > 0:
                 assert (t == 1) == chordal, (n, sorted(g.edges()))
             assert t <= a, (n, sorted(g.edges()))
@@ -225,7 +224,7 @@ def test_criterion_07_derived_decomposition_law(verdict):
         fam = make_family(g, members)
         td = trivial_decomposition(g) if i % 2 == 0 else tin_exact(g)[1]
         derived = derived_graph(g, fam)
-        td2 = derived_decomposition(g, fam, td)
+        td2 = _reduction(fam, td)[1]
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
         if n <= 6:
@@ -325,7 +324,7 @@ def _nice_corpus(rng):
         g = random_graph(rng.randint(1, 8), rng.choice([0.25, 0.5]), rng)
         out.append((g, trivial_decomposition(g)))
         out.append((g, tin_exact(g)[1]))
-        if is_chordal(g)[0]:
+        if is_chordal(g):
             out.append((g, clique_tree(g)))
     more = []
     for g, td in out:

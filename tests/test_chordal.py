@@ -11,7 +11,6 @@ from treealpha import (
     complete_graph,
     cycle_graph,
     independence_number,
-    is_chordal,
     path_graph,
     validate,
 )
@@ -22,6 +21,7 @@ from .conftest import (
     cycle_has_chord,
     induced_subgraph,
     interval_graph,
+    is_chordal,
     random_graph,
     reference_clique_tree,
 )
@@ -54,22 +54,23 @@ def chordal_by_cycle_enumeration(g):
 
 
 def test_examples():
-    assert is_chordal(cycle_graph(4)) == (False, None)
-    ok, order = is_chordal(path_graph(5))
-    assert ok and len(order) == 5
+    assert _perfect_order(cycle_graph(4)) is None
+    order, _ = _perfect_order(path_graph(5))
+    assert sorted(order) == list(range(5))
     k5_minus = build_graph(5, [e for e in itertools.combinations(range(5), 2) if e != (0, 1)])
-    assert is_chordal(k5_minus)[0]
+    assert _perfect_order(k5_minus) is not None
     assert chordal_by_cycle_enumeration(k5_minus)
-    assert is_chordal(build_graph(0, []))[0]
+    assert _perfect_order(build_graph(0, [])) == ([], [])
 
 
 def test_order_is_simplicial_last():
     rng = random.Random(5)
     for _ in range(30):
         g = random_graph(rng.randint(1, 7), 0.5, rng)
-        ok, order = is_chordal(g)
-        if not ok:
+        found = _perfect_order(g)
+        if found is None:
             continue
+        order = found[0]
         for i, v in enumerate(order):
             earlier = [u for u in g.adj[v] if u in order[:i]]
             for a, b in itertools.combinations(earlier, 2):
@@ -78,18 +79,19 @@ def test_order_is_simplicial_last():
 
 def test_recognition_matches_cycle_enumeration():
     for g in all_labeled_graphs(5):
-        assert is_chordal(g)[0] == chordal_by_cycle_enumeration(g)
+        assert (_perfect_order(g) is not None) == chordal_by_cycle_enumeration(g)
+        assert is_chordal(g) == chordal_by_cycle_enumeration(g)
 
 
 def test_chordality_is_hereditary():
     rng = random.Random(6)
     for _ in range(30):
         g = random_graph(rng.randint(2, 7), 0.4, rng)
-        if not is_chordal(g)[0]:
+        if _perfect_order(g) is None:
             continue
         for v in range(g.n):
             sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
-            assert is_chordal(sub)[0]
+            assert _perfect_order(sub) is not None
 
 
 def test_clique_tree_examples():
@@ -117,7 +119,7 @@ def test_clique_tree_validates_with_unit_independence():
     seen = 0
     while seen < 25:
         g = random_graph(rng.randint(1, 8), 0.45, rng)
-        if not is_chordal(g)[0]:
+        if not is_chordal(g):
             continue
         seen += 1
         ct = clique_tree(g)
@@ -131,7 +133,7 @@ def test_clique_tree_bags_are_exactly_maximal_cliques():
     seen = 0
     while seen < 15:
         g = random_graph(rng.randint(1, 7), 0.5, rng)
-        if not is_chordal(g)[0]:
+        if not is_chordal(g):
             continue
         seen += 1
         ct = clique_tree(g)
@@ -145,8 +147,8 @@ def test_clique_tree_bags_are_exactly_maximal_cliques():
         assert set(ct.bags) == maximal
 
 
-# Exact output on small graphs whose ties decide it. The MCS order picks the
-# largest weight, then the smallest id; bags are the maximal cliques sorted
+# Exact output on small graphs whose ties decide it. The reference search
+# picks the largest weight, then the smallest id; bags are the maximal cliques sorted
 # by their sorted members; tree edges come from Kruskal over (-|C_i & C_j|,
 # i, j), and a component without clique 0 joins it by (0, smallest id).
 PINNED = [
@@ -180,7 +182,7 @@ PINNED = [
 @pytest.mark.parametrize("n, edges, order, bags, tree_edges", PINNED)
 def test_exact_order_bags_and_tree_edges(n, edges, order, bags, tree_edges):
     g = build_graph(n, edges)
-    assert is_chordal(g) == (True, order)
+    assert reference_clique_tree(g) == (order, bags, tree_edges)
     ct = clique_tree(g)
     assert [sorted(b) for b in ct.bags] == bags
     assert ct.tree_edges == tree_edges
@@ -197,7 +199,7 @@ def test_recognition_and_bags_match_networkx():
         ng = nx.Graph()
         ng.add_nodes_from(range(g.n))
         ng.add_edges_from(g.edges())
-        ok = is_chordal(g)[0]
+        ok = _perfect_order(g) is not None
         assert ok == nx.is_chordal(ng)
         if not ok:
             seen["not chordal"] += 1
@@ -298,13 +300,11 @@ def test_clique_tree_and_order_match_the_all_pairs_reference():
     for kind, g in differential_corpus(rng):
         want = reference_clique_tree(g)
         if want is None:
-            assert is_chordal(g) == (False, None)
             with pytest.raises(GraphError):
                 clique_tree(g)
             seen["not chordal"] = seen.get("not chordal", 0) + 1
             continue
-        order, bags, tree_edges = want
-        assert is_chordal(g) == (True, order)
+        _, bags, tree_edges = want
         ct = clique_tree(g)
         assert [sorted(b) for b in ct.bags] == bags
         assert ct.tree_edges == tree_edges
@@ -367,9 +367,8 @@ def test_clique_tree_matches_the_reference_at_bench_scale():
     rng = random.Random(29)
     for _ in range(3):
         g = bench_interval_graph(900, rng)
-        order, bags, tree_edges = reference_clique_tree(g)
+        _, bags, tree_edges = reference_clique_tree(g)
         assert 7 <= max(map(len, bags)) <= 12
-        assert is_chordal(g) == (True, order)
         ct = clique_tree(g)
         assert [sorted(b) for b in ct.bags] == bags
         assert ct.tree_edges == tree_edges

@@ -179,7 +179,7 @@ def _count_derived_builds(monkeypatch, members):
 
         return wrapper
 
-    for name in ("_reduction", "derived_graph", "derived_decomposition"):
+    for name in ("_reduction", "derived_graph"):
         for module in (packing, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -216,7 +216,7 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     tmp_path, capsys, monkeypatch
 ):
     # The solve's one pass gives the bags; the derived graph is built once,
-    # to be written. Both equal the public definitions' output.
+    # to be written. They equal `derived_graph`'s and `_reduction`'s output.
     g = path_graph(5)
     td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
     write_graph(g, tmp_path / "g.gr")
@@ -237,7 +237,7 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
     derived = packing.derived_graph(g, fam)
     assert (tmp_path / "d.gr").read_text() == format_graph(derived)
-    want_td = format_td(packing.derived_decomposition(g, fam, td))
+    want_td = format_td(packing._reduction(fam, td)[1])
     assert (tmp_path / "d.td").read_text() == want_td
 
 
@@ -263,7 +263,7 @@ def test_pack_emits_the_transferred_bags_without_the_derived_graph(
     assert calls == {"_reduction": 1}
     monkeypatch.undo()
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
-    want_td = format_td(packing.derived_decomposition(g, fam, td))
+    want_td = format_td(packing._reduction(fam, td)[1])
     assert (tmp_path / "d.td").read_text() == want_td
 
 
@@ -645,6 +645,31 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "validate", "--graph", "-", "--td", ok_td)
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: <stdin>:2: not valid UTF-8 text"]
+
+
+def test_a_second_input_on_stdin_is_refused(tmp_path, capsys, monkeypatch):
+    # Stdin holds one input: the second `-` is named with the first, not
+    # read as an empty file.
+    g = path_graph(3)
+    write_graph(g, tmp_path / "g.gr")
+    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    ok_gr, ok_td = str(tmp_path / "g.gr"), str(tmp_path / "t.td")
+    cases = (
+        (("--graph", "-", "--td", "-"), format_graph(g), "graph and td"),
+        (
+            ("--graph", ok_gr, "--td", "-", "--weights", "-"),
+            format_td(trivial_decomposition(g)),
+            "td and weights",
+        ),
+    )
+    for argv, text, names in cases:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "mwis", *argv)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: {names} both read stdin; give `-` to one input"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(g)))
+    code, out, _ = run(capsys, "mwis", "--graph", "-", "--td", ok_td)
+    assert code == 0 and report_of(out)["inputs"]["graph"]["path"] == "<stdin>"
 
 
 def test_reports_are_deterministic_modulo_wall_time(tmp_path, capsys):

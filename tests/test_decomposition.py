@@ -14,7 +14,6 @@ from treealpha import (
     compose_clique_cutset,
     cycle_graph,
     independence_number,
-    is_chordal,
     make_decomposition,
     path_graph,
     residual_independence_number,
@@ -26,7 +25,7 @@ from treealpha import (
 )
 from treealpha.formats import parse_td
 
-from .conftest import induced_subgraph, random_graph, reference_validate
+from .conftest import induced_subgraph, is_chordal, random_graph, reference_validate
 
 
 def test_trivial_decomposition_examples():
@@ -332,7 +331,7 @@ def test_compose_diamond():
     out = compose_clique_cutset(g, {2}, {3}, {0, 1}, ta, tb)
     assert validate(g, out).ok
     assert independence_number(g, out) == 1
-    assert is_chordal(g)[0]
+    assert is_chordal(g)
 
 
 def test_compose_two_triangles_sharing_a_vertex():
@@ -434,7 +433,7 @@ def test_width_bound_for_residual_one_refinements():
     trials = 0
     while trials < 15:
         core = random_graph(rng.randint(1, 6), 0.5, rng)
-        if not is_chordal(core)[0]:
+        if not is_chordal(core):
             continue
         trials += 1
         ell = rng.randint(0, 2)

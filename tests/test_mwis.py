@@ -15,18 +15,15 @@ from treealpha import (
     WeightMap,
     alpha_exact,
     alpha_of_subset,
-    brute_force_packing,
     build_graph,
     clique_tree,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    derived_decomposition,
     derived_graph,
     double_join,
     enumerate_F_subgraphs,
     independence_number,
-    is_chordal,
     is_independent,
     make_decomposition,
     make_nice,
@@ -44,11 +41,13 @@ from treealpha.graph import MAX_COUNT, Graph, mask_of, members
 from treealpha.mwis import _dp
 from treealpha.nice import rooted_contraction
 from treealpha.oracle import brute_force_mwis
+from treealpha.packing import _reduction, brute_force_packing
 
 from .conftest import (
     chordal_fill_in,
     complement,
     interval_graph,
+    is_chordal,
     mwis_by_enumeration,
     nice_form_mwis,
     random_graph,
@@ -221,7 +220,7 @@ def test_plain_on_clique_trees_gives_alpha():
     seen = 0
     while seen < 15:
         g = random_graph(rng.randint(1, 8), 0.5, rng)
-        if not is_chordal(g)[0]:
+        if not is_chordal(g):
             continue
         seen += 1
         value, _ = solve_mwis(g, WeightMap(g.n), clique_tree(g), 1)
@@ -548,7 +547,7 @@ def test_walked_and_scanned_extensions_match_the_references(monkeypatch):
         k = independence_number(g, td)
         answer, seen = _on_every_path(monkeypatch, _pack, g, job, td, k)
         derived = (derived_graph(g, fam), WeightMap(len(fam), dict(enumerate(ws))))
-        expect = nice_form_mwis(*derived, derived_decomposition(g, fam, td), k)
+        expect = nice_form_mwis(*derived, _reduction(fam, td)[1], k)
         assert answer == expect
         if len(fam) <= 22:
             assert answer[0] == brute_force_packing(job)[0]
@@ -737,7 +736,7 @@ def refined_instances(draw):
         n, {v: Fraction(draw(st.integers(0, 9)), draw(st.integers(1, 4))) for v in range(n)}
     )
     builders = [trivial_decomposition, lambda g: tin_exact(g)[1]]
-    if n and is_chordal(g)[0]:
+    if n and is_chordal(g):
         builders.append(clique_tree)
     td = draw(st.sampled_from(builders))(g)
     if draw(st.booleans()):

@@ -17,7 +17,6 @@ from treealpha import (
     cycle_graph,
     double_join,
     independence_number,
-    is_chordal,
     path_graph,
     sharpness_gadget,
     tin_exact,
@@ -42,6 +41,7 @@ from .conftest import (
     contract_edge,
     elimination_bag,
     induced_subgraph,
+    is_chordal,
     mwis_by_enumeration,
     push_form_elimination_dp,
     random_graph,
@@ -105,13 +105,13 @@ def test_tin_lower_bounds_every_other_decomposition():
         g = random_graph(rng.randint(1, 7), 0.5, rng)
         value = tin_exact(g)[0]
         assert value <= independence_number(g, trivial_decomposition(g))
-        if is_chordal(g)[0]:
+        if is_chordal(g):
             assert value <= independence_number(g, clique_tree(g))
 
 
 def test_chordal_characterization_small():
     for g in all_labeled_graphs(4):
-        assert (tin_exact(g)[0] == 1) == is_chordal(g)[0]
+        assert (tin_exact(g)[0] == 1) == is_chordal(g)
 
 
 def test_monotonicity_under_deletion_and_contraction():

@@ -10,16 +10,13 @@ from treealpha import (
     GraphError,
     WeightMap,
     alpha_exact,
-    brute_force_packing,
     build_graph,
     clique_tree,
     complete_graph,
     cycle_graph,
-    derived_decomposition,
     derived_graph,
     enumerate_F_subgraphs,
     independence_number,
-    is_chordal,
     make_family,
     make_instance,
     path_graph,
@@ -33,7 +30,13 @@ from treealpha import (
 from treealpha import decomposition
 from treealpha.formats import format_graph, parse_family, parse_graph
 from treealpha.graph import mask_of
-from treealpha.packing import PATTERN_BUILDERS, PackingInstance, _reduction, compatible
+from treealpha.packing import (
+    PATTERN_BUILDERS,
+    PackingInstance,
+    _reduction,
+    brute_force_packing,
+    compatible,
+)
 
 from .conftest import (
     all_labeled_graphs,
@@ -42,6 +45,7 @@ from .conftest import (
     dissociation_set,
     family_by_permutation,
     induced_matching,
+    is_chordal,
     is_connected_set,
     k_separator,
     random_connected_set,
@@ -128,23 +132,22 @@ def assert_transfer_matches_definitions(g, fam, td):
     derived = derived_graph(g, fam)
     assert derived.n == len(fam)
     assert set(derived.edges()) == conflicts
-    td2 = derived_decomposition(g, fam, td)
+    return derived, assert_reduction_matches(g, fam, td)
+
+
+def assert_reduction_matches(g, fam, td):
+    """`_reduction`'s rows are the masks of `derived_graph`'s adjacency, and
+    bag t of its decomposition holds exactly the members meeting X_t, on the
+    same tree with no marked sets. Returns that decomposition."""
+    rows, td2 = _reduction(fam, td)
+    assert rows == [mask_of(a) for a in derived_graph(g, fam).adj]
     assert td2.n == len(fam)
     assert td2.tree_edges == td.tree_edges
     assert td2.bags == tuple(
         frozenset(j for j, s in enumerate(fam.members) if s & bag) for bag in td.bags
     )
     assert not any(td2.refined)
-    assert_reduction_matches(g, fam, td)
-    return derived, td2
-
-
-def assert_reduction_matches(g, fam, td):
-    """`_reduction`'s rows are the masks of `derived_graph`'s adjacency and
-    its decomposition is `derived_decomposition`'s."""
-    rows, td2 = _reduction(fam, td)
-    assert rows == [mask_of(a) for a in derived_graph(g, fam).adj]
-    assert td2 == derived_decomposition(g, fam, td)
+    return td2
 
 
 def test_transfer_matches_pairwise_definitions():
@@ -232,8 +235,6 @@ def test_derived_rejects_foreign_family():
     fam = make_family(path_graph(3), [{0}])
     with pytest.raises(GraphError, match="host"):
         derived_graph(cycle_graph(4), fam)
-    with pytest.raises(GraphError, match="host"):
-        derived_decomposition(cycle_graph(4), fam, trivial_decomposition(cycle_graph(4)))
 
 
 def test_line_graph_square_identity():
@@ -247,7 +248,7 @@ def test_line_graph_square_identity():
 def test_derived_decomposition_example():
     g = path_graph(3)
     fam = make_family(g, [{0, 1}, {2}])
-    td2 = derived_decomposition(g, fam, trivial_decomposition(g))
+    td2 = _reduction(fam, trivial_decomposition(g))[1]
     assert td2.bags == (frozenset({0, 1}),)
     derived = derived_graph(g, fam)
     assert derived == complete_graph(2)
@@ -267,7 +268,7 @@ def test_derived_decomposition_builds_no_derived_graph(monkeypatch):
 
     monkeypatch.setattr("treealpha.packing.derived_graph", refuse)
     monkeypatch.setattr("treealpha.graph.Graph.__init__", refuse)
-    td2 = derived_decomposition(g, fam, td)
+    td2 = _reduction(fam, td)[1]
     assert td2.n == 3 and validate(derived, td2).ok
 
 
@@ -275,7 +276,7 @@ def test_derived_decomposition_identity_family():
     g = cycle_graph(5)
     td = tin_exact(g)[1]
     fam = make_family(g, [{v} for v in range(5)])
-    td2 = derived_decomposition(g, fam, td)
+    td2 = _reduction(fam, td)[1]
     assert td2.bags == td.bags and td2.tree_edges == td.tree_edges
 
 
@@ -284,16 +285,16 @@ def test_derived_of_chordal_clique_tree_stays_chordal():
     seen = 0
     while seen < 12:
         g = random_graph(rng.randint(1, 7), 0.5, rng)
-        if not is_chordal(g)[0]:
+        if not is_chordal(g):
             continue
         seen += 1
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(5)}
         fam = make_family(g, sorted(members, key=sorted))
-        td2 = derived_decomposition(g, fam, clique_tree(g))
+        td2 = _reduction(fam, clique_tree(g))[1]
         derived = derived_graph(g, fam)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= 1
-        assert is_chordal(derived)[0]
+        assert is_chordal(derived)
 
 
 def test_derived_alpha_never_grows():
@@ -303,7 +304,7 @@ def test_derived_alpha_never_grows():
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(6)}
         fam = make_family(g, sorted(members, key=sorted))
         td = trivial_decomposition(g) if rng.random() < 0.5 else tin_exact(g)[1]
-        td2 = derived_decomposition(g, fam, td)
+        td2 = _reduction(fam, td)[1]
         derived = derived_graph(g, fam)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
