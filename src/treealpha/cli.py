@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import formats
 from .decomposition import (
@@ -39,7 +40,7 @@ from .errors import (
 from .generators import generate
 from .mwis import _solve_mwis
 from .nice import FORGET, INTRODUCE, JOIN, LEAF, make_nice, node_kinds
-from .oracle import DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
+from .oracle import _SUBSET_DP_LIMIT, DEFAULT_SUBSET_DP_CAP, tin_exact, treewidth_exact
 from .packing import (
     PackingInstance,
     _solve_packing,
@@ -92,7 +93,7 @@ class _Inputs:
             self.stdin = name
         shown = "<stdin>" if path == "-" else str(path)
         try:
-            data = sys.stdin.read() if path == "-" else formats.read_text(path)
+            data = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
             digest = hashlib.sha256(data.encode("utf-8")).hexdigest()
         except UnicodeError as e:
             line = len(e.object[: e.start + 1].splitlines())
@@ -194,7 +195,8 @@ def _cmd_pack(args, inputs):
 
 
 def _cmd_subset_dp(args, inputs):
-    """`tin` and `tw`: one cap rule, lifted to the graph's order by --force."""
+    """`tin` and `tw`: one cap rule, lifted by --force to the graph's order
+    (the oracle stops it at _SUBSET_DP_LIMIT)."""
     g = inputs.parse("graph", args.graph, formats.parse_graph)
     cap = g.n if args.force else DEFAULT_SUBSET_DP_CAP
     if args.command == "tw":
@@ -346,19 +348,21 @@ def build_parser():
     p.add_argument("--emit-derived-td", help="write the transferred decomposition (.td)")
     p.set_defaults(func=_cmd_pack)
 
+    force_help = (
+        f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap; it lifts only to {_SUBSET_DP_LIMIT}"
+    )
     p = sub.add_parser(
         "tin",
         help="exact tree-independence number with witness decomposition",
         description=(
             "Subset dynamic programming over elimination orderings; exact "
-            f"for up to {DEFAULT_SUBSET_DP_CAP} vertices (--force to raise the "
-            "cap). The witness decomposition attains the optimum."
+            f"for up to {DEFAULT_SUBSET_DP_CAP} vertices (--force raises the "
+            f"cap, to {_SUBSET_DP_LIMIT} at most). The witness decomposition "
+            "attains the optimum."
         ),
     )
     common(p, td=False)
-    p.add_argument(
-        "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
-    )
+    p.add_argument("--force", action="store_true", help=force_help)
     p.add_argument("-o", "--output", help="write the witness decomposition here")
     p.set_defaults(func=_cmd_subset_dp)
 
@@ -367,9 +371,7 @@ def build_parser():
         help="exact treewidth (same subset dynamic program, size cost)",
     )
     common(p, td=False)
-    p.add_argument(
-        "--force", action="store_true", help=f"lift the n <= {DEFAULT_SUBSET_DP_CAP} cap"
-    )
+    p.add_argument("--force", action="store_true", help=force_help)
     p.set_defaults(func=_cmd_subset_dp)
 
     p = sub.add_parser(
@@ -430,7 +432,7 @@ def main(argv=None):
     try:
         parameters, results, artifacts, *code = args.func(args, inputs)
         for path, text in artifacts.values():
-            formats.write_text(path, text)
+            Path(path).write_text(text, "utf-8")
         if isinstance(results, str):
             sys.stdout.write(results)
             return EXIT_OK

@@ -27,7 +27,6 @@ round trips are identity on canonicalized objects.
 import re
 from contextlib import suppress
 from fractions import Fraction
-from pathlib import Path
 
 from .decomposition import _EMPTY, make_decomposition
 from .errors import ParseError
@@ -52,7 +51,8 @@ class _Reader:
     """Checked fields of one input text. Iterating yields the tokens of each
     non-blank, non-comment line and keeps its number in `no` for `fail` (0
     once the text is exhausted); a header (`usage`, e.g. "p tw <n> <m>") must
-    come before any other line."""
+    come before any other line. A check made after the loop passes `fail`
+    the number of the line it reports on."""
 
     def __init__(self, text, source, usage=None):
         self.text, self.source, self.usage = text, source, usage
@@ -71,8 +71,8 @@ class _Reader:
         if not self.seen:
             self.fail(f"missing `{self.usage}` header")
 
-    def fail(self, message):
-        raise ParseError(self.source, self.no, message)
+    def fail(self, message, no=None):
+        raise ParseError(self.source, self.no if no is None else no, message)
 
     def header(self, tok, what):
         """Check a header line against `usage`; returns its count field, capped
@@ -187,7 +187,7 @@ def format_graph(graph):
 
 def parse_td(text, graph, source="<td>"):
     r = _Reader(text, source, "s td <#bags> <max-bag-size> <n>")
-    bag_of, refined, edges = {}, {}, []
+    bag_of, refined, lines, edges = {}, {}, {}, []
     for tok in r:
         if tok[0] == "s":
             count, rest = r.header(tok, "bag count")
@@ -203,12 +203,15 @@ def parse_td(text, graph, source="<td>"):
             if bid in found:
                 r.fail(f"duplicate {what} {bid + 1}")
             found[bid] = frozenset(r.ids(tok[2:], "vertex", graph.n))
+            if found is refined:
+                lines[bid] = r.no
         else:
             edges.append(r.pair(tok, "bag id", count))
     bags = [bag_of.get(bid, _EMPTY) for bid in range(count)]
     for bid, u in refined.items():
         if not u <= bags[bid]:
-            r.fail(f"refined vertex {min(u - bags[bid]) + 1} is not in bag {bid + 1}")
+            missing = min(u - bags[bid]) + 1
+            r.fail(f"refined vertex {missing} is not in bag {bid + 1}", lines[bid])
     refs = [refined.get(bid, _EMPTY) for bid in range(count)]
     return make_decomposition(graph, bags, edges, refs)
 
@@ -265,7 +268,7 @@ def _read_weights(text, n, source):
 
 def parse_family(text, graph, source="<family>"):
     r = _Reader(text, source, "s fam <count>")
-    members, weights = {}, {}
+    members, weights, lines = {}, {}, {}
     for tok in r:
         if tok[0] == "s":
             count, _ = r.header(tok, "member count")
@@ -277,6 +280,7 @@ def parse_family(text, graph, source="<family>"):
                 r.fail(f"duplicate member {fid + 1}")
             weights[fid] = r.weight(tok[2])
             vs = members[fid] = frozenset(r.ids(tok[4:], "vertex", graph.n))
+            lines[fid] = r.no
             if len(vs) != r.integer(tok[3], "member size"):
                 r.fail(f"member {fid + 1} announced {tok[3]} vertices, found {len(vs)}")
         else:
@@ -286,7 +290,7 @@ def parse_family(text, graph, source="<family>"):
     sets = [members[i] for i in range(count)]
     for i, s in enumerate(sets):
         if not s or not _is_connected_subset(graph, s):
-            r.fail(f"member {i + 1} is empty or not connected")
+            r.fail(f"member {i + 1} is empty or not connected", lines[i])
     fam = SubgraphFamily._from_checked(graph, tuple(sets))
     return PackingInstance(fam, tuple(weights[i] for i in range(count)))
 
@@ -303,11 +307,3 @@ def format_family(instance):
 def parse_vertex_set(text, n, source="<set>"):
     r = _Reader(text, source)
     return frozenset(v for tok in r for v in r.ids(tok, "vertex", n))
-
-
-def read_text(path):
-    return Path(path).read_text(encoding="utf-8")
-
-
-def write_text(path, text):
-    Path(path).write_text(text, encoding="utf-8")

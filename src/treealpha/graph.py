@@ -10,7 +10,7 @@ an adjacency list, so its inner loop runs in C, as does `is_independent`'s
 one `isdisjoint` per vertex. `bit_rows()` gives one row per vertex of the
 graph over global ids, `mask_of` of its adjacency list, so each row is as
 wide as its largest neighbour id; the MWIS pass, `enumerate_F_subgraphs`
-and the oracles (the subset DP, at most 59 vertices, and brute-force MWIS)
+and the oracles (the subset DP, at most 32 vertices, and brute-force MWIS)
 read those. All operations are pure, so shared graphs are safe to use
 concurrently.
 """

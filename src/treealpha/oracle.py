@@ -25,9 +25,10 @@ doubling, the block of masks with top vertex v from the block below it, in
 whole-int operations with no Python loop per subset. The pass splits each
 mask into a low part of ceil(n/2) bits and a high part, and reads a state's
 lowest vertex and its vertex bits off a table over the low values, so no
-state peels its bits one at a time. The DP keeps 9 bytes per subset for
-n <= 32, beside the 1-byte cost table; the low-part table adds under 100
-bytes per low value, 2^ceil(n/2) of them (0.1 MB at n = 20).
+state peels its bits one at a time. The DP keeps 9 bytes per subset, beside
+the 1-byte cost table; the low-part table adds under 100 bytes per low
+value, 2^ceil(n/2) of them (0.1 MB at n = 20). No `cap` lifts n past 32, since
+the union and component tables hold masks in 4-byte cells.
 """
 
 import sys
@@ -40,11 +41,10 @@ from .graph import Graph, members
 
 DEFAULT_SUBSET_DP_CAP = 20
 DEFAULT_BRUTE_FORCE_CAP = 22
-# The DP holds arrays of 2^n entries of up to 8 bytes; past this n (59 on 64-bit
-# builds) such an array exceeds sys.maxsize bytes, so no `cap` lifts it.
-_SUBSET_DP_LIMIT = sys.maxsize.bit_length() - 4
-# Byte maps x -> x + 1 and x -> max(x - 1, 0) for `bytearray.translate`.
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+# The DP holds masks in 4-byte cells, so no `cap` lifts n past 32; on 32-bit
+# builds (27) its arrays of 2^n cells must also fit in sys.maxsize bytes.
+_SUBSET_DP_LIMIT = min(32, sys.maxsize.bit_length() - 4)
+# Byte map x -> max(x - 1, 0) for `bytearray.translate`.
 _LESS_ONE = b"\0" + bytes(range(255))
 # Cells per int OR when the union table is filled.
 _UNION_CHUNK = 1 << 10
@@ -62,9 +62,9 @@ def _alpha_table(rows, n):
     Built by doubling: for S below 2^v, alpha(S + v) = max(alpha(S),
     1 + alpha(S - N(v))). The table so far is read as one int with a byte
     lane per subset, so each block is a few whole-int operations, with no
-    Python loop per mask. Every value is at most n <= _SUBSET_DP_LIMIT (59
-    on 64-bit builds), so value + 1 < 128: the lane-wise max, a guard-bit
-    compare, then never borrows from a neighbouring lane.
+    Python loop per mask. Every value is at most n <= _SUBSET_DP_LIMIT (32),
+    so value + 1 < 128: the lane-wise max, a guard-bit compare, then never
+    borrows from a neighbouring lane. On all-zero rows, alpha(S) = |S|.
     """
     alpha = bytearray(1 << n)
     view = memoryview(alpha)
@@ -89,47 +89,36 @@ def _alpha_table(rows, n):
     return alpha
 
 
-def _union_table(rows, n, width):
+def _union_table(rows, n):
     """U[S], the union of the rows over S, of every subset S of range(n).
 
-    Cells of `width` bytes (4 or 8) in a memoryview, indexed by mask. Built
-    by doubling, U[S + v] = U[S] | row(v) for S below 2^v, one int OR per
-    chunk of _UNION_CHUNK cells, so the transient memory is fixed.
+    4-byte cells in a memoryview, indexed by mask. Built by doubling,
+    U[S + v] = U[S] | row(v) for S below 2^v, one int OR per chunk of
+    _UNION_CHUNK cells, so the transient memory is fixed.
     """
-    view = memoryview(bytearray(width << n))
+    view = memoryview(bytearray(4 << n))
     for v in range(n):
         cells = min(1 << v, _UNION_CHUNK)
-        span = width * cells
+        span = 4 * cells
         # The cells are native-order ints; an OR acts byte by byte, so the
         # ints below may read the bytes in either order.
-        row = rows[v].to_bytes(width, sys.byteorder) * cells
+        row = rows[v].to_bytes(4, sys.byteorder) * cells
         row = int.from_bytes(row, "little")
-        top = width << v
+        top = 4 << v
         for lo in range(0, top, span):
             chunk = int.from_bytes(view[lo : lo + span], "little") | row
             view[top + lo : top + lo + span] = chunk.to_bytes(span, "little")
-    return view.cast("I" if width == 4 else "Q")
+    return view.cast("I")
 
 
-def _size_table(n):
-    """max(|S| - 1, 0) of every subset S of range(n), indexed by mask.
-
-    Built by doubling: the masks with vertex v are those without it, one
-    larger. Both steps are `translate` calls, so no Python loop runs per mask.
-    """
-    sizes = bytearray(1)
-    for _ in range(n):
-        sizes += sizes.translate(_PLUS_ONE)
-    return sizes.translate(_LESS_ONE)
-
-
-def _elimination_dp(graph, cost):
+def _elimination_dp(rows, cost):
     """min over elimination orderings of the max bag cost; (value, order, bags).
 
-    `cost[bag]` is the cost of the bag with that mask, a byte, and must be
-    monotone under inclusion. dp[t] is the best worst bag over orderings that
-    eliminate the set t first. Eliminating v last among t costs
-    cost[{v} + N(C)], C the component of G[t] holding v.
+    `rows` are the graph's `bit_rows()`. `cost[bag]` is the cost of the bag
+    with that mask, a byte, and must be monotone under inclusion. dp[t] is
+    the best worst bag over orderings that eliminate the set t first.
+    Eliminating v last among t costs cost[{v} + N(C)], C the component of
+    G[t] holding v.
 
     If G[t] has several components, the bags inside one do not depend on the
     others, so dp[t] is the max of dp over them: dp[low[t]] and
@@ -159,14 +148,13 @@ def _elimination_dp(graph, cost):
     The scan builds no tuple per state: CPython keeps freed tuples in free
     lists, which tracemalloc still counts.
     """
-    n = graph.n
-    rows = graph.bit_rows()
+    n = len(rows)
     size = 1 << n
     full = size - 1
-    # 4- or 8-byte cells in memoryview casts, which need no extension module
+    # 4-byte cells in memoryview casts, which need no extension module
     # loaded, unlike `array`. The union table is filled before low and dp
     # exist, so its transient chunks add nothing to the DP's peak.
-    union = _union_table(rows, n, 4 if n <= 32 else 8)
+    union = _union_table(rows, n)
     low = memoryview(bytearray(union.nbytes)).cast(union.format)
     # Split masks t = th | tl, tl the low `half` bits: lo_bits[tl] holds
     # tl's vertex bits, ascending. Entry 0 holds the high part's, so that
@@ -247,13 +235,14 @@ def _elimination_dp(graph, cost):
     return (dp[full] if n else -1), order[::-1], bags[::-1]
 
 
-def _fill_in(graph, bags):
-    """Chordal supergraph of an elimination ordering: its bags made cliques."""
-    rows = graph.bit_rows()
+def _fill_in(rows, bags):
+    """Chordal supergraph of the graph with these `bit_rows()` and an
+    elimination ordering: its bags made cliques."""
+    rows = list(rows)
     for bag in bags:
         for a in members(bag):
             rows[a] |= bag ^ (1 << a)
-    return Graph(graph.n, tuple(tuple(members(r)) for r in rows))
+    return Graph(len(rows), tuple(tuple(members(r)) for r in rows))
 
 
 def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
@@ -261,8 +250,10 @@ def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     _refuse_over_cap("treewidth_exact", graph, cap)
     if graph.n == 0:
         return -1
-    # Every bag holds its own vertex, so the empty mask's entry is never read.
-    value, _, _ = _elimination_dp(graph, _size_table(graph.n))
+    # Costs max(|S| - 1, 0): alpha(S) = |S| on the edgeless graph. Every bag
+    # holds its own vertex, so the empty mask's entry is never read.
+    sizes = _alpha_table([0] * graph.n, graph.n).translate(_LESS_ONE)
+    value, _, _ = _elimination_dp(graph.bit_rows(), sizes)
     return value
 
 
@@ -276,9 +267,9 @@ def tin_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     _refuse_over_cap("tin_exact", graph, cap)
     if graph.n == 0:
         return 0, trivial_decomposition(graph)
-    alpha = _alpha_table(graph.bit_rows(), graph.n)
-    value, _, bags = _elimination_dp(graph, alpha)
-    return value, clique_tree(_fill_in(graph, bags))
+    rows = graph.bit_rows()
+    value, _, bags = _elimination_dp(rows, _alpha_table(rows, graph.n))
+    return value, clique_tree(_fill_in(rows, bags))
 
 
 def brute_force_mwis(graph, weights):

@@ -3,6 +3,7 @@ import json
 import random
 import signal
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -910,6 +911,25 @@ def test_forced_subset_dp_refuses_unaddressable_tables(tmp_path, capsys):
         assert code == 3 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "n=70 > cap=" in err
+
+
+def test_forced_subset_dp_stops_at_32_vertices(tmp_path, capsys):
+    # Masks live in 4-byte cells, so --force lifts the cap to 32 only: C_33
+    # is refused with one line before any table is allocated.
+    write_graph(cycle_graph(33), tmp_path / "c33.gr")
+    for command in ("tin", "tw"):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, command, "--graph", str(tmp_path / "c33.gr"), "--force"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "refused for n=33 > cap=32" in err
+        assert peak < 1 << 20
 
 
 def test_gen_refuses_oversized_output_before_building(tmp_path, capsys):

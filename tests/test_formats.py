@@ -90,6 +90,18 @@ def test_td_parse_errors():
         parse_td("s td 1 1 2\nb\n", g)
 
 
+def test_refined_set_errors_name_their_r_line():
+    # The check runs once every bag is read, since a bag may follow its
+    # refined set; it still names the `r` line.
+    g = path_graph(3)
+    with pytest.raises(ParseError) as err:
+        parse_td("s td 1 2 3\nr 1 3\nc bag 1 below\nb 1 1 2\n", g, source="r.td")
+    assert str(err.value) == "r.td:2: refined vertex 3 is not in bag 1"
+    with pytest.raises(ParseError) as err:
+        parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\nr 1 1\nr 2 1\n1 2\n", g, source="r.td")
+    assert str(err.value) == "r.td:5: refined vertex 1 is not in bag 2"
+
+
 def test_weights_parsing():
     w = parse_weights("1 3/4\n2 0.25\nc skip\n3 2\n", 4)
     assert w[0] == Fraction(3, 4)
@@ -181,6 +193,23 @@ def test_family_errors():
         parse_family("s fam 1\nf 1 1 2 1 3\n", g)
     with pytest.raises(ParseError, match="empty"):
         parse_family("s fam 1\nf 1 1 0\n", g)
+
+
+def test_family_member_errors_name_their_f_line():
+    # Empty and disconnected members are found once every member is read;
+    # the error names the member's own line. A missing member has none, so
+    # its line is 0, the end of the text.
+    g = path_graph(4)
+    text = "s fam 3\nf 3 1 1 4\nf 1 1 2 1 2\n\nf 2 1 2 1 3\n"
+    with pytest.raises(ParseError) as err:
+        parse_family(text, g, source="dis.fam")
+    assert str(err.value) == "dis.fam:5: member 2 is empty or not connected"
+    with pytest.raises(ParseError) as err:
+        parse_family("s fam 2\nf 2 1 1 1\nf 1 1 0\n", g, source="dis.fam")
+    assert str(err.value) == "dis.fam:3: member 1 is empty or not connected"
+    with pytest.raises(ParseError) as err:
+        parse_family("s fam 2\nf 1 1 1 1\n", g, source="dis.fam")
+    assert err.value.line_no == 0 and "missing member id 2" in str(err.value)
 
 
 def test_vertex_set_parsing():

@@ -25,12 +25,12 @@ from treealpha import (
 )
 from treealpha.graph import members
 from treealpha.oracle import (
+    _LESS_ONE,
     _SUBSET_DP_LIMIT,
     _UNION_CHUNK,
     _alpha_table,
     _elimination_dp,
     _fill_in,
-    _size_table,
     _union_table,
     brute_force_mwis,
 )
@@ -152,6 +152,21 @@ def test_caps():
     big = build_graph(23, [])
     with pytest.raises(CapExceededError):
         brute_force_mwis(big, WeightMap(23))
+
+
+def test_raised_cap_stops_at_32_before_any_table():
+    # The DP's masks live in 4-byte cells; at n = 33 its tables would take
+    # tens of GiB, so a raised cap refuses there without allocating them.
+    c33 = cycle_graph(33)
+    for solve in (tin_exact, treewidth_exact):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=r"refused for n=33 > cap=32"):
+                solve(c33, cap=33)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_brute_force_examples():
@@ -279,8 +294,7 @@ def test_alpha_lanes_leave_room_for_the_guard_bit():
 
 
 def test_union_table_is_the_union_of_the_rows():
-    # Up to two past the chunk's bit, so that a block spans several chunks;
-    # 8-byte cells also run here, where the DP uses them only above n = 32.
+    # Up to two past the chunk's bit, so that a block spans several chunks.
     rng = random.Random(48)
     for n in range(_UNION_CHUNK.bit_length() + 2):
         rows = random_graph(n, rng.random(), rng).bit_rows()
@@ -288,10 +302,9 @@ def test_union_table_is_the_union_of_the_rows():
         for mask in range(1 << n):
             for v in members(mask):
                 want[mask] |= rows[v]
-        for width in (4, 8):
-            union = _union_table(rows, n, width)
-            assert union.itemsize == width
-            assert union.tolist() == want, (n, width)
+        union = _union_table(rows, n)
+        assert union.itemsize == 4
+        assert union.tolist() == want, n
 
 
 def test_alpha_table_memory_is_bytes_per_subset():
@@ -346,9 +359,9 @@ def test_pull_form_dp_matches_push_form_reference():
         n = g.n
         sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
         for cost in (_alpha_table(g.bit_rows(), n), sizes):
-            value, order, bags = _elimination_dp(g, cost)
+            value, order, bags = _elimination_dp(g.bit_rows(), cost)
             assert (value, order) == push_form_elimination_dp(g, cost), g.adj
-            assert _fill_in(g, bags) == reference_fill_in(g, order), g.adj
+            assert _fill_in(g.bit_rows(), bags) == reference_fill_in(g, order), g.adj
 
 
 def _relabeled(g, ids):
@@ -390,10 +403,11 @@ def _split_mask_corpus(rng):
 def test_split_mask_dp_matches_push_form_reference_past_ten_vertices():
     for g in _split_mask_corpus(random.Random(47)):
         n = g.n
-        for cost in (_alpha_table(g.bit_rows(), n), _size_table(n)):
-            value, order, bags = _elimination_dp(g, cost)
+        sizes = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
+        for cost in (_alpha_table(g.bit_rows(), n), sizes):
+            value, order, bags = _elimination_dp(g.bit_rows(), cost)
             assert (value, order) == push_form_elimination_dp(g, cost), g.adj
-            assert _fill_in(g, bags) == reference_fill_in(g, order), g.adj
+            assert _fill_in(g.bit_rows(), bags) == reference_fill_in(g, order), g.adj
 
 
 def test_disjoint_union_takes_the_max_of_its_parts():
@@ -415,17 +429,18 @@ def test_disjoint_union_takes_the_max_of_its_parts():
 
 
 def test_size_table_matches_popcounts():
+    # treewidth_exact's cost table: the edgeless graph's alpha, less one.
     for n in range(13):
         want = bytearray(max(m.bit_count() - 1, 0) for m in range(1 << n))
-        assert _size_table(n) == want
+        assert _alpha_table([0] * n, n).translate(_LESS_ONE) == want
 
 
 def test_subset_dp_memory_is_bytes_per_subset():
-    g = random_graph(14, 0.4, random.Random(45))
-    alpha = _alpha_table(g.bit_rows(), g.n)
+    rows = random_graph(14, 0.4, random.Random(45)).bit_rows()
+    alpha = _alpha_table(rows, 14)
     tracemalloc.start()
     try:
-        value, order, _ = _elimination_dp(g, alpha)
+        value, order, _ = _elimination_dp(rows, alpha)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
