@@ -37,14 +37,9 @@ from .weights import WeightMap
 MAX_WEIGHT_DIGITS = 1000
 
 # Canonical shapes. Possessive repeats keep no backtracking state per line.
-# Python 3.10 has none; there the shapes match nothing and `_Reader` reads
-# every text.
 _PART = f"[0-9]{{1,{(MAX_WEIGHT_DIGITS - 1) // 2}}}+"  # p/q within the cap
-try:
-    _GRAPH_SHAPE = re.compile(r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?")
-    _WEIGHTS_SHAPE = re.compile(rf"(?:[0-9]++ {_PART}/{_PART}(?:\n|\Z))*+")
-except re.error:
-    _GRAPH_SHAPE = _WEIGHTS_SHAPE = re.compile("(?!)")
+_GRAPH_SHAPE = re.compile(r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?")
+_WEIGHTS_SHAPE = re.compile(rf"(?:[0-9]++ {_PART}/{_PART}(?:\n|\Z))*+")
 
 
 class _Reader:
@@ -291,17 +286,8 @@ def parse_family(text, graph, source="<family>"):
     for i, s in enumerate(sets):
         if not s or not _is_connected_subset(graph, s):
             r.fail(f"member {i + 1} is empty or not connected", lines[i])
-    fam = SubgraphFamily._from_checked(graph, tuple(sets))
+    fam = SubgraphFamily(graph, tuple(sets))
     return PackingInstance(fam, tuple(weights[i] for i in range(count)))
-
-
-def format_family(instance):
-    fam = instance.family
-    out = [f"s fam {len(fam)}"]
-    for i, (s, w) in enumerate(zip(fam.members, instance.member_weights)):
-        vs = " ".join(str(v + 1) for v in sorted(s))
-        out.append(f"f {i + 1} {w.numerator}/{w.denominator} {len(s)} {vs}")
-    return "\n".join(out) + "\n"
 
 
 def parse_vertex_set(text, n, source="<set>"):

@@ -15,7 +15,6 @@ read those. All operations are pure, so shared graphs are safe to use
 concurrently.
 """
 
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import repeat
 
@@ -61,13 +60,6 @@ class Graph:
     def m(self):
         """Number of edges."""
         return sum(len(a) for a in self.adj) // 2
-
-    def has_edge(self, u, v):
-        if u == v:
-            return False
-        a = self.adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
 
     def edges(self):
         """Yield edges as (u, v) pairs with u < v, in lexicographic order."""

@@ -28,10 +28,12 @@ table could pass MAX_COUNT keys; over the cap is a CapExceededError. The
 count is of real keys, not of the promise's bound, so a wide bag with few
 independent sets (a clique) still runs.
 Weights are scaled once by the lcm L of their denominators; the pass runs
-on ints and the optimum is value / L. The witness is read top-down and
-re-verified against the rational weights. Answers, witnesses and
-violations are those of the textbook pass over `make_nice`'s form, which
-forgets X_c - X_p smallest id first and keeps v only where strictly better.
+on ints and the optimum is value / L. Every table value is about as wide
+as L, so an L over MAX_SCALE_BITS bits is refused before the pass, as a
+CapExceededError. The witness is read top-down and re-verified against the
+rational weights. Answers, witnesses and violations are those of the
+textbook pass over `make_nice`'s form, which forgets X_c - X_p smallest id
+first and keeps v only where strictly better.
 """
 
 from fractions import Fraction
@@ -46,6 +48,9 @@ from .nice import rooted_contraction
 #: in a scan, so the walk runs only where WALK * 2^|free| is below the
 #: table's size, where it never costs more than the scan.
 WALK = 4
+
+#: Widest lcm of the weights' denominators the pass scales by, in bits.
+MAX_SCALE_BITS = 1 << 18
 
 
 def _dp(rows, weights, td, k):
@@ -62,7 +67,14 @@ def _dp(rows, weights, td, k):
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
     weights = [weights[v] for v in range(len(rows))]
-    scale = lcm(*(x.denominator for x in weights))
+    scale = 1
+    for q in {x.denominator for x in weights}:
+        scale = lcm(scale, q)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            raise CapExceededError(
+                "mwis refused: the lcm of the weights' denominators "
+                f"passes cap={MAX_SCALE_BITS} bits"
+            )
     w = [x.numerator * (scale // x.denominator) for x in weights]
     bags, refs, root, parent, kids = rooted_contraction(td)
     bag = [mask_of(b) for b in bags]

@@ -65,34 +65,27 @@ def _is_connected_subset(graph, members):
 
 @dataclass(frozen=True)
 class SubgraphFamily:
-    """Indexed family of connected nonempty subgraph vertex sets of a host."""
+    """Indexed family of connected nonempty subgraph vertex sets of a host;
+    construction checks nothing (`make_family` does)."""
 
     host: object
     members: tuple
 
-    def __post_init__(self):
-        for j, s in enumerate(self.members):
-            check_vertex_set(self.host, s)
-            if not s:
-                raise GraphError(f"family member {j} is empty")
-            if not _is_connected_subset(self.host, s):
-                raise GraphError(f"family member {j} is not connected in the host")
-
     def __len__(self):
         return len(self.members)
 
-    @classmethod
-    def _from_checked(cls, host, members):
-        """Wrap members the caller has already checked (nonempty connected
-        frozensets of host vertices) without checking them again."""
-        fam = cls.__new__(cls)
-        object.__setattr__(fam, "host", host)
-        object.__setattr__(fam, "members", members)
-        return fam
-
 
 def make_family(host, members):
-    return SubgraphFamily(host, tuple(frozenset(s) for s in members))
+    """The family of `members`, each checked to be a nonempty connected
+    vertex set of `host`."""
+    sets = tuple(frozenset(s) for s in members)
+    for j, s in enumerate(sets):
+        check_vertex_set(host, s)
+        if not s:
+            raise GraphError(f"family member {j} is empty")
+        if not _is_connected_subset(host, s):
+            raise GraphError(f"family member {j} is not connected in the host")
+    return SubgraphFamily(host, sets)
 
 
 @dataclass(frozen=True)
@@ -422,7 +415,7 @@ def enumerate_F_subgraphs(graph, patterns):
                     continue
             found.append(vs)
     found.sort()
-    return SubgraphFamily._from_checked(graph, tuple(map(frozenset, found)))
+    return SubgraphFamily(graph, tuple(map(frozenset, found)))
 
 
 PATTERN_BUILDERS = {

@@ -34,6 +34,10 @@ def random_graph(n, p, rng):
     return build_graph(n, edges)
 
 
+def has_edge(graph, u, v):
+    return v in graph.adj[u]
+
+
 def interval_graph(n, rng):
     """The intersection graph of n random closed integer intervals."""
     spans = []
@@ -168,7 +172,7 @@ def spans_by_permutation(graph, members_sorted, pattern):
         return False
     pedges = list(pattern.edges())
     for perm in itertools.permutations(members_sorted):
-        if all(graph.has_edge(perm[a], perm[b]) for a, b in pedges):
+        if all(has_edge(graph, perm[a], perm[b]) for a, b in pedges):
             return True
     return False
 
@@ -194,6 +198,15 @@ def blob_family(graph):
     if graph.n > 12:
         raise CapExceededError(f"blob_family refused for n={graph.n} > cap=12")
     return make_family(graph, connected_vertex_sets(graph, graph.n))
+
+
+def format_family(instance):
+    """The `.fam` text of a packing instance, members in index order."""
+    out = [f"s fam {len(instance.family)}"]
+    for i, (s, w) in enumerate(zip(instance.family.members, instance.member_weights), 1):
+        vs = " ".join(str(v + 1) for v in sorted(s))
+        out.append(f"f {i} {w.numerator}/{w.denominator} {len(s)} {vs}")
+    return "\n".join(out) + "\n"
 
 
 def induced_matching(graph, edge_weights, td, k):
@@ -259,7 +272,7 @@ def complement(graph):
     """The graph on the same vertices with exactly the missing edges."""
     return build_graph(
         graph.n,
-        [e for e in itertools.combinations(range(graph.n), 2) if not graph.has_edge(*e)],
+        [e for e in itertools.combinations(range(graph.n), 2) if not has_edge(graph, *e)],
     )
 
 
@@ -271,7 +284,7 @@ def contract_edge(graph, edge):
     n-2. Parallel edges collapse, so the result is again simple.
     """
     u, v = edge
-    if not graph.has_edge(u, v):
+    if not has_edge(graph, u, v):
         raise GraphError(f"({u}, {v}) is not an edge")
     keep = [w for w in range(graph.n) if w != u and w != v]
     relabel = {w: i for i, w in enumerate(keep)}
@@ -293,7 +306,7 @@ def cycle_has_chord(graph, cycle):
         for j in range(i + 2, k):
             if i == 0 and j == k - 1:
                 continue
-            if graph.has_edge(cycle[i], cycle[j]):
+            if has_edge(graph, cycle[i], cycle[j]):
                 return True
     return False
 

@@ -19,6 +19,7 @@ from .conftest import (
     all_labeled_graphs,
     chordal_fill_in,
     cycle_has_chord,
+    has_edge,
     induced_subgraph,
     interval_graph,
     is_chordal,
@@ -74,7 +75,7 @@ def test_order_is_simplicial_last():
         for i, v in enumerate(order):
             earlier = [u for u in g.adj[v] if u in order[:i]]
             for a, b in itertools.combinations(earlier, 2):
-                assert g.has_edge(a, b)
+                assert has_edge(g, a, b)
 
 
 def test_recognition_matches_cycle_enumeration():
@@ -141,7 +142,7 @@ def test_clique_tree_bags_are_exactly_maximal_cliques():
         cliques = set()
         for size in range(1, g.n + 1):
             for combo in itertools.combinations(range(g.n), size):
-                if all(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
+                if all(has_edge(g, a, b) for a, b in itertools.combinations(combo, 2)):
                     cliques.add(frozenset(combo))
         maximal = {c for c in cliques if not any(c < d for d in cliques)}
         assert set(ct.bags) == maximal

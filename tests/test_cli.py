@@ -5,11 +5,13 @@ import signal
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from treealpha import (
     build_graph,
+    clique_tree,
     cycle_graph,
     is_independent,
     make_decomposition,
@@ -20,6 +22,8 @@ from treealpha import cli, decomposition, mwis, nice, packing
 from treealpha import graph as graph_module
 from treealpha.cli import main
 from treealpha.formats import format_graph, format_td
+
+from .conftest import mwis_by_enumeration
 
 
 def write_graph(graph, path):
@@ -386,6 +390,50 @@ def test_nice_refuses_an_oversized_form_before_building(tmp_path, capsys):
     assert code == 3 and out == ""
     assert len(err.strip().splitlines()) == 1 and "cap=1048576" in err
     assert not (tmp_path / "nice.td").exists()
+
+
+def wide_denominator_path(tmp_path, n):
+    """P_n with its clique tree; its vertices and singleton members weigh
+    1/q_v, each q_v a distinct odd 498-digit int. Returns the q_v and the
+    options of `mwis` and of `pack`."""
+    rng = random.Random(5)
+    qs = sorted({rng.randrange(10**497, 10**498) | 1 for _ in range(n)})
+    write_graph(path_graph(n), tmp_path / "p.gr")
+    write_td(clique_tree(path_graph(n)), tmp_path / "p.td")
+    (tmp_path / "p.w").write_text("".join(f"{v} 1/{q}\n" for v, q in enumerate(qs, 1)))
+    members = "".join(f"f {v} 1/{q} 1 {v}\n" for v, q in enumerate(qs, 1))
+    (tmp_path / "p.fam").write_text(f"s fam {n}\n{members}")
+    graph_td = ("--graph", str(tmp_path / "p.gr"), "--td", str(tmp_path / "p.td"))
+    pack = (*graph_td, "--family", str(tmp_path / "p.fam"))
+    return qs, (*graph_td, "--weights", str(tmp_path / "p.w")), pack
+
+
+def test_wide_weight_denominators_are_refused_before_the_pass(tmp_path, capsys):
+    # The lcm of 1,000 distinct 498-digit denominators passes 2^18 bits long
+    # before it is built. It is refused before the pass, so a broken promise
+    # (-k 0) is refused for it too.
+    _, mwis_options, pack_options = wide_denominator_path(tmp_path, 1000)
+    for argv in (
+        ("mwis", *mwis_options), ("mwis", *mwis_options, "-k", "0"), ("pack", *pack_options)
+    ):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (3, "")
+        assert err == "error: mwis refused: the lcm of the weights' denominators passes cap=262144 bits\n"
+
+
+def test_wide_weight_denominators_under_the_cap_answer(tmp_path, capsys):
+    # On P_8 the lcm has about 13,000 bits: the answer is exact, and -k 0
+    # is a broken promise.
+    qs, mwis_options, pack_options = wide_denominator_path(tmp_path, 8)
+    best = mwis_by_enumeration(path_graph(8), [Fraction(1, q) for q in qs])
+    for argv in (("mwis", *mwis_options), ("pack", *pack_options)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert report_of(out)["results"]["weight"] == f"{best.numerator}/{best.denominator}"
+    code, _, err = run(capsys, "mwis", *mwis_options, "-k", "0")
+    assert code == 2 and "residual bound violated" in err
 
 
 def oversized_pack(tmp_path, capsys, n, *options):

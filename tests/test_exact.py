@@ -22,6 +22,7 @@ from .conftest import (
     alpha_by_enumeration,
     all_labeled_graphs,
     complement,
+    has_edge,
     induced_subgraph,
     random_graph,
     shuffled_path,
@@ -127,7 +128,7 @@ def _graph_with_planted_sets(rng):
 
 
 def _missing_edges(g, s):
-    return sum(not g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+    return sum(not has_edge(g, u, v) for u, v in itertools.combinations(s, 2))
 
 
 def test_clique_shortcut_matches_enumeration():

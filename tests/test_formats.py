@@ -1,11 +1,7 @@
 import itertools
-import json
-import os
-import subprocess
-import sys
+import random
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +12,7 @@ from treealpha import (
     WeightMap,
     build_graph,
     cycle_graph,
+    generate,
     make_decomposition,
     make_family,
     path_graph,
@@ -23,7 +20,6 @@ from treealpha import (
 from treealpha import formats
 from treealpha.formats import (
     MAX_COUNT,
-    format_family,
     format_graph,
     format_td,
     parse_family,
@@ -33,6 +29,8 @@ from treealpha.formats import (
     parse_weights,
 )
 from treealpha.packing import PackingInstance
+
+from .conftest import format_family, interval_graph, random_weights
 
 
 def test_graph_round_trip():
@@ -428,8 +426,18 @@ def _canonical_weights_text(draw, n):
 
 
 def test_canonical_text_takes_the_bulk_path():
-    for g in (path_graph(5), cycle_graph(4), build_graph(0, [])):
+    # The shapes are the possessive patterns. They read the writers' text in
+    # bulk, with `p/q` weights: small graphs, a generated cycle and a seeded
+    # interval graph.
+    assert formats._GRAPH_SHAPE.pattern == r"p tw ([0-9]++) ([0-9]++)(?:\n[0-9]++ [0-9]++)*+\n?"
+    assert formats._WEIGHTS_SHAPE.pattern == r"(?:[0-9]++ [0-9]{1,499}+/[0-9]{1,499}+(?:\n|\Z))*+"
+    rng = random.Random(31)
+    for g in (path_graph(5), cycle_graph(4), build_graph(0, []), generate("cycle", (50,)),
+              interval_graph(200, rng)):
         assert formats._bulk_graph(format_graph(g)) == g
+        weights = random_weights(g.n, rng)
+        text = "".join(f"{v + 1} {w.numerator}/{w.denominator}\n" for v, w in weights.items())
+        assert formats._bulk_weights(text, g.n) == WeightMap(g.n, weights)
     weights = WeightMap(3, {0: Fraction(3, 4), 2: 0})
     assert formats._bulk_weights("1 6/8\n3 0/1", 3) == weights
     # Comments, other line ends, fewer ids than vertices and edge lines out
@@ -450,63 +458,6 @@ def test_canonical_text_takes_the_bulk_path():
         assert _outcome(parse_graph, text, "g") == _outcome(formats._read_graph, text, "g")
     text = f"{long} 1/2\n"
     assert _outcome(parse_weights, text, 3, "w") == _outcome(formats._read_weights, text, 3, "w")
-
-
-# Run where `re.compile` refuses possessive repeats, as Python 3.10's does:
-# `formats` then compiles shapes that match nothing, and the reader reads
-# every text.
-_NO_POSSESSIVE = """
-import json, re, sys
-real = re.compile
-
-def compile(pattern, flags=0):
-    if isinstance(pattern, str) and any(p in pattern for p in ("++", "*+", "}+")):
-        raise re.error("multiple repeat")
-    return real(pattern, flags)
-
-re.compile = compile
-from treealpha import formats
-re.compile = real
-graphs, weights = json.load(sys.stdin)
-print(json.dumps({
-    "shapes": [formats._GRAPH_SHAPE.pattern, formats._WEIGHTS_SHAPE.pattern],
-    "bulk": [formats._bulk_graph(t) is None for t in graphs]
-    + [formats._bulk_weights(t, n) is None for t, n in weights],
-    "graphs": [[g.n, g.adj] for g in map(formats.parse_graph, graphs)],
-    "weights": [
-        [str(w[v]) for v in range(n)]
-        for w, n in ((formats.parse_weights(t, n), n) for t, n in weights)
-    ],
-}))
-"""
-
-
-def test_without_possessive_repeats_the_reader_reads_everything():
-    graphs = [
-        format_graph(cycle_graph(5)),
-        format_graph(build_graph(0, [])),
-        "c a comment\np tw 3 2\n1 2\nc another\n2 3\n",
-    ]
-    weights = [("1 6/8\n3 0/1", 3), ("c w\n1 3/4\n\n2 0.5\n", 2)]
-    src = str(Path(formats.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_POSSESSIVE],
-        input=json.dumps([graphs, weights]),
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    got = json.loads(done.stdout)
-    assert got["shapes"] == ["(?!)", "(?!)"]
-    assert all(got["bulk"])
-    assert got["graphs"] == [
-        [g.n, [list(a) for a in g.adj]] for g in map(parse_graph, graphs)
-    ]
-    assert got["weights"] == [
-        [str(parse_weights(t, n)[v]) for v in range(n)] for t, n in weights
-    ]
 
 
 @given(text=_canonical_graph_text())

@@ -14,6 +14,8 @@ from treealpha import (
 from treealpha.generators import GENERATOR_KINDS
 from treealpha.graph import MAX_COUNT, build_graph
 
+from .conftest import has_edge
+
 
 def test_complete_bipartite_counts():
     g = complete_bipartite(3, 3)
@@ -39,7 +41,7 @@ def test_sharpness_counts():
     assert g.n == 3 + 3 * 3
     assert g.m == 18
     assert sorted(len(g.adj[v]) for v in range(3, g.n)) == [2] * 9
-    assert all(not g.has_edge(i, j) for i in range(3) for j in range(i + 1, 3))
+    assert all(not has_edge(g, i, j) for i in range(3) for j in range(i + 1, 3))
 
 
 def test_sharpness_common_neighbors():

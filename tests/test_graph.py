@@ -20,6 +20,7 @@ from treealpha.graph import mask_of, members
 from .conftest import (
     alpha_by_enumeration,
     contract_edge,
+    has_edge,
     independent_by_edge_scan,
     induced_subgraph,
     random_graph,
@@ -108,14 +109,14 @@ def test_is_independent_matches_pairwise_definition():
     for _ in range(200):
         g = random_graph(rng.randint(0, 12), rng.random(), rng)
         s = set(rng.sample(range(g.n), rng.randint(0, g.n)))
-        pairwise = not any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2))
+        pairwise = not any(has_edge(g, u, v) for u, v in itertools.combinations(s, 2))
         assert is_independent(g, s) == pairwise
 
 
 def _rows_by_has_edge(g, vertices):
     order = sorted(vertices)
     return [
-        sum(1 << j for j, u in enumerate(order) if g.has_edge(v, u)) for v in order
+        sum(1 << j for j, u in enumerate(order) if has_edge(g, v, u)) for v in order
     ]
 
 
@@ -178,7 +179,7 @@ def test_bit_rows_agree_with_adjacency(g, data):
     assert len(local) == len(order)
     for i, v in enumerate(order):
         for j, u in enumerate(order):
-            assert (local[i] >> j & 1) == g.has_edge(v, u)
+            assert (local[i] >> j & 1) == has_edge(g, v, u)
         assert local[i] >> len(order) == 0
     assert mask_of(order) == sum(1 << v for v in order)
 

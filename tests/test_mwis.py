@@ -46,6 +46,7 @@ from treealpha.packing import _reduction, brute_force_packing
 from .conftest import (
     chordal_fill_in,
     complement,
+    has_edge,
     interval_graph,
     is_chordal,
     mwis_by_enumeration,
@@ -145,6 +146,18 @@ def test_tables_over_the_cap_are_refused_during_the_pass():
     td = make_decomposition(g, [range(21)], [], [range(19)])
     with pytest.raises(CapExceededError, match="21 vertices, 19 marked.*cap=1048576"):
         solve_mwis(g, WeightMap(21), td, 1)
+
+
+def test_weight_scale_over_the_cap_is_refused_before_the_pass():
+    # The lcm of the denominators may have 2^18 bits; one bit more, from a
+    # wider denominator or a second one coprime to it, is refused.
+    g, top = path_graph(2), 1 << (mwis.MAX_SCALE_BITS - 1)
+    td = trivial_decomposition(g)
+    weights = {0: Fraction(3, top), 1: Fraction(1, top)}
+    assert solve_mwis(g, WeightMap(2, weights), td, 1) == (Fraction(3, top), {0})
+    for weights in ({0: Fraction(1, 2 * top)}, {0: Fraction(1, top), 1: Fraction(1, 3)}):
+        with pytest.raises(CapExceededError, match="denominators passes cap=262144 bits"):
+            solve_mwis(g, WeightMap(2, weights), td, 1)
 
 
 def test_enumerate_refined_bag_with_adequate_bound():
@@ -306,7 +319,7 @@ def test_integer_weights_on_clique_trees_match_networkx():
         value, chosen = solve_mwis(g, WeightMap(n, weights), clique_tree(g), 1)
         co = nx.Graph()
         co.add_nodes_from((v, {"weight": w}) for v, w in weights.items())
-        co.add_edges_from((u, v) for u in range(n) for v in range(u) if not g.has_edge(u, v))
+        co.add_edges_from((u, v) for u in range(n) for v in range(u) if not has_edge(g, u, v))
         _, best = nx.max_weight_clique(co, weight="weight")
         assert value == best
         assert is_independent(g, chosen) and sum(weights[v] for v in chosen) == best

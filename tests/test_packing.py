@@ -44,6 +44,7 @@ from .conftest import (
     connected_vertex_sets,
     dissociation_set,
     family_by_permutation,
+    has_edge,
     induced_matching,
     is_chordal,
     is_connected_set,
@@ -613,7 +614,7 @@ def test_blob_examples():
     assert d.n == 6 and d.m == 14  # complete minus the two endpoint singletons
     i = fam.members.index(frozenset({0}))
     j = fam.members.index(frozenset({2}))
-    assert not d.has_edge(i, j)
+    assert not has_edge(d, i, j)
     with pytest.raises(CapExceededError):
         blob_family(build_graph(13, []))
 
@@ -633,7 +634,7 @@ def test_selected_members_always_compatible():
         for a, b in itertools.combinations(sorted(chosen), 2):
             sa, sb = inst.family.members[a], inst.family.members[b]
             assert not (sa & sb)
-            assert all(not g.has_edge(u, v) for u in sa for v in sb)
+            assert all(not has_edge(g, u, v) for u in sa for v in sb)
 
 
 def test_packing_validates_the_host_decomposition_only(monkeypatch):
