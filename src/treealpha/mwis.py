@@ -23,14 +23,15 @@ The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
 C(|X_t - U_t|, s) keys. The promise is checked after every added vertex,
 so a broken one fails before its bag is enumerated, as a
 ResidualBoundViolation with k+1 independent residual vertices as witness.
-Before a vertex is added, the keys it would add are counted wherever the
-table could pass MAX_COUNT keys; over the cap is a CapExceededError. The
-count is of real keys, not of the promise's bound, so a wide bag with few
-independent sets (a clique) still runs.
 Weights are scaled once by the lcm L of their denominators; the pass runs
 on ints and the optimum is value / L. Every table value is about as wide
 as L, so an L over MAX_SCALE_BITS bits is refused before the pass, as a
-CapExceededError. The witness is read top-down and re-verified against the
+CapExceededError, and a table may hold MAX_COUNT // ceil(bits of L / 1024)
+keys, MAX_COUNT for an L of up to 1,024 bits. Before a vertex is added, the
+keys it would add are counted wherever the table could pass that budget;
+over it is a CapExceededError. The count is of real keys, not of the
+promise's bound, so a wide bag with few independent sets (a clique) still
+runs. The witness is read top-down and re-verified against the
 rational weights. Answers, witnesses and violations are those of the
 textbook pass over `make_nice`'s form, which forgets X_c - X_p smallest id
 first and keeps v only where strictly better.
@@ -76,6 +77,7 @@ def _dp(rows, weights, td, k):
                 f"passes cap={MAX_SCALE_BITS} bits"
             )
     w = [x.numerator * (scale // x.denominator) for x in weights]
+    budget = MAX_COUNT // -(-scale.bit_length() // 1024)
     bags, refs, root, parent, kids = rooted_contraction(td)
     bag = [mask_of(b) for b in bags]
     order, stack = [], [root]
@@ -106,12 +108,12 @@ def _dp(rows, weights, td, k):
                         break
                     sub = (sub - 1) & free
             # Counted only where the table could double past the cap.
-            if 2 * len(table) > MAX_COUNT and len(table) + (
+            if 2 * len(table) > budget and len(table) + (
                 len(grown) if walk else sum(not s & avoid for s in table)
-            ) > MAX_COUNT:
+            ) > budget:
                 raise CapExceededError(
                     f"mwis refused: the table of a bag of {len(bags[t])} vertices, "
-                    f"{len(refs[t])} marked, would pass cap={MAX_COUNT} keys"
+                    f"{len(refs[t])} marked, would pass cap={budget} keys"
                 )
             if not walk:
                 grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}

@@ -1,17 +1,21 @@
+import importlib
 import io
 import json
 import random
 import signal
 import time
+import tomllib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from treealpha import (
     build_graph,
     clique_tree,
+    complete_graph,
     cycle_graph,
     is_independent,
     make_decomposition,
@@ -42,6 +46,16 @@ def run(capsys, *argv):
 
 def report_of(out):
     return json.loads(out)
+
+
+def test_the_console_script_runs_main():
+    # The tests call `main` in-process; the installed `treealpha` script
+    # must be that function.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["treealpha"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_gen_writes_report_with_output(tmp_path, capsys):
@@ -76,21 +90,27 @@ def test_gen_tw_sharpness(tmp_path, capsys):
 
 
 def test_mwis_path_weights(tmp_path, capsys):
-    g = path_graph(3)
-    write_graph(g, tmp_path / "g.gr")
-    write_td(trivial_decomposition(g), tmp_path / "t.td")
+    # One bag each. On K_30 the keys that can take a vertex are found by
+    # lookups; on C_9 the table is scanned.
     (tmp_path / "w.w").write_text("1 3\n2 1\n3 3\n")
-    code, out, _ = run(
-        capsys,
-        "mwis",
-        "--graph", str(tmp_path / "g.gr"),
-        "--td", str(tmp_path / "t.td"),
-        "--weights", str(tmp_path / "w.w"),
-    )
-    assert code == 0
-    doc = report_of(out)
-    assert doc["results"]["weight"] == "6/1"
-    assert doc["results"]["independent_set"] == [1, 3]
+    for g, weights, k, weight, chosen in (
+        (path_graph(3), ("--weights", str(tmp_path / "w.w")), 2, "6/1", [1, 3]),
+        (complete_graph(30), (), 1, "1/1", [1]),
+        (cycle_graph(9), (), 4, "4/1", [1, 3, 5, 7]),
+    ):
+        write_graph(g, tmp_path / "g.gr")
+        write_td(trivial_decomposition(g), tmp_path / "t.td")
+        code, out, _ = run(
+            capsys,
+            "mwis",
+            "--graph", str(tmp_path / "g.gr"),
+            "--td", str(tmp_path / "t.td"),
+            *weights,
+        )
+        assert code == 0
+        doc = report_of(out)
+        assert doc["parameters"]["k"] == k
+        assert doc["results"] == {"weight": weight, "independent_set": chosen}
 
 
 def test_validate_exit_codes(tmp_path, capsys):
@@ -127,24 +147,25 @@ def test_measure(tmp_path, capsys):
 
 
 def test_nice_roundtrip(tmp_path, capsys):
-    g = path_graph(3)
-    write_graph(g, tmp_path / "g.gr")
-    write_td(trivial_decomposition(g), tmp_path / "t.td")
-    code, out, _ = run(
-        capsys,
-        "nice",
-        "--graph", str(tmp_path / "g.gr"),
-        "--td", str(tmp_path / "t.td"),
-        "-o", str(tmp_path / "nice.td"),
-    )
-    assert code == 0
-    doc = report_of(out)
-    assert doc["results"]["kinds"]["introduce"] == 3
-    assert doc["results"]["kinds"]["forget"] == 3
-    code, out, _ = run(
-        capsys, "validate", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "nice.td")
-    )
-    assert code == 0
+    # One bag of n vertices: a leaf, n introduce and n forget nodes.
+    for g in (path_graph(3), cycle_graph(8)):
+        write_graph(g, tmp_path / "g.gr")
+        write_td(trivial_decomposition(g), tmp_path / "t.td")
+        code, out, _ = run(
+            capsys,
+            "nice",
+            "--graph", str(tmp_path / "g.gr"),
+            "--td", str(tmp_path / "t.td"),
+            "-o", str(tmp_path / "nice.td"),
+        )
+        assert code == 0
+        results = report_of(out)["results"]
+        assert results["nodes"] == 2 * g.n + 1
+        assert results["kinds"] == {"leaf": 1, "introduce": g.n, "forget": g.n, "join": 0}
+        code, out, _ = run(
+            capsys, "validate", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "nice.td")
+        )
+        assert code == 0
 
 
 def test_pack_patterns_and_artifacts(tmp_path, capsys):
@@ -165,10 +186,11 @@ def test_pack_patterns_and_artifacts(tmp_path, capsys):
     # Each edge member weighs the sum of its unit vertex weights.
     assert doc["results"]["weight"] == "2/1"
     assert (tmp_path / "d.gr").read_text().startswith("p tw 3 3")
-    code, _, _ = run(
-        capsys, "validate", "--graph", str(tmp_path / "d.gr"), "--td", str(tmp_path / "d.td")
-    )
-    assert code == 0
+    for command in ("validate", "measure"):
+        code, _, _ = run(
+            capsys, command, "--graph", str(tmp_path / "d.gr"), "--td", str(tmp_path / "d.td")
+        )
+        assert code == 0
 
 
 def _count_derived_builds(monkeypatch, members):
@@ -591,17 +613,27 @@ def test_gen_trivial_td_round_trip(tmp_path, capsys):
 
 
 def test_tin_witness_file_attains_the_value(tmp_path, capsys):
-    run(capsys, "gen", "knn", "3", "-o", str(tmp_path / "g.gr"))
-    code, out, _ = run(
-        capsys, "tin", "--graph", str(tmp_path / "g.gr"), "-o", str(tmp_path / "w.td")
-    )
-    assert code == 0
-    value = report_of(out)["results"]["tree_independence_number"]
-    code, out, _ = run(
-        capsys, "measure", "--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "w.td")
-    )
-    assert code == 0
-    assert report_of(out)["results"]["independence_number"] == value == 3
+    # C_20 runs the full 2^20 tables at the default cap; K_{7,8} runs the
+    # split-mask pass at odd n = 15; P_12 is chordal, its witness a clique
+    # tree.
+    graph = str(tmp_path / "g.gr")
+    for params, value, nodes, width in (
+        (("knn", "3"), 3, 3, 3),
+        (("cycle", "20"), 2, 18, 2),
+        (("complete-bipartite", "7", "8"), 7, 2, 7),
+        (("path", "12"), 1, 11, 1),
+    ):
+        run(capsys, "gen", *params, "-o", graph)
+        code, out, _ = run(capsys, "tin", "--graph", graph, "-o", str(tmp_path / "w.td"))
+        assert code == 0
+        assert report_of(out)["results"] == {
+            "tree_independence_number": value, "witness_nodes": nodes
+        }
+        code, out, _ = run(capsys, "measure", "--graph", graph, "--td", str(tmp_path / "w.td"))
+        assert code == 0
+        assert report_of(out)["results"]["independence_number"] == value
+        code, out, _ = run(capsys, "tw", "--graph", graph)
+        assert code == 0 and report_of(out)["results"]["treewidth"] == width
 
 
 def test_pack_patterns_with_vertex_weights(tmp_path, capsys):

@@ -136,6 +136,11 @@ def test_witness_is_rechecked_against_the_rows_and_the_graph(monkeypatch):
     monkeypatch.setattr(Graph, "bit_rows", lambda self, vertices=None: [0] * self.n)
     with pytest.raises(RuntimeError, match="witness set is not independent"):
         solve_mwis(path_graph(2), WeightMap(2), trivial_decomposition(path_graph(2)), 2)
+    # A scale that is no multiple of the denominator (3 for 1/2) floors the
+    # scaled weights; the witness's rational weight catches the optimum.
+    monkeypatch.setattr(mwis, "lcm", lambda a, b: math.lcm(a, b) + 1)
+    with pytest.raises(RuntimeError, match="witness weight does not match optimum"):
+        _dp([0, 0], [Fraction(1, 2)] * 2, trivial_decomposition(g), 2)
 
 
 def test_tables_over_the_cap_are_refused_during_the_pass():
@@ -146,6 +151,20 @@ def test_tables_over_the_cap_are_refused_during_the_pass():
     td = make_decomposition(g, [range(21)], [], [range(19)])
     with pytest.raises(CapExceededError, match="21 vertices, 19 marked.*cap=1048576"):
         solve_mwis(g, WeightMap(21), td, 1)
+
+
+def test_the_key_cap_is_shared_by_each_1024_bits_of_the_weight_scale(monkeypatch):
+    # An edgeless 6-vertex bag has 64 keys. Up to 1,024 bits of scale the
+    # budget is MAX_COUNT; one bit more halves it.
+    g = build_graph(6, [])
+    td = trivial_decomposition(g)
+    for bits, count in ((1024, 64), (1025, 128)):
+        weights = WeightMap(6, {v: Fraction(1, 1 << (bits - 1)) for v in range(6)})
+        monkeypatch.setattr(mwis, "MAX_COUNT", count)
+        assert solve_mwis(g, weights, td, 6)[1] == set(range(6))
+        monkeypatch.setattr(mwis, "MAX_COUNT", count - 1)
+        with pytest.raises(CapExceededError, match="6 vertices, 0 marked.*cap=63 keys"):
+            solve_mwis(g, weights, td, 6)
 
 
 def test_weight_scale_over_the_cap_is_refused_before_the_pass():
