@@ -44,6 +44,7 @@ from .oracle import _SUBSET_DP_LIMIT, DEFAULT_SUBSET_DP_CAP, tin_exact, treewidt
 from .packing import (
     PackingInstance,
     _solve_packing,
+    _transferred,
     derived_graph,
     enumerate_F_subgraphs,
     pattern_by_name,
@@ -177,14 +178,16 @@ def _cmd_pack(args, inputs):
     else:
         raise GraphError("pack needs --family, --patterns, or --pattern-file")
     k = args.k if args.k is not None else independence_number(g, td)
-    value, chosen, td2 = _solve_packing(inst, td, k)
+    value, chosen, bags = _solve_packing(inst, td, k)
     artifacts = {}
-    # The solve ran on conflict rows; the derived graph is built only to be
-    # written. The transferred decomposition is the one the solve ran over.
+    # The solve ran on conflict rows and bag masks; the derived graph and the
+    # transferred decomposition, over the bags the solve ran on, are built
+    # only to be written.
     if args.emit_derived:
         derived = derived_graph(g, inst.family)
         artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
     if args.emit_derived_td:
+        td2 = _transferred(inst.family, td, bags)
         artifacts["derived_td"] = (args.emit_derived_td, formats.format_td(td2))
     selected = [
         {"index": j + 1, "vertices": _one_indexed(inst.family.members[j])}

@@ -2,9 +2,14 @@
 
 One bottom-up pass runs over the tree of `nice.rooted_contraction`, nested
 neighbours contracted, children taken largest id first; no nice form is
-built. c[t, S] is the best weight of an independent set I of the subtree's
-vertices with I & X_t = S, and t's table maps every independent subset S of
-X_t (an int bit mask, bit v for vertex v) to c[t, S]:
+built. The pass reads the decomposition as int masks: each bag X_t, each
+residual X_t - U_t, and the tree edges. `solve_mwis` builds the masks once
+from the bags and marked sets, and packing hands over the transferred bags
+as masks, with no marked sets; the contraction reads the same masks, and
+the table-cap refusal reads a bag's size and marked count off them as
+popcounts. c[t, S] is the best weight of an independent set I of the
+subtree's vertices with I & X_t = S, and t's table maps every independent
+subset S of X_t (an int bit mask, bit v for vertex v) to c[t, S]:
 
 - child c passes its parent p one projection onto X_c & X_p: for each key
   S', the max of c[c, S] over the keys S with S & X_p = S', and for the
@@ -54,16 +59,18 @@ WALK = 4
 MAX_SCALE_BITS = 1 << 18
 
 
-def _dp(rows, weights, td, k):
+def _dp(rows, weights, bags, residuals, edges, k):
     """Optimum, witness set and the final table of every contracted node.
 
     The graph is given by its neighbour rows: `rows[v]` is the bit set of
-    vertex v's neighbours, as `Graph.bit_rows()` builds them. `td` must be a
-    valid decomposition of that graph; it is not checked here, and only its
-    tree, bags and marked sets are read. `weights[v]` is the exact
-    nonnegative weight of vertex v (Fraction or int), read once per vertex.
-    Tables map keys to L * c[t, S], indexed by the node ids of
-    `rooted_contraction(td)`. The witness is re-verified against `rows`.
+    vertex v's neighbours, as `Graph.bit_rows()` builds them. The
+    decomposition is given by its bags and residuals X_t - U_t as int masks
+    and its tree edges; it must be a valid decomposition of that graph, and
+    is not checked here. `weights[v]` is the exact nonnegative weight of
+    vertex v (Fraction or int), read once per vertex. Tables map keys to
+    L * c[t, S], indexed by the contracted tree's nodes, the positions in
+    the kept ids of `rooted_contraction(bags, edges)`. The witness is
+    re-verified against `rows`.
     """
     if k < 0:
         raise GraphError("residual bound k must be nonnegative")
@@ -78,8 +85,9 @@ def _dp(rows, weights, td, k):
             )
     w = [x.numerator * (scale // x.denominator) for x in weights]
     budget = MAX_COUNT // -(-scale.bit_length() // 1024)
-    bags, refs, root, parent, kids = rooted_contraction(td)
-    bag = [mask_of(b) for b in bags]
+    ids, root, parent, kids = rooted_contraction(bags, edges)
+    bag = list(map(bags.__getitem__, ids))
+    rest = list(map(residuals.__getitem__, ids))
     order, stack = [], [root]
     while stack:
         t = stack.pop()
@@ -88,7 +96,7 @@ def _dp(rows, weights, td, k):
 
     def extend(table, t, start):
         """Grow `table` over X_t - `start`, checking each added vertex."""
-        residual = bag[t] & ~mask_of(refs[t])
+        residual = rest[t]
         done = start
         for i, v in enumerate(members(bag[t] & ~start)):
             bit, avoid, wv = 1 << v, rows[v], w[v]
@@ -111,9 +119,11 @@ def _dp(rows, weights, td, k):
             if 2 * len(table) > budget and len(table) + (
                 len(grown) if walk else sum(not s & avoid for s in table)
             ) > budget:
+                size = bag[t].bit_count()
+                marked = size - residual.bit_count()
                 raise CapExceededError(
-                    f"mwis refused: the table of a bag of {len(bags[t])} vertices, "
-                    f"{len(refs[t])} marked, would pass cap={budget} keys"
+                    f"mwis refused: the table of a bag of {size} vertices, "
+                    f"{marked} marked, would pass cap={budget} keys"
                 )
             if not walk:
                 grown = {s | bit: x + wv for s, x in table.items() if not s & avoid}
@@ -160,7 +170,7 @@ def _dp(rows, weights, td, k):
                 best[key] -= sum(w[v] for v in members(key))
             tables[p] = {s: x + best[s & keep] for s, x in tables[p].items()}
 
-    chosen, union = [0] * len(bags), 0
+    chosen, union = [0] * len(bag), 0
     for t in order:
         p = parent[t]
         chosen[t] = picks[t][0 if p is None else chosen[p] & bag[t]]
@@ -189,7 +199,10 @@ def solve_mwis(graph, weights, td, k):
 
 def _solve_mwis(graph, weights, td, k):
     """`solve_mwis` less its check of `td`."""
-    value, witness, _ = _dp(graph.bit_rows(), weights, td, k)
+    bags = list(map(mask_of, td.bags))
+    residuals = [x & ~mask_of(u) for x, u in zip(bags, td.refined)]
+    rows = graph.bit_rows()
+    value, witness, _ = _dp(rows, weights, bags, residuals, td.tree_edges, k)
     if not is_independent(graph, witness):
         raise RuntimeError("internal: witness set is not independent")
     return value, witness

@@ -2,23 +2,26 @@
 
 A nice decomposition is rooted, has empty root and leaf bags, and every
 other node is an introduce, forget, or join node. The conversion contracts
-tree edges whose bags are nested, then emits the nice nodes in one walk down
-from the root. It keeps, for every output node, some input node t with
-X' <= X_t and U' = U_t & X', so the residual independence number never grows.
+tree edges whose bags are nested, testing them on the bags' int masks, then
+emits the nice nodes in one walk down from the root. It keeps, for every
+output node, some input node t with X' <= X_t and U' = U_t & X', so the
+residual independence number never grows.
 The output is a plain RefinedTreeDecomposition; `node_kinds` reads each
 node's kind off its numbering and bags.
 
 Node count of the output is at most NICE_NODE_FACTOR * (width(T) + 2) *
 |V(T)| on valid inputs; the constant is asserted by the test suite. Only
 the `nice` command converts: the MWIS solver walks the contracted tree of
-`rooted_contraction` directly.
+`rooted_contraction` directly, on the masks it already holds. On a clique
+tree no two adjacent bags are nested, and the contraction only roots the
+tree.
 """
 
 import heapq
 
 from .decomposition import make_decomposition, require_valid
 from .errors import CapExceededError
-from .graph import MAX_COUNT
+from .graph import MAX_COUNT, mask_of
 
 #: Documented constant C in the node-count bound C * (width + 2) * |V(T)|.
 NICE_NODE_FACTOR = 8
@@ -29,32 +32,63 @@ FORGET = "forget"
 JOIN = "join"
 
 
-def rooted_contraction(td):
+def rooted_contraction(bags, edges):
     """Contract tree edges whose bags are nested, then root the result.
 
-    Each step takes the lowest node a with a nested neighbour and its lowest
-    such neighbour b; the node with the smaller bag (b if they are equal) is
-    merged into the other, which keeps its bag and U. In a valid
-    decomposition, merging a node into a superset neighbour never makes two
-    bags nested that were not, so no node below a gains a nested neighbour
-    again: one sweep over the nodes, each with a heap of its nested
-    neighbours, performs the same steps.
+    `bags` are the bags as int masks (bit v for vertex v) and `edges` the
+    tree edges of a valid decomposition; neither is checked here. Each step
+    takes the lowest node a with a nested neighbour and its lowest such
+    neighbour b; the node with the smaller bag (b if they are equal) is
+    merged into the other, which is kept with its own bag and U. Merging a
+    node into a superset neighbour never makes two bags nested that were
+    not, so only the ends of the edges nested in the input ever have a
+    nested neighbour: one pass finds those edges, and where there are none
+    (as on a clique tree) nothing is merged. Otherwise one sweep over their
+    ends in ascending id, each with a heap of its nested neighbours,
+    performs the same steps.
 
     The contracted tree is rooted at its lowest-id node of degree at most
-    one. Returns (bags, refined, root, parent, children), children in
-    ascending id; `make_nice` and the MWIS solver both walk this tree.
+    one. Returns (ids, root, parent, children): `ids` the kept input nodes
+    ascending, the contracted tree's nodes their positions in `ids`, and
+    children in ascending id. `make_nice` and the MWIS pass both walk this
+    tree.
     """
-    n = td.node_count
-    bag = list(td.bags)
-    ref = list(td.refined)
-    nbrs = [set() for _ in range(n)]
-    for a, b in td.tree_edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    alive = [True] * n
+    n = len(bags)
+    adj = [[] for _ in range(n)]
+    ends = set()
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        both = bags[a] & bags[b]
+        if both == bags[a] or both == bags[b]:
+            ends.add(a)
+            ends.add(b)
+    if ends:
+        ids, adj = _contract(bags, adj, sorted(ends))
+    else:
+        ids = range(n)
+        for row in adj:
+            row.sort()
+    root = next(t for t, row in enumerate(adj) if len(row) <= 1)
+    kids, up, stack = [None] * len(ids), [None] * len(ids), [root]
+    while stack:
+        t = stack.pop()
+        kids[t] = [c for c in adj[t] if c != up[t]]
+        for c in kids[t]:
+            up[c] = t
+        stack.extend(kids[t])
+    return ids, root, up, kids
+
+
+def _contract(bags, adj, ends):
+    """The sweep of `rooted_contraction` from each of `ends` in ascending
+    id: the kept nodes and their neighbour lists over positions in them."""
+    nbrs = list(map(set, adj))
+    alive = [True] * len(bags)
 
     def nested(a, b):
-        return bag[b] <= bag[a] or bag[a] < bag[b]
+        both = bags[a] & bags[b]
+        return both == bags[a] or both == bags[b]
 
     def merge(keep, drop):
         moved = nbrs[drop]
@@ -67,34 +101,23 @@ def rooted_contraction(td):
         alive[drop] = False
         return moved
 
-    for a in range(n):
+    for a in ends:
         if not alive[a]:
             continue
         heap = [b for b in nbrs[a] if nested(a, b)]
         heapq.heapify(heap)
         while heap:
             b = heapq.heappop(heap)
-            if bag[b] <= bag[a]:
+            if not bags[b] & ~bags[a]:
                 for c in merge(a, b):
                     if nested(a, c):
                         heapq.heappush(heap, c)
             else:
                 merge(b, a)
                 break
-    ids = [i for i in range(n) if alive[i]]
+    ids = [i for i, kept in enumerate(alive) if kept]
     remap = {old: new for new, old in enumerate(ids)}
-    bags = [bag[i] for i in ids]
-    refs = [ref[i] for i in ids]
-    adj = [sorted(remap[b] for b in nbrs[a]) for a in ids]
-    root = min(t for t in range(len(ids)) if len(adj[t]) <= 1)
-    kids, up, stack = [None] * len(ids), [None] * len(ids), [root]
-    while stack:
-        t = stack.pop()
-        kids[t] = [c for c in adj[t] if c != up[t]]
-        for c in kids[t]:
-            up[c] = t
-        stack.extend(kids[t])
-    return bags, refs, root, up, kids
+    return ids, [sorted(remap[b] for b in nbrs[a]) for a in ids]
 
 
 def _nice_bag_total(bags, root, kids):
@@ -142,7 +165,10 @@ def make_nice(graph, td):
     refused with CapExceededError before any node is built.
     """
     require_valid(graph, td)
-    bags, refs, root0, _, down_of = rooted_contraction(td)
+    masks = list(map(mask_of, td.bags))
+    ids, root0, _, down_of = rooted_contraction(masks, td.tree_edges)
+    bags = [td.bags[i] for i in ids]
+    refs = [td.refined[i] for i in ids]
     total = _nice_bag_total(bags, root0, down_of)
     if total > MAX_COUNT:
         raise CapExceededError(

@@ -8,18 +8,18 @@ transferred decomposition, whose independence number never exceeds that of
 the original decomposition.
 
 `solve_packing` runs the reduction in one pass over the host, built on
-one index, host vertex -> ascending ids of the members holding it. Member
-j's conflicts are the members meeting its closed neighbourhood N[H_j]: the
-pass gives each held vertex v the bit set near[v] of the members meeting
-N[v], and hands the MWIS pass row j, the OR of near[v] over H_j less bit
-j; bag t of the transferred decomposition is the union of the index over
-X_t, on the host's tree, over |J| vertices. No derived graph is built on
-the way: `derived_graph` builds it on its own, for `pack --emit-derived`.
-The rows cost O(sum_j sum_{v in N[H_j]} |index[v]|) and the transferred
-bags O(sum_t sum_{v in X_t} |index[v]|), costs that follow the size of the
-output, not |J|^2 or |J| per bag. The transferred decomposition is
-reachable only through a solve: `_solve_packing` returns it, and
-`pack --emit-derived-td` writes it.
+one index, host vertex -> ascending ids of the members holding it, and on
+held[v], the bit set of that list. Member j's conflicts are the members
+meeting its closed neighbourhood N[H_j]: the pass gives each held vertex v
+the bit set near[v] of the members meeting N[v], and hands the MWIS pass
+row j, the OR of near[v] over H_j less bit j, and bag t, the OR of held[v]
+over X_t: the transferred decomposition as bag masks on the host's tree,
+over |J| vertices. Neither the derived graph nor the transferred
+decomposition is built on the way: `derived_graph` builds the one for
+`pack --emit-derived`, and `_transferred` the other, from the masks a
+solve returns, for `pack --emit-derived-td`. Each mask takes one OR per
+vertex of N[v], H_j or X_t, on ints at most |J| bits wide; no pair of
+members is compared.
 
 Family members are canonical vertex sets. Two subgraphs with the same
 vertex set are true twins in the derived graph, so keeping one per vertex
@@ -36,8 +36,8 @@ MAX_COUNT with CapExceededError.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
-from operator import or_
+from itertools import combinations, permutations, repeat
+from operator import attrgetter, or_
 
 from .decomposition import _EMPTY, require_valid
 from .errors import CapExceededError, GraphError
@@ -96,9 +96,14 @@ class PackingInstance:
     member_weights: tuple
 
     def __post_init__(self):
-        if len(self.member_weights) != len(self.family):
+        ws = self.member_weights
+        if len(ws) != len(self.family):
             raise GraphError("need exactly one weight per family member")
-        for j, w in enumerate(self.member_weights):
+        # Two passes in C; the loop below only names the first bad member.
+        exact = all(map(isinstance, ws, repeat((int, Fraction))))
+        if exact and min(map(attrgetter("numerator"), ws), default=0) >= 0:
+            return
+        for j, w in enumerate(ws):
             if not isinstance(w, (int, Fraction)):
                 raise GraphError(f"weight of member {j} is not an int or Fraction")
             if w < 0:
@@ -187,41 +192,46 @@ def compatible(graph, s1, s2):
     return not (s1 & s2 or any(v in s2 for u in s1 for v in graph.adj[u]))
 
 
-def _transferred(family, index, td):
-    """`td` over the members: the same tree, bag t the members meeting X_t."""
-    bags = tuple(frozenset().union(*map(index.__getitem__, bag)) for bag in td.bags)
+def _transferred(family, td, bags):
+    """`td` over the members: the same tree, bag t the members in the mask
+    `bags[t]` of `_reduction`, and no marked sets. `pack --emit-derived-td`
+    writes it; the solve itself reads only the masks."""
+    bags = tuple(map(frozenset, map(members, bags)))
     return replace(td, n=len(family), bags=bags, refined=(_EMPTY,) * len(bags))
 
 
 def _reduction(family, td):
     """The reduction of packing to MWIS in one pass over the host: each
-    member's conflict row and the transferred decomposition.
+    member's conflict row and each transferred bag, as int masks.
 
     Row j is the bit set of the members that conflict with member j, the
-    rows `derived_graph`'s adjacency would give. The decomposition has
-    `td`'s tree over |J| vertices, bag t the members meeting X_t, and no
-    marked sets: the refinement does not survive the transfer. Its
-    independence number is at most `td`'s. After the count of
-    `_refuse_dense`, each held vertex v gets held[v], the bit set of the
-    members holding it, and near[v], the OR of held[u] over N[v]; row j is
-    the OR of near[v] over H_j less bit j. These per-vertex masks are local
-    to the pass, so only the rows outlive it. `td` is not checked here.
+    rows `derived_graph`'s adjacency would give. Bag t is the bit set of the
+    members meeting X_t: the transferred decomposition has `td`'s tree over
+    |J| vertices and no marked sets, since the refinement does not survive
+    the transfer, and its independence number is at most `td`'s. After the
+    count of `_refuse_dense`, each held vertex v gets held[v], the bit set
+    of the members holding it, and near[v], the OR of held[u] over N[v];
+    row j is the OR of near[v] over H_j less bit j, and bag t the OR of
+    held[v] over X_t. These per-vertex masks are local to the pass, so only
+    the rows and bags outlive it. `td` is not checked here.
     """
     index = _member_index(family)
     adj = family.host.adj
     _refuse_dense(index, adj)
     held = list(map(mask_of, index))
+    del index
     near = [
         reduce(or_, map(held.__getitem__, adj[v]), bits) if bits else 0
         for v, bits in enumerate(held)
     ]
+    bags = [reduce(or_, map(held.__getitem__, bag), 0) for bag in td.bags]
     del held
     # j is in near[v] for every v in H_j, so the XOR clears bit j.
     rows = [
         reduce(or_, map(near.__getitem__, s)) ^ (1 << j)
         for j, s in enumerate(family.members)
     ]
-    return rows, _transferred(family, index, td)
+    return rows, bags
 
 
 def solve_packing(instance, td, k):
@@ -239,13 +249,14 @@ def solve_packing(instance, td, k):
 
 
 def _solve_packing(instance, td, k):
-    """`solve_packing` less its check of `td`, plus the transferred
-    decomposition it solved over, `_reduction`'s, which `pack
-    --emit-derived-td` writes. The MWIS pass runs on the conflict rows of
-    `_reduction`; the derived graph itself is not built."""
+    """`solve_packing` less its check of `td`, plus the transferred bags it
+    solved over as `_reduction`'s masks, from which `_transferred` builds
+    the decomposition `pack --emit-derived-td` writes. The MWIS pass runs
+    on the conflict rows and bag masks of `_reduction`; neither the derived
+    graph nor the transferred decomposition is built."""
     graph = instance.family.host
-    rows, td2 = _reduction(instance.family, td)
-    value, chosen, _ = _dp(rows, instance.member_weights, td2, k)
+    rows, bags = _reduction(instance.family, td)
+    value, chosen, _ = _dp(rows, instance.member_weights, bags, bags, td.tree_edges, k)
     owner = {}
     for j in chosen:
         for v in instance.family.members[j]:
@@ -255,7 +266,7 @@ def _solve_packing(instance, td, k):
         for u in graph.adj[v]:
             if owner.get(u, j) != j:
                 raise RuntimeError("internal: selected members conflict")
-    return value, frozenset(chosen), td2
+    return value, frozenset(chosen), bags
 
 
 def brute_force_packing(instance):

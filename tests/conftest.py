@@ -25,8 +25,8 @@ from treealpha import (
 )
 from treealpha.decomposition import ValidationReport, Violation
 from treealpha.graph import Graph, check_vertex_set, mask_of, members
-from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF, node_kinds
-from treealpha.packing import DEFAULT_PATTERN_CAP
+from treealpha.nice import FORGET, INTRODUCE, JOIN, LEAF, node_kinds, rooted_contraction
+from treealpha.packing import DEFAULT_PATTERN_CAP, _reduction, _transferred
 
 
 def random_graph(n, p, rng):
@@ -380,6 +380,78 @@ def postorder(td):
             for c in kids[t]:
                 stack.append((c, False))
     return out
+
+
+def contracted(td):
+    """`rooted_contraction` of `td` with the kept nodes' bags and marked
+    sets: (bags, marked sets, root, parent, children) over the contracted
+    tree's nodes, as `make_nice` and `mwis._dp` read it."""
+    masks = list(map(mask_of, td.bags))
+    ids, root, parent, kids = rooted_contraction(masks, td.tree_edges)
+    return [td.bags[i] for i in ids], [td.refined[i] for i in ids], root, parent, kids
+
+
+def reference_contraction(td):
+    """`nice.rooted_contraction` as a sweep over every node of a valid `td`,
+    each with a set of neighbours and a heap of its nested ones, on the
+    frozenset bags: the lowest node a with a nested neighbour merges with
+    its lowest such neighbour b, the smaller bag (b's if they are equal)
+    into the larger. Returns (kept ids, root, parent, children) as the
+    library does."""
+    n = td.node_count
+    bag = list(td.bags)
+    nbrs = [set() for _ in range(n)]
+    for a, b in td.tree_edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    alive = [True] * n
+
+    def nested(a, b):
+        return bag[b] <= bag[a] or bag[a] < bag[b]
+
+    def merge(keep, drop):
+        moved = nbrs[drop]
+        moved.discard(keep)
+        nbrs[keep].discard(drop)
+        for c in moved:
+            nbrs[c].discard(drop)
+            nbrs[c].add(keep)
+        nbrs[keep] |= moved
+        alive[drop] = False
+        return moved
+
+    for a in range(n):
+        if not alive[a]:
+            continue
+        heap = [b for b in nbrs[a] if nested(a, b)]
+        heapq.heapify(heap)
+        while heap:
+            b = heapq.heappop(heap)
+            if bag[b] <= bag[a]:
+                for c in merge(a, b):
+                    if nested(a, c):
+                        heapq.heappush(heap, c)
+            else:
+                merge(b, a)
+                break
+    ids = [i for i in range(n) if alive[i]]
+    remap = {old: new for new, old in enumerate(ids)}
+    adj = [sorted(remap[b] for b in nbrs[a]) for a in ids]
+    root = min(t for t in range(len(ids)) if len(adj[t]) <= 1)
+    kids, up, stack = [None] * len(ids), [None] * len(ids), [root]
+    while stack:
+        t = stack.pop()
+        kids[t] = [c for c in adj[t] if c != up[t]]
+        for c in kids[t]:
+            up[c] = t
+        stack.extend(kids[t])
+    return ids, root, up, kids
+
+
+def transferred(family, td):
+    """The transferred decomposition of `family` over `td`, built as `pack
+    --emit-derived-td` builds it from `_reduction`'s bag masks."""
+    return _transferred(family, td, _reduction(family, td)[1])
 
 
 def _bag_mask(rows, v, emask):

@@ -40,7 +40,7 @@ from treealpha import (
 )
 from treealpha.nice import NICE_NODE_FACTOR
 from treealpha.oracle import brute_force_mwis
-from treealpha.packing import _reduction, brute_force_packing
+from treealpha.packing import brute_force_packing
 
 from .conftest import (
     all_labeled_graphs,
@@ -52,6 +52,7 @@ from .conftest import (
     nice_violations,
     random_connected_set,
     random_graph,
+    transferred,
 )
 from .test_packing import graph_square, line_graph
 
@@ -224,7 +225,7 @@ def test_criterion_07_derived_decomposition_law(verdict):
         fam = make_family(g, members)
         td = trivial_decomposition(g) if i % 2 == 0 else tin_exact(g)[1]
         derived = derived_graph(g, fam)
-        td2 = _reduction(fam, td)[1]
+        td2 = transferred(fam, td)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
         if n <= 6:

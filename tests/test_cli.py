@@ -27,7 +27,7 @@ from treealpha import graph as graph_module
 from treealpha.cli import main
 from treealpha.formats import format_graph, format_td
 
-from .conftest import mwis_by_enumeration
+from .conftest import mwis_by_enumeration, transferred
 
 
 def write_graph(graph, path):
@@ -195,8 +195,9 @@ def test_pack_patterns_and_artifacts(tmp_path, capsys):
 
 def _count_derived_builds(monkeypatch, members):
     """Count the calls that could build the derived graph of a family of
-    `members` members: the packing functions by name, wherever the CLI looks
-    them up, and every `Graph` made with that many vertices."""
+    `members` members or its transferred decomposition: the packing
+    functions by name, wherever the CLI looks them up, and every `Graph`
+    made with that many vertices."""
     calls = Counter()
 
     def counted(name, original):
@@ -206,7 +207,7 @@ def _count_derived_builds(monkeypatch, members):
 
         return wrapper
 
-    for name in ("_reduction", "derived_graph"):
+    for name in ("_reduction", "_transferred", "derived_graph"):
         for module in (packing, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -222,7 +223,8 @@ def _count_derived_builds(monkeypatch, members):
 
 
 def test_plain_pack_builds_no_derived_graph(tmp_path, capsys, monkeypatch):
-    # P_5 has 9 k1,k2 members; the solve runs on their conflict rows.
+    # P_5 has 9 k1,k2 members; the solve runs on their conflict rows and
+    # transferred bag masks, and builds neither decomposition nor graph.
     g = path_graph(5)
     td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
     write_graph(g, tmp_path / "g.gr")
@@ -242,8 +244,8 @@ def test_plain_pack_builds_no_derived_graph(tmp_path, capsys, monkeypatch):
 def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     tmp_path, capsys, monkeypatch
 ):
-    # The solve's one pass gives the bags; the derived graph is built once,
-    # to be written. They equal `derived_graph`'s and `_reduction`'s output.
+    # The solve's one pass gives the bag masks; the derived graph and the
+    # transferred decomposition are built once each, to be written.
     g = path_graph(5)
     td = make_decomposition(g, [{0, 1}, {1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2), (2, 3)])
     write_graph(g, tmp_path / "g.gr")
@@ -259,12 +261,12 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
         "--emit-derived-td", str(tmp_path / "d.td"),
     )
     assert code == 0
-    assert calls == {"_reduction": 1, "derived_graph": 1, "Graph": 1}
+    assert calls == {"_reduction": 1, "_transferred": 1, "derived_graph": 1, "Graph": 1}
     monkeypatch.undo()
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
     derived = packing.derived_graph(g, fam)
     assert (tmp_path / "d.gr").read_text() == format_graph(derived)
-    want_td = format_td(packing._reduction(fam, td)[1])
+    want_td = format_td(transferred(fam, td))
     assert (tmp_path / "d.td").read_text() == want_td
 
 
@@ -287,10 +289,10 @@ def test_pack_emits_the_transferred_bags_without_the_derived_graph(
         "--emit-derived-td", str(tmp_path / "d.td"),
     )
     assert code == 0
-    assert calls == {"_reduction": 1}
+    assert calls == {"_reduction": 1, "_transferred": 1}
     monkeypatch.undo()
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
-    want_td = format_td(packing._reduction(fam, td)[1])
+    want_td = format_td(transferred(fam, td))
     assert (tmp_path / "d.td").read_text() == want_td
 
 
@@ -378,6 +380,56 @@ def test_mwis_refuses_a_table_that_would_pass_the_cap(tmp_path, capsys):
         code, _, err = run(capsys, "mwis", *graph_td, "-k", str(k))
         witness = " ".join(str(v) for v in range(1, k + 2))
         assert code == 2 and f"witness vertices {witness}" in err
+
+
+def test_table_cap_line_names_the_contracted_bag(tmp_path, capsys, monkeypatch):
+    # An edgeless 6-vertex bag has 64 keys, one over a cap of 63. Node 1's
+    # equal bag, with another marked set, and node 2's nested one are merged
+    # into node 0, whose size and marked count the refusal reads off its
+    # bag and residual masks.
+    g = build_graph(6, [])
+    td = make_decomposition(
+        g, [range(6), range(6), range(3)], [(0, 1), (1, 2)], [{0, 1}, {2}, {0}]
+    )
+    write_graph(g, tmp_path / "g.gr")
+    write_td(td, tmp_path / "t.td")
+    monkeypatch.setattr(mwis, "MAX_COUNT", 63)
+    code, out, err = run(
+        capsys, "mwis", "--graph", str(tmp_path / "g.gr"),
+        "--td", str(tmp_path / "t.td"), "-k", "6",
+    )
+    line = "mwis refused: the table of a bag of 6 vertices, 2 marked, would pass cap=63 keys"
+    assert (code, out, err) == (3, "", f"error: {line}\n")
+
+
+def test_empty_bags_and_the_null_graph_through_mwis_and_pack(tmp_path, capsys):
+    # An empty bag's mask is 0, in the MWIS pass and among the transferred
+    # bags, an OR over no member: P_3's empty leaf bag is contracted into
+    # its neighbour, and the null graph's one empty bag is the whole tree.
+    null, p3 = build_graph(0, []), path_graph(3)
+    cases = (
+        (null, trivial_decomposition(null)),
+        (p3, make_decomposition(p3, [{0, 1}, set(), {1, 2}], [(0, 1), (0, 2)])),
+    )
+    pats = [packing.pattern_by_name(p) for p in ("k1", "k2")]
+    for g, td in cases:
+        write_graph(g, tmp_path / "g.gr")
+        write_td(td, tmp_path / "t.td")
+        graph_td = ("--graph", str(tmp_path / "g.gr"), "--td", str(tmp_path / "t.td"))
+        code, out, _ = run(capsys, "mwis", *graph_td)
+        weight = mwis_by_enumeration(g, [1] * g.n)
+        assert code == 0 and report_of(out)["results"]["weight"] == f"{weight}/1"
+        derived_td = str(tmp_path / "d.td")
+        code, out, _ = run(
+            capsys, "pack", *graph_td, "--patterns", "k1,k2", "--emit-derived-td", derived_td
+        )
+        fam = packing.enumerate_F_subgraphs(g, pats)
+        inst = packing.PackingInstance(fam, tuple(Fraction(len(s)) for s in fam.members))
+        weight = packing.brute_force_packing(inst)[0]
+        assert code == 0 and report_of(out)["results"]["weight"] == f"{weight}/1"
+        bags = packing._reduction(fam, td)[1]
+        assert [b for b, x in zip(bags, td.bags) if not x] == [0]
+        assert (tmp_path / "d.td").read_text() == format_td(transferred(fam, td))
 
 
 def test_wide_bags_with_few_keys_run(tmp_path, capsys):

@@ -41,11 +41,12 @@ from treealpha.graph import MAX_COUNT, Graph, mask_of, members
 from treealpha.mwis import _dp
 from treealpha.nice import rooted_contraction
 from treealpha.oracle import brute_force_mwis
-from treealpha.packing import _reduction, brute_force_packing
+from treealpha.packing import brute_force_packing
 
 from .conftest import (
     chordal_fill_in,
     complement,
+    contracted,
     has_edge,
     interval_graph,
     is_chordal,
@@ -53,6 +54,7 @@ from .conftest import (
     nice_form_mwis,
     random_graph,
     random_weights,
+    transferred,
 )
 
 
@@ -70,10 +72,17 @@ def _independent_subsets(g, bag):
     }
 
 
+def _dp_on(rows, weights, td, k):
+    """`_dp` over `td`'s bags and residuals as masks, as `solve_mwis` calls it."""
+    bags = list(map(mask_of, td.bags))
+    residuals = [x & ~mask_of(u) for x, u in zip(bags, td.refined)]
+    return _dp(rows, weights, bags, residuals, td.tree_edges, k)
+
+
 def _tables(g, w, td, k):
     """The solver's final table at every contracted bag, with the rooted
     contracted tree (bags, marked sets, root, parent, children) it indexes."""
-    return rooted_contraction(td), _dp(g.bit_rows(), [w[v] for v in range(g.n)], td, k)[2]
+    return contracted(td), _dp_on(g.bit_rows(), [w[v] for v in range(g.n)], td, k)[2]
 
 
 def _full_bag_table(g, td, k):
@@ -130,7 +139,7 @@ def test_witness_is_rechecked_against_the_rows_and_the_graph(monkeypatch):
     # beside 0; the re-check against the rows it was given catches the pair.
     g = build_graph(2, [])
     with pytest.raises(RuntimeError, match="witness set is not independent"):
-        _dp([0b10, 0], [1, 1], trivial_decomposition(g), 2)
+        _dp_on([0b10, 0], [1, 1], trivial_decomposition(g), 2)
     # Rows that lose an edge agree with themselves; `solve_mwis` checks the
     # witness against the adjacency lists too.
     monkeypatch.setattr(Graph, "bit_rows", lambda self, vertices=None: [0] * self.n)
@@ -140,7 +149,7 @@ def test_witness_is_rechecked_against_the_rows_and_the_graph(monkeypatch):
     # scaled weights; the witness's rational weight catches the optimum.
     monkeypatch.setattr(mwis, "lcm", lambda a, b: math.lcm(a, b) + 1)
     with pytest.raises(RuntimeError, match="witness weight does not match optimum"):
-        _dp([0, 0], [Fraction(1, 2)] * 2, trivial_decomposition(g), 2)
+        _dp_on([0, 0], [Fraction(1, 2)] * 2, trivial_decomposition(g), 2)
 
 
 def test_tables_over_the_cap_are_refused_during_the_pass():
@@ -431,13 +440,14 @@ def test_solver_is_deterministic():
     assert solve_mwis(g, w, td, k) == solve_mwis(g, w, td, k)
 
 
-def _assert_recurrences(weights, td, tables):
-    """Every key of every table `_dp` returned for `td` obeys
+def _assert_recurrences(weights, bags, edges, tables):
+    """Every key of every table `_dp` returned for the bag masks `bags` on
+    the tree `edges` obeys
     c[t, S] = w(S) + sum over children c of (P_c[S & X_c] - w(S & X_c)),
     P_c[S'] = max of c[c, s] over the keys s with s & X_t = S', all scaled
     by the lcm L of the weight denominators."""
-    bags, _, _, _, kids = rooted_contraction(td)
-    bag = [mask_of(b) for b in bags]
+    ids, _, _, kids = rooted_contraction(bags, edges)
+    bag = [bags[i] for i in ids]
     scale = math.lcm(*(Fraction(x).denominator for x in weights))
 
     def scaled(s):
@@ -462,7 +472,8 @@ def test_tables_expose_the_recurrences():
     for td in (trivial_decomposition(g), tin_exact(g)[1], _perturb(g, tin_exact(g)[1], rng)):
         (bags, _, root, *_), tables = _tables(g, w, td, 2)
         assert set(tables) == set(range(len(bags)))
-        _assert_recurrences([w[v] for v in range(g.n)], td, tables)
+        bags = list(map(mask_of, td.bags))
+        _assert_recurrences([w[v] for v in range(g.n)], bags, td.tree_edges, tables)
         assert Fraction(max(tables[root].values()), scale) == brute_force_mwis(g, w)[0]
 
 
@@ -503,13 +514,14 @@ def _on_every_path(monkeypatch, solve, g, w, td, k):
     same tables at every `_dp` call; those tables must hold exactly the
     independent subsets of their bags and obey the recurrences. Returns the
     answer and the rule's choices. Undoes every patch of `monkeypatch`."""
-    runs, seen = [], []
+    runs, seen, dp = [], [], mwis._dp
     for walk in (_Choices(mwis.WALK, seen), 0, MAX_COUNT):
         calls = []
 
-        def recording(rows, weights, td, k, dp=mwis._dp, calls=calls):
-            out = dp(rows, weights, td, k)
-            calls.append((rows, [weights[v] for v in range(len(rows))], td, out[2]))
+        def recording(rows, weights, bags, residuals, edges, k, calls=calls):
+            out = dp(rows, weights, bags, residuals, edges, k)
+            weights = [weights[v] for v in range(len(rows))]
+            calls.append((rows, weights, bags, edges, out[2]))
             return out
 
         monkeypatch.setattr(mwis, "WALK", walk)
@@ -518,11 +530,11 @@ def _on_every_path(monkeypatch, solve, g, w, td, k):
         runs.append((_answer(solve, g, w, td, k), calls))
         monkeypatch.undo()
     assert runs[1] == runs[0] and runs[2] == runs[0]
-    for rows, weights, td, tables in runs[0][1]:
-        bags = rooted_contraction(td)[0]
+    for rows, weights, bags, edges, tables in runs[0][1]:
+        ids = rooted_contraction(bags, edges)[0]
         for t, table in tables.items():
-            assert set(table) == _independent_masks(rows, mask_of(bags[t]))
-        _assert_recurrences(weights, td, tables)
+            assert set(table) == _independent_masks(rows, bags[ids[t]])
+        _assert_recurrences(weights, bags, edges, tables)
     return runs[0][0], seen
 
 
@@ -579,7 +591,7 @@ def test_walked_and_scanned_extensions_match_the_references(monkeypatch):
         k = independence_number(g, td)
         answer, seen = _on_every_path(monkeypatch, _pack, g, job, td, k)
         derived = (derived_graph(g, fam), WeightMap(len(fam), dict(enumerate(ws))))
-        expect = nice_form_mwis(*derived, _reduction(fam, td)[1], k)
+        expect = nice_form_mwis(*derived, transferred(fam, td), k)
         assert answer == expect
         if len(fam) <= 22:
             assert answer[0] == brute_force_packing(job)[0]
@@ -726,7 +738,7 @@ def test_contracted_pass_matches_the_nice_form_reference():
         seen["nested"] += any(
             td.bags[a] <= td.bags[b] or td.bags[b] <= td.bags[a] for a, b in td.tree_edges
         )
-        seen["three kids"] += max(map(len, rooted_contraction(td)[4])) >= 3
+        seen["three kids"] += max(map(len, contracted(td)[4])) >= 3
         seen["violation"] += expect[0] == "violation"
         seen["tie"] += expect[0] != "violation" and len(
             {w.total(s) for s in _independent_subsets(g, range(g.n))}

@@ -17,16 +17,22 @@ from treealpha import (
     validate,
     width,
 )
-from treealpha.graph import MAX_COUNT
+from treealpha import nice as nice_module
+from treealpha.decomposition import RefinedTreeDecomposition
+from treealpha.formats import format_td
+from treealpha.graph import MAX_COUNT, mask_of
 from treealpha.nice import NICE_NODE_FACTOR, _nice_bag_total, rooted_contraction
 
 from .conftest import (
+    contracted,
+    interval_graph,
     nice_children,
     nice_vertex,
     nice_violations,
     postorder,
     random_connected_set,
     random_graph,
+    reference_contraction,
 )
 
 
@@ -146,6 +152,79 @@ def test_contract_on_corpus():
     assert worst_ratio <= NICE_NODE_FACTOR
 
 
+def _nested_tree(rng):
+    """A valid decomposition of a random graph whose tree grows by nodes
+    with a bag equal to, or nested in, a neighbour's: a node on edge (a, b)
+    whose bag lies between X_a & X_b and X_a, or a leaf under node t with a
+    subset of X_t or with X_t plus unused vertices; or by a leaf that
+    shares only part of its bag."""
+    n = rng.randint(1, 9)
+    bags = [frozenset(v for v in range(n) if rng.random() < 0.4)]
+    edges = []
+    for _ in range(rng.randint(0, 14)):
+        t = rng.randrange(len(bags))
+        fresh = frozenset(v for v in range(n) if all(v not in b for b in bags))
+        fresh = frozenset(v for v in fresh if rng.random() < 0.3)
+        if edges and rng.random() < 0.3:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            extra = frozenset(v for v in bags[a] - bags[b] if rng.random() < 0.5)
+            bag = rng.choice([bags[a], bags[a] & bags[b] | extra])
+            edges += [(a, len(bags)), (len(bags), b)]
+        else:
+            part = frozenset(v for v in bags[t] if rng.random() < 0.6)
+            bag = rng.choice([bags[t], part, bags[t] | fresh, part | fresh])
+            edges.append((t, len(bags)))
+        bags.append(bag)
+    bags[0] |= frozenset(v for v in range(n) if all(v not in b for b in bags))
+    pairs = {(u, v) for b in bags for u in b for v in b if u < v}
+    g = build_graph(n, [e for e in sorted(pairs) if rng.random() < 0.5])
+    marked = [frozenset(v for v in b if rng.random() < 0.3) for b in bags]
+    return g, make_decomposition(g, bags, edges, marked)
+
+
+def _shuffled(td, rng):
+    """`td` with its node ids permuted and its tree edges unsorted, each in
+    a random direction."""
+    perm = list(range(td.node_count))
+    rng.shuffle(perm)
+    bags, marked = [None] * len(perm), [None] * len(perm)
+    for t, new in enumerate(perm):
+        bags[new], marked[new] = td.bags[t], td.refined[t]
+    edges = [(perm[a], perm[b])[:: rng.choice([1, -1])] for a, b in td.tree_edges]
+    rng.shuffle(edges)
+    return RefinedTreeDecomposition(td.n, tuple(bags), tuple(edges), tuple(marked))
+
+
+def test_contraction_matches_the_reference_sweep(monkeypatch):
+    # Kept ids, root, parents and children equal the set-and-heap sweep's on
+    # nested trees, the corpus, nice forms, where every edge is nested, and
+    # clique trees, where none is; so do the `nice -o` files.
+    rng = random.Random(19)
+    corpus = [_nested_tree(rng) for _ in range(300)]
+    corpus += _decomposition_corpus(rng, 30)
+    corpus += [(g, make_nice(g, td)) for g, td in corpus[-60:]]
+    for _ in range(60):
+        g = interval_graph(rng.randint(1, 30), rng)
+        corpus.append((g, clique_tree(g)))
+    corpus += [(g, _shuffled(td, rng)) for g, td in corpus]
+    seen = {"none nested": 0, "equal": 0, "nested": 0}
+    for g, td in corpus:
+        assert validate(g, td).ok
+        masks = list(map(mask_of, td.bags))
+        ids, root, parent, kids = rooted_contraction(masks, td.tree_edges)
+        expect = reference_contraction(td)
+        assert (list(ids), root, parent, kids) == expect
+        pairs = [(td.bags[a], td.bags[b]) for a, b in td.tree_edges]
+        seen["none nested"] += len(pairs) > 2 and not any(x <= y or y <= x for x, y in pairs)
+        seen["equal"] += any(x == y for x, y in pairs)
+        seen["nested"] += any(x < y or y < x for x, y in pairs)
+        want = format_td(make_nice(g, td))
+        with monkeypatch.context() as m:
+            m.setattr(nice_module, "rooted_contraction", lambda *_: expect)
+            assert format_td(make_nice(g, td)) == want
+    assert min(seen.values()) >= 60, seen
+
+
 def test_bag_total_is_counted_before_building():
     rng = random.Random(17)
     corpus = _decomposition_corpus(rng, 40)
@@ -154,7 +233,7 @@ def test_bag_total_is_counted_before_building():
         g = path_graph(rng.randint(1, 12))
         corpus.append((g, clique_tree(g)))
     for g, td in corpus:
-        bags, _, root, _, kids = rooted_contraction(td)
+        bags, _, root, _, kids = contracted(td)
         emitted = sum(len(b) for b in make_nice(g, td).bags)
         assert _nice_bag_total(bags, root, kids) == emitted
 
@@ -309,7 +388,7 @@ def test_chains_forget_then_introduce_smallest_id_first():
     star = build_graph(7, [(0, v) for v in range(1, 7)])
     corpus.append((star, clique_tree(star)))
     for g, td in corpus:
-        bags, _, root, parent, kids = rooted_contraction(td)
+        bags, _, root, parent, kids = contracted(td)
         if bags == [frozenset()]:
             continue
         nice = make_nice(g, td)

@@ -17,6 +17,7 @@ from treealpha import (
     derived_graph,
     enumerate_F_subgraphs,
     independence_number,
+    make_decomposition,
     make_family,
     make_instance,
     path_graph,
@@ -30,10 +31,13 @@ from treealpha import (
 from treealpha import decomposition
 from treealpha.formats import format_graph, parse_family, parse_graph
 from treealpha.graph import mask_of
+from treealpha.nice import rooted_contraction
 from treealpha.packing import (
     PATTERN_BUILDERS,
     PackingInstance,
     _reduction,
+    _solve_packing,
+    _transferred,
     brute_force_packing,
     compatible,
 )
@@ -49,9 +53,11 @@ from .conftest import (
     is_chordal,
     is_connected_set,
     k_separator,
+    nice_form_mwis,
     random_connected_set,
     random_graph,
     spans_by_permutation,
+    transferred,
 )
 
 
@@ -138,10 +144,13 @@ def assert_transfer_matches_definitions(g, fam, td):
 
 def assert_reduction_matches(g, fam, td):
     """`_reduction`'s rows are the masks of `derived_graph`'s adjacency, and
-    bag t of its decomposition holds exactly the members meeting X_t, on the
-    same tree with no marked sets. Returns that decomposition."""
-    rows, td2 = _reduction(fam, td)
+    its bag t is the mask of the members meeting X_t; the decomposition
+    `_transferred` builds from the bags has them on the same tree, with no
+    marked sets. Returns that decomposition."""
+    rows, bags = _reduction(fam, td)
     assert rows == [mask_of(a) for a in derived_graph(g, fam).adj]
+    td2 = _transferred(fam, td, bags)
+    assert bags == list(map(mask_of, td2.bags))
     assert td2.n == len(fam)
     assert td2.tree_edges == td.tree_edges
     assert td2.bags == tuple(
@@ -200,6 +209,44 @@ def test_reduction_matches_the_definitions_on_random_hosts():
             assert_reduction_matches(g, fam, td)
 
 
+def _nested_host_bags(g, td, rng):
+    """`td` with a few nodes added whose bags are nested in a neighbour's:
+    X_a & X_b on a tree edge (a, b), or a leaf with part of its parent's."""
+    bags, edges = list(td.bags), list(td.tree_edges)
+    for _ in range(rng.randint(1, 4)):
+        if edges and rng.random() < 0.5:
+            a, b = edges.pop(rng.randrange(len(edges)))
+            bags.append(bags[a] & bags[b])
+            edges += [(a, len(bags) - 1), (len(bags) - 1, b)]
+        else:
+            t = rng.randrange(len(bags))
+            bags.append(frozenset(v for v in bags[t] if rng.random() < 0.6))
+            edges.append((t, len(bags) - 1))
+    return make_decomposition(g, bags, edges)
+
+
+def test_packing_over_nested_host_bags():
+    # Host bags nested along a tree edge give nested transferred bags,
+    # which the MWIS pass contracts. The optimum is brute force's, and the
+    # answer that of the nice-form pass over the transferred decomposition.
+    rng = random.Random(46)
+    merged = 0
+    for _ in range(80):
+        g = random_graph(rng.randint(1, 8), rng.choice((0.25, 0.5)), rng)
+        td = _nested_host_bags(g, tin_exact(g)[1], rng)
+        members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(8)}
+        fam = make_family(g, sorted(members, key=sorted))
+        ws = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in fam.members)
+        inst = PackingInstance(fam, ws)
+        k = independence_number(g, td)
+        value, chosen, bags = _solve_packing(inst, td, k)
+        assert value == brute_force_packing(inst)[0]
+        derived = derived_graph(g, fam), WeightMap(len(fam), dict(enumerate(ws)))
+        assert (value, chosen) == nice_form_mwis(*derived, transferred(fam, td), k)
+        merged += len(rooted_contraction(bags, td.tree_edges)[0]) < td.node_count
+    assert merged >= 60
+
+
 def test_transfer_of_duplicate_and_empty_families():
     g = path_graph(3)
     twice = parse_family("s fam 3\nf 1 1 2 1 2\nf 2 1 1 3\nf 3 1 2 1 2\n", g)
@@ -226,6 +273,11 @@ def test_instance_weights_are_exact_and_nonnegative():
         PackingInstance(fam, (Fraction(1), 0.5))
     with pytest.raises(GraphError, match="negative"):
         PackingInstance(fam, (Fraction(1), -1))
+    # Each refusal names the first bad member, whichever check it fails.
+    with pytest.raises(GraphError, match="member 0 is negative"):
+        PackingInstance(fam, (Fraction(-1, 2), 0.5))
+    with pytest.raises(GraphError, match="member 0 is not an int"):
+        PackingInstance(fam, (0.5, Fraction(-1)))
     with pytest.raises(GraphError, match="one weight per family member"):
         PackingInstance(fam, (Fraction(1),))
     inst = PackingInstance(fam, (1, Fraction(1, 2)))
@@ -249,7 +301,7 @@ def test_line_graph_square_identity():
 def test_derived_decomposition_example():
     g = path_graph(3)
     fam = make_family(g, [{0, 1}, {2}])
-    td2 = _reduction(fam, trivial_decomposition(g))[1]
+    td2 = transferred(fam, trivial_decomposition(g))
     assert td2.bags == (frozenset({0, 1}),)
     derived = derived_graph(g, fam)
     assert derived == complete_graph(2)
@@ -269,7 +321,7 @@ def test_derived_decomposition_builds_no_derived_graph(monkeypatch):
 
     monkeypatch.setattr("treealpha.packing.derived_graph", refuse)
     monkeypatch.setattr("treealpha.graph.Graph.__init__", refuse)
-    td2 = _reduction(fam, td)[1]
+    td2 = transferred(fam, td)
     assert td2.n == 3 and validate(derived, td2).ok
 
 
@@ -277,7 +329,7 @@ def test_derived_decomposition_identity_family():
     g = cycle_graph(5)
     td = tin_exact(g)[1]
     fam = make_family(g, [{v} for v in range(5)])
-    td2 = _reduction(fam, td)[1]
+    td2 = transferred(fam, td)
     assert td2.bags == td.bags and td2.tree_edges == td.tree_edges
 
 
@@ -291,7 +343,7 @@ def test_derived_of_chordal_clique_tree_stays_chordal():
         seen += 1
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(5)}
         fam = make_family(g, sorted(members, key=sorted))
-        td2 = _reduction(fam, clique_tree(g))[1]
+        td2 = transferred(fam, clique_tree(g))
         derived = derived_graph(g, fam)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= 1
@@ -305,7 +357,7 @@ def test_derived_alpha_never_grows():
         members = {random_connected_set(g, rng.randint(1, 3), rng) for _ in range(6)}
         fam = make_family(g, sorted(members, key=sorted))
         td = trivial_decomposition(g) if rng.random() < 0.5 else tin_exact(g)[1]
-        td2 = _reduction(fam, td)[1]
+        td2 = transferred(fam, td)
         derived = derived_graph(g, fam)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
