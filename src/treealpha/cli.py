@@ -184,7 +184,7 @@ def _cmd_pack(args, inputs):
     # transferred decomposition, over the bags the solve ran on, are built
     # only to be written.
     if args.emit_derived:
-        derived = derived_graph(g, inst.family)
+        derived = derived_graph(inst.family)
         artifacts["derived_graph"] = (args.emit_derived, formats.format_graph(derived))
     if args.emit_derived_td:
         td2 = _transferred(inst.family, td, bags)

@@ -60,10 +60,11 @@ def _independence_number(rows, start_mask):
 def _clique_test(graph):
     """A test `is_clique(s)` for frozensets `s` of `graph`'s vertices.
 
-    `s` is a clique iff s <= N[v] for each v in s. The test keeps each
-    closed neighbourhood N[v] it reads as a frozenset, built once per vertex
-    for the life of the test, so a hub shared by many sets costs its degree
-    once; each subset check runs in C and stops at the first failing vertex.
+    `s` is a clique iff s <= N[v] for each v in s. A closed neighbourhood
+    N[v] with more than |s| + 1 vertices is kept as a frozenset for the life
+    of the test, so a hub shared by many sets costs its degree once; a
+    smaller one costs no more to build than the subset check and is not
+    kept. Each check runs in C and stops at the first failing vertex.
     """
     adj = graph.adj
     closed = {}
@@ -72,7 +73,9 @@ def _clique_test(graph):
         for v in s:
             c = closed.get(v)
             if c is None:
-                c = closed[v] = frozenset(adj[v] + (v,))
+                c = frozenset(adj[v] + (v,))
+                if len(c) > len(s) + 1:
+                    closed[v] = c
             if not s <= c:
                 return False
         return True

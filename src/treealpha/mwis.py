@@ -1,27 +1,28 @@
 """Max Weight Independent Set over a refined tree decomposition.
 
 One bottom-up pass runs over the tree of `nice.rooted_contraction`, nested
-neighbours contracted, children taken largest id first; no nice form is
-built. The pass reads the decomposition as int masks: each bag X_t, each
-residual X_t - U_t, and the tree edges. `solve_mwis` builds the masks once
-from the bags and marked sets, and packing hands over the transferred bags
-as masks, with no marked sets; the contraction reads the same masks, and
-the table-cap refusal reads a bag's size and marked count off them as
-popcounts. c[t, S] is the best weight of an independent set I of the
-subtree's vertices with I & X_t = S, and t's table maps every independent
-subset S of X_t (an int bit mask, bit v for vertex v) to c[t, S]:
+neighbours contracted, in reverse of the parent-first order it returns; no
+nice form is built. The pass reads the decomposition as int masks: each bag
+X_t, each residual X_t - U_t, and the tree edges. `solve_mwis` builds the
+masks once from the bags and marked sets, and packing hands over the
+transferred bags as masks, with no marked sets; the contraction reads the
+same masks, and the table-cap refusal reads a bag's size and marked count
+off them as popcounts. c[t, S] is the best weight of an independent set I
+of the subtree's vertices with I & X_t = S, and t's table maps every
+independent subset S of X_t (an int bit mask, bit v for vertex v) to it:
 
 - child c passes its parent p one projection onto X_c & X_p: for each key
   S', the max of c[c, S] over the keys S with S & X_p = S', and for the
   witness the numerically smallest such S attaining it;
-- t starts from its largest-id child's projection (a leaf from {0: 0}) and
-  extends it over the rest of X_t one vertex v at a time, smallest id
-  first: S | v gets c[t, S] + w(v) for each key S with no neighbour of v.
-  Every key lies in D, the part of X_t the table already spans, so those
-  keys are the table's subsets of D - N(v). Where WALK * 2^|D - N(v)| is
-  below the table's size they are found by walking those subsets and
-  looking each up, otherwise by one scan of the table; so adding v costs
-  the smaller of the table's size and 2^|D - N(v)|, times a constant;
+- t starts from the first child projection to reach it, its largest-id
+  child's (a leaf from {0: 0}), and extends it over the rest of X_t one
+  vertex v at a time, smallest id first: S | v gets c[t, S] + w(v) for each
+  key S with no neighbour of v. Every key lies in D, the part of X_t the
+  table already spans, so those keys are the table's subsets of D - N(v).
+  Where WALK * 2^|D - N(v)| is below the table's size they are found by
+  walking those subsets and looking each up, otherwise by one scan of the
+  table; so adding v costs the smaller of the table's size and 2^|D - N(v)|,
+  times a constant;
 - each further child c adds its projection at S & X_c less w(S & X_c).
 
 The refinement promise bounds each table by 2^|U_t| * sum_{s<=k}
@@ -85,14 +86,9 @@ def _dp(rows, weights, bags, residuals, edges, k):
             )
     w = [x.numerator * (scale // x.denominator) for x in weights]
     budget = MAX_COUNT // -(-scale.bit_length() // 1024)
-    ids, root, parent, kids = rooted_contraction(bags, edges)
+    ids, order, parent, _ = rooted_contraction(bags, edges)
     bag = list(map(bags.__getitem__, ids))
     rest = list(map(residuals.__getitem__, ids))
-    order, stack = [], [root]
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        stack.extend(reversed(kids[t]))
 
     def extend(table, t, start):
         """Grow `table` over X_t - `start`, checking each added vertex."""
@@ -148,12 +144,12 @@ def _dp(rows, weights, bags, residuals, edges, k):
 
     tables, picks = {}, {}
     for t in reversed(order):
-        if not kids[t]:
-            tables[t] = extend({0: 0}, t, 0)
+        table = tables.get(t)
+        if table is None:
+            table = tables[t] = extend({0: 0}, t, 0)
         p = parent[t]
         keep = 0 if p is None else bag[t] & bag[p]
         best, pick = {}, {}
-        table = tables[t]
         for s, x in table.items():
             key = s & keep
             y = best.get(key, -1)
@@ -163,7 +159,7 @@ def _dp(rows, weights, bags, residuals, edges, k):
         picks[t] = pick
         if p is None:
             value = best[0]
-        elif t == kids[p][-1]:
+        elif p not in tables:
             tables[p] = extend(best, p, keep)
         else:
             for key in best:

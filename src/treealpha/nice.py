@@ -48,10 +48,11 @@ def rooted_contraction(bags, edges):
     performs the same steps.
 
     The contracted tree is rooted at its lowest-id node of degree at most
-    one. Returns (ids, root, parent, children): `ids` the kept input nodes
-    ascending, the contracted tree's nodes their positions in `ids`, and
-    children in ascending id. `make_nice` and the MWIS pass both walk this
-    tree.
+    one. Returns (ids, order, parent, children): `ids` the kept input nodes
+    ascending, the contracted tree's nodes their positions in `ids`, `order`
+    those nodes parent first with subtrees in ascending id (`order[0]` is
+    the root), and children in ascending id. `make_nice` and the MWIS pass
+    both walk this tree.
     """
     n = len(bags)
     adj = [[] for _ in range(n)]
@@ -70,14 +71,15 @@ def rooted_contraction(bags, edges):
         for row in adj:
             row.sort()
     root = next(t for t, row in enumerate(adj) if len(row) <= 1)
-    kids, up, stack = [None] * len(ids), [None] * len(ids), [root]
+    kids, up, order, stack = [None] * len(ids), [None] * len(ids), [], [root]
     while stack:
         t = stack.pop()
+        order.append(t)
         kids[t] = [c for c in adj[t] if c != up[t]]
         for c in kids[t]:
             up[c] = t
-        stack.extend(kids[t])
-    return ids, root, up, kids
+        stack.extend(reversed(kids[t]))
+    return ids, order, up, kids
 
 
 def _contract(bags, adj, ends):
@@ -166,7 +168,8 @@ def make_nice(graph, td):
     """
     require_valid(graph, td)
     masks = list(map(mask_of, td.bags))
-    ids, root0, _, down_of = rooted_contraction(masks, td.tree_edges)
+    ids, walk, _, down_of = rooted_contraction(masks, td.tree_edges)
+    root0 = walk[0]
     bags = [td.bags[i] for i in ids]
     refs = [td.refined[i] for i in ids]
     total = _nice_bag_total(bags, root0, down_of)

@@ -248,8 +248,6 @@ def _fill_in(rows, bags):
 def treewidth_exact(graph, cap=DEFAULT_SUBSET_DP_CAP):
     """Exact treewidth by subset DP; the null graph has treewidth -1."""
     _refuse_over_cap("treewidth_exact", graph, cap)
-    if graph.n == 0:
-        return -1
     # Costs max(|S| - 1, 0): alpha(S) = |S| on the edgeless graph. Every bag
     # holds its own vertex, so the empty mask's entry is never read.
     sizes = _alpha_table([0] * graph.n, graph.n).translate(_LESS_ONE)

@@ -159,21 +159,19 @@ def _refuse_dense(index, adj):
             terms += len(held) * len(found)
 
 
-def derived_graph(graph, family):
-    """The conflict graph on member indices.
+def derived_graph(family):
+    """The conflict graph on the member indices of `family`, over its host.
 
     Member j conflicts exactly with the members that meet its closed
-    neighbourhood N[H_j], the reach behind the polynomial bound. After the
-    count of `_refuse_dense`, one pass builds near[v], the members meeting
-    N[v], for each vertex v a member holds; u is in N[H_j] exactly when j is
-    in near[u], so j's neighbours are the union of near[v] over H_j, minus
-    j. No pair of members is compared; `compatible` is the pairwise
-    definition it agrees with.
+    neighbourhood N[H_j] in the host, the reach behind the polynomial bound.
+    After the count of `_refuse_dense`, one pass builds near[v], the members
+    meeting N[v], for each vertex v a member holds; u is in N[H_j] exactly
+    when j is in near[u], so j's neighbours are the union of near[v] over
+    H_j, minus j. No pair of members is compared; `compatible` is the
+    pairwise definition it agrees with.
     """
-    if family.host != graph:
-        raise GraphError("family references a different host graph")
     index = _member_index(family)
-    adj = graph.adj
+    adj = family.host.adj
     _refuse_dense(index, adj)
     near = [
         tuple(set().union(held, *map(index.__getitem__, adj[v]))) if held else ()

@@ -387,8 +387,8 @@ def contracted(td):
     sets: (bags, marked sets, root, parent, children) over the contracted
     tree's nodes, as `make_nice` and `mwis._dp` read it."""
     masks = list(map(mask_of, td.bags))
-    ids, root, parent, kids = rooted_contraction(masks, td.tree_edges)
-    return [td.bags[i] for i in ids], [td.refined[i] for i in ids], root, parent, kids
+    ids, order, parent, kids = rooted_contraction(masks, td.tree_edges)
+    return [td.bags[i] for i in ids], [td.refined[i] for i in ids], order[0], parent, kids
 
 
 def reference_contraction(td):

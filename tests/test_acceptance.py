@@ -224,7 +224,7 @@ def test_criterion_07_derived_decomposition_law(verdict):
         )
         fam = make_family(g, members)
         td = trivial_decomposition(g) if i % 2 == 0 else tin_exact(g)[1]
-        derived = derived_graph(g, fam)
+        derived = derived_graph(fam)
         td2 = transferred(fam, td)
         assert validate(derived, td2).ok
         assert independence_number(derived, td2) <= independence_number(g, td)
@@ -309,7 +309,7 @@ def test_criterion_08_packing_oracle_equivalence(verdict):
     for _ in range(50):
         g = random_graph(rng.randint(2, 8), rng.choice([0.3, 0.5]), rng)
         fam = make_family(g, [frozenset(e) for e in g.edges()])
-        assert derived_graph(g, fam) == graph_square(line_graph(g))
+        assert derived_graph(fam) == graph_square(line_graph(g))
     verdict(
         8,
         "packing front-ends and mixed families match brute force "

@@ -264,7 +264,7 @@ def test_pack_emits_the_derived_graph_and_bags_the_solve_built(
     assert calls == {"_reduction": 1, "_transferred": 1, "derived_graph": 1, "Graph": 1}
     monkeypatch.undo()
     fam = packing.enumerate_F_subgraphs(g, [packing.pattern_by_name(p) for p in ("k1", "k2")])
-    derived = packing.derived_graph(g, fam)
+    derived = packing.derived_graph(fam)
     assert (tmp_path / "d.gr").read_text() == format_graph(derived)
     want_td = format_td(transferred(fam, td))
     assert (tmp_path / "d.td").read_text() == want_td

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -282,6 +283,33 @@ def test_clique_bags_of_a_star_are_measured_without_rebuilding_the_hub():
     assert residual_independence_number(g, td) == 1
     assert independence_number(g, td) == 1
     assert time.perf_counter() - start < 2
+
+
+def test_clique_bags_of_two_hubs_are_measured_without_rebuilding_either():
+    # K_2 joined to 19,998 vertices: every bag of its clique tree is
+    # {0, 1, v}, so a test that rebuilt N[0] and N[1] for each bag would
+    # touch 20,000 ids per hub per bag.
+    n = 20000
+    g = build_graph(n, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, n)])
+    td = clique_tree(g)
+    start = time.perf_counter()
+    assert residual_independence_number(g, td) == 1
+    assert time.perf_counter() - start < 2
+
+
+def test_clique_bags_of_a_path_keep_no_neighbourhoods():
+    # No vertex of P_50000 has more neighbours than its bag {v, v + 1} has
+    # vertices, so no closed neighbourhood is kept between bags; keeping
+    # every one peaked at 12.8 MiB.
+    g = path_graph(50000)
+    td = clique_tree(g)
+    tracemalloc.start()
+    try:
+        assert residual_independence_number(g, td) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_refined_sets_must_match_the_bags():

@@ -590,7 +590,7 @@ def test_walked_and_scanned_extensions_match_the_references(monkeypatch):
         job = PackingInstance(fam, ws)
         k = independence_number(g, td)
         answer, seen = _on_every_path(monkeypatch, _pack, g, job, td, k)
-        derived = (derived_graph(g, fam), WeightMap(len(fam), dict(enumerate(ws))))
+        derived = (derived_graph(fam), WeightMap(len(fam), dict(enumerate(ws))))
         expect = nice_form_mwis(*derived, transferred(fam, td), k)
         assert answer == expect
         if len(fam) <= 22:
@@ -731,6 +731,9 @@ def _answer(solve, g, w, td, k):
 def test_contracted_pass_matches_the_nice_form_reference():
     rng = random.Random(47)
     seen = {"marked": 0, "nested": 0, "three kids": 0, "violation": 0, "tie": 0}
+    # Where two sibling subtrees both break the promise, the pass must
+    # reach them in the reference's order to report the same violation.
+    broken_siblings = 0
     for g, w, td, k in _differential_corpus(rng, 500):
         expect = _answer(nice_form_mwis, g, w, td, k)
         assert _answer(solve_mwis, g, w, td, k) == expect
@@ -738,12 +741,21 @@ def test_contracted_pass_matches_the_nice_form_reference():
         seen["nested"] += any(
             td.bags[a] <= td.bags[b] or td.bags[b] <= td.bags[a] for a, b in td.tree_edges
         )
-        seen["three kids"] += max(map(len, contracted(td)[4])) >= 3
+        bags, marked, _, parent, kids = contracted(td)
+        seen["three kids"] += max(map(len, kids)) >= 3
+        broken = set()
+        for t, (bag, u) in enumerate(zip(bags, marked)):
+            if alpha_of_subset(g, bag - u) > k:
+                while t is not None and t not in broken:
+                    broken.add(t)
+                    t = parent[t]
+        broken_siblings += any(len(broken.intersection(c)) >= 2 for c in kids)
         seen["violation"] += expect[0] == "violation"
         seen["tie"] += expect[0] != "violation" and len(
             {w.total(s) for s in _independent_subsets(g, range(g.n))}
         ) < len(_independent_subsets(g, range(g.n)))
     assert min(seen.values()) >= 40, seen
+    assert broken_siblings >= 12, broken_siblings
 
 
 @st.composite

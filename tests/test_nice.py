@@ -195,10 +195,27 @@ def _shuffled(td, rng):
     return RefinedTreeDecomposition(td.n, tuple(bags), tuple(edges), tuple(marked))
 
 
+def _preorder(root, parent):
+    """The nodes of the tree `parent` in lexicographic order of their paths
+    from `root`: parent first, each node's subtrees in ascending id."""
+
+    def path(t):
+        up = []
+        while t is not None:
+            up.append(t)
+            t = parent[t]
+        return up[::-1]
+
+    order = sorted(range(len(parent)), key=path)
+    assert order[0] == root
+    return order
+
+
 def test_contraction_matches_the_reference_sweep(monkeypatch):
-    # Kept ids, root, parents and children equal the set-and-heap sweep's on
-    # nested trees, the corpus, nice forms, where every edge is nested, and
-    # clique trees, where none is; so do the `nice -o` files.
+    # Kept ids, walk order, parents and children equal the set-and-heap
+    # sweep's, with its tree walked parent first, on nested trees, the
+    # corpus, nice forms, where every edge is nested, and clique trees,
+    # where none is; so do the `nice -o` files.
     rng = random.Random(19)
     corpus = [_nested_tree(rng) for _ in range(300)]
     corpus += _decomposition_corpus(rng, 30)
@@ -211,9 +228,10 @@ def test_contraction_matches_the_reference_sweep(monkeypatch):
     for g, td in corpus:
         assert validate(g, td).ok
         masks = list(map(mask_of, td.bags))
-        ids, root, parent, kids = rooted_contraction(masks, td.tree_edges)
-        expect = reference_contraction(td)
-        assert (list(ids), root, parent, kids) == expect
+        ids, order, parent, kids = rooted_contraction(masks, td.tree_edges)
+        ref_ids, root, ref_parent, ref_kids = reference_contraction(td)
+        expect = ref_ids, _preorder(root, ref_parent), ref_parent, ref_kids
+        assert (list(ids), order, parent, kids) == expect
         pairs = [(td.bags[a], td.bags[b]) for a, b in td.tree_edges]
         seen["none nested"] += len(pairs) > 2 and not any(x <= y or y <= x for x, y in pairs)
         seen["equal"] += any(x == y for x, y in pairs)
